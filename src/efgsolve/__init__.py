@@ -9,8 +9,8 @@ from .policy import (PurePolicy, TabularPolicy, default_pure_policy,
                      extend_with_default, lift_policy, profile_array,
                      policy_from_flat, random_pure_policy, realize_mixture,
                      uniform_policy)
-from .evaluate import (BestResponse, best_response, best_response_values,
-                       exploitability, expected_value)
+from .evaluate import (BestResponse, best_response, exploitability,
+                       expected_value)
 from .games import make_game
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "extend_with_default", "lift_policy", "profile_array",
     "policy_from_flat", "random_pure_policy", "realize_mixture",
     "uniform_policy",
-    "BestResponse", "best_response", "best_response_values",
-    "exploitability", "expected_value",
+    "BestResponse", "best_response", "exploitability", "expected_value",
     "make_game",
 ]

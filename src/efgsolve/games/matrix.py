@@ -91,13 +91,21 @@ def gmp_matrix(n: int) -> np.ndarray:
     return m
 
 
+def _check_sizes(name: str, **sizes: int) -> None:
+    for what, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name}: {what} must be >= 1, got {size}")
+
+
 def kgmp(k: int, n: int) -> ParallelStageGame:
+    _check_sizes("kgmp", k=k, n=n)
     return ParallelStageGame(f"kgmp_{k}_{n}", [gmp_matrix(n)] * k)
 
 
 def clone_gmp(k: int, m: int, n: int) -> ParallelStageGame:
     """GMP where each of the n actions appears as m payoff-identical
     clones; slots [c*m, (c+1)*m) form class c and classes must match."""
+    _check_sizes("clone_gmp", k=k, m=m, n=n)
     cls = np.arange(m * n) // m
     mat = np.where(cls[:, None] == cls[None, :], n - 1.0, -1.0)
     return ParallelStageGame(f"clone_gmp_{k}_{m}_{n}", [mat] * k)
@@ -106,6 +114,7 @@ def clone_gmp(k: int, m: int, n: int) -> ParallelStageGame:
 def perturbed_kgmp(k: int, n: int, seed: int = 0) -> ParallelStageGame:
     """k-GMP with a seeded uniform(-1, 1) bump on every matching entry,
     so each stage game has a distinct, non-uniform equilibrium."""
+    _check_sizes("perturbed_kgmp", k=k, n=n)
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(k):

@@ -16,6 +16,7 @@ cost nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class TreeIndex:
 
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
+    ``col_isid`` and ``col_action`` map a column back to its infostate
+    and action id; they are built on first use, so indexing a tree costs
+    only its enumeration.
     """
 
     def __init__(self, game):
@@ -188,6 +192,27 @@ class TreeIndex:
 
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
+        self._col_isid = self._col_action = None
+
+    # Plain properties over attributes set in __init__: caching into the
+    # instance dict (functools.cached_property) slows every later
+    # attribute read on the tree, which the sampled walks do per node.
+    @property
+    def col_isid(self) -> np.ndarray:
+        """Owning infostate of every column."""
+        if self._col_isid is None:
+            self._col_isid = np.repeat(
+                np.arange(self.n_infosets, dtype=np.int32), self.is_nact)
+        return self._col_isid
+
+    @property
+    def col_action(self) -> np.ndarray:
+        """Action id of every column."""
+        if self._col_action is None:
+            self._col_action = np.fromiter(
+                chain.from_iterable(self.is_actions), dtype=np.int32,
+                count=self.n_cols)
+        return self._col_action
 
     def children(self, u: int) -> np.ndarray:
         return self.child_flat[self.child_off[u]:self.child_off[u + 1]]

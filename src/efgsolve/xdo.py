@@ -37,12 +37,14 @@ from .tree import NodeCounter, TreeIndex, infostate_predecessors
 
 class Population:
     """Ordered pure strategies for one player, deduplicated by their
-    total action table over the base tree."""
+    total action table over the base tree.  ``cols`` is the bool mask of
+    the base tree's columns that some member plays."""
 
     def __init__(self, tree: TreeIndex, player: int, members=()):
         self.tree = tree
         self.player = player
         self.members: list[PurePolicy] = []
+        self.cols = np.zeros(tree.n_cols, dtype=bool)
         self._seen: set[tuple] = set()
         for m in members:
             self.add(m)
@@ -53,6 +55,11 @@ class Population:
             return False
         self._seen.add(canon)
         self.members.append(policy)
+        tree = self.tree
+        played = np.zeros(tree.n_infosets, dtype=np.int64)
+        played[tree.infosets_of(self.player)] = canon
+        self.cols |= ((tree.is_player[tree.col_isid] == self.player)
+                      & (tree.col_action == played[tree.col_isid]))
         return True
 
     def __len__(self) -> int:
@@ -62,18 +69,39 @@ class Population:
         return iter(self.members)
 
 
+_PAD = np.iinfo(np.int64).max
+
+
 def eq1_allowed(tree: TreeIndex, populations) -> tuple[dict, dict]:
     """Per-player map: infostate key -> ordered action ids any member
-    plays there (the restricted game's legal lists)."""
+    plays there (the restricted game's legal lists), read off the
+    populations' column masks."""
     out = []
     for player in (0, 1):
-        pop = populations[player]
-        allowed = {}
-        for isid in tree.infosets_of(player):
-            key = tree.keys[isid]
-            acts = tree.is_actions[isid]
-            allowed[key] = tuple(sorted({pi.act(key, acts) for pi in pop}))
-        out.append(allowed)
+        own = tree.infosets_of(player)
+        cols = np.flatnonzero(populations[player].cols)
+        count = np.bincount(tree.col_isid[cols],
+                            minlength=tree.n_infosets)[own]
+        # Allowed action ids as rows of a table, one per infostate,
+        # sorted and padded past the row's count.
+        table = np.full((own.size, max(int(count.max(initial=0)), 1)), _PAD)
+        rows = np.repeat(np.arange(own.size), count)
+        slot = np.arange(cols.size) - (np.cumsum(count) - count)[rows]
+        table[rows, slot] = tree.col_action[cols]
+        table.sort(axis=1)
+        # Few rows are distinct; build one tuple per distinct row.
+        order = np.lexsort(table.T)
+        table = table[order]
+        new = np.ones(own.size, dtype=bool)
+        new[1:] = (table[1:] != table[:-1]).any(axis=1)
+        which = np.empty(own.size, dtype=np.int64)
+        which[order] = np.cumsum(new) - 1
+        lists = np.fromiter(
+            (tuple(a for a in row if a != _PAD)
+             for row in table[new].tolist()),
+            dtype=object, count=int(new.sum()))
+        out.append(dict(zip(map(tree.keys.__getitem__, own.tolist()),
+                            lists[which].tolist())))
     return out[0], out[1]
 
 
@@ -118,11 +146,6 @@ class RestrictedGame:
 
     def root(self):
         return _RestrictedState(self.base.root(), self)
-
-
-def build_restricted_game(base_game, tree: TreeIndex,
-                          populations) -> RestrictedGame:
-    return RestrictedGame(base_game, eq1_allowed(tree, populations))
 
 
 def covered_infostate_count(game_or_preds, populations) -> int:
@@ -257,9 +280,8 @@ def xdo_solve(game, config: XdoConfig | None = None,
 
     while True:
         outer += 1
-        allowed = eq1_allowed(base_tree, populations)
-        rgame = RestrictedGame(game, allowed)
-        rtree = TreeIndex(rgame)
+        rtree = TreeIndex(RestrictedGame(game,
+                                         eq1_allowed(base_tree, populations)))
 
         inner_iter = 0
         solver = None
@@ -294,9 +316,9 @@ def xdo_solve(game, config: XdoConfig | None = None,
             policy0, policy1 = _extend_to_base(rtree, base_tree, flat)
             sigma_full = profile_array(base_tree, policy0, policy1)
             br0 = best_response(base_tree, sigma_full, 0, counter,
-                                prefer=allowed[0])
+                                prefer=populations[0].cols)
             br1 = best_response(base_tree, sigma_full, 1, counter,
-                                prefer=allowed[1])
+                                prefer=populations[1].cols)
             e_full = br0.value + br1.value
 
             trace.append(dict(outer=outer, inner=inner_iter,

@@ -205,6 +205,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("game", ["kgmp_0_2", "kgmp_2_0",
+                                  "clone_gmp_1_0_2"])
+def test_cli_rejects_empty_stage_games(game, tmp_path, capsys):
+    code = main(["run", "--game", game, "--algo", "cfr",
+                 "--max-iters", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     cfgfile = tmp_path / "exp.yaml"
     cfgfile.write_text(

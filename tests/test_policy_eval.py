@@ -1,8 +1,10 @@
 """Policies, evaluation, and the best-response oracle.
 
 The oracle is checked against brute force: enumerate every reduced pure
-strategy, evaluate each against the fixed opponent, take the max.  The
-mixture realization is checked against Kuhn's theorem: a realized
+strategy, evaluate each against the fixed opponent, take the max.  Its
+stage-wise kernel is also checked against a per-infostate reference
+for identical values, choices and random draws.  The mixture
+realization is checked against Kuhn's theorem: a realized
 mixture must earn exactly the weighted sum of its components' payoffs
 against any fixed opponent.
 """
@@ -233,3 +235,141 @@ def test_lift_policy_scatters_restricted_rows():
     for key in unset:
         sl = base.col_slice(base.key_to_isid[key])
         assert sigma[sl][0] == 1.0
+
+
+def reference_best_response(tree, sigma, player, prefer=None, rng=None):
+    """Per-infostate best response: one backward sweep per own-depth
+    stage, then a loop over the stage's infostates with the same tie
+    rules as ``best_response`` (``prefer`` is a dict here)."""
+    def edge_w(ids, chosen, decided):
+        w = tree.in_prob[ids].copy()
+        cols = tree.in_col[ids]
+        opp = tree.in_player[ids] == 1 - player
+        w[opp] *= sigma[cols[opp]]
+        own = tree.in_player[ids] == player
+        if chosen is not None:
+            w[own] *= np.where(decided[cols[own]], chosen[cols[own]], 0.0)
+        return w
+
+    def sweep(chosen, decided):
+        v = tree.payoff1.copy()
+        for ids in reversed(tree.levels[1:]):
+            np.add.at(v, tree.parent[ids],
+                      edge_w(ids, chosen, decided) * v[ids])
+        return v
+
+    reach = np.ones(tree.n_nodes)
+    for ids in tree.levels[1:]:
+        reach[ids] = reach[tree.parent[ids]] * edge_w(ids, None, None)
+    chosen = np.zeros(tree.n_cols)
+    decided = np.zeros(tree.n_cols, dtype=bool)
+    own = tree.infosets_of(player)
+    node_stage = np.where(tree.decision_mask & (tree.player == player),
+                          tree.is_own_depth[tree.infoset], -1)
+    actions = {}
+    for stage in sorted(set(tree.is_own_depth[own].tolist()), reverse=True):
+        v = sweep(chosen, decided)
+        vp = v if player == 0 else -v
+        q = np.zeros(tree.n_cols)
+        q_unit = np.zeros(tree.n_cols)
+        at_stage = node_stage == stage
+        kids = np.flatnonzero(at_stage[tree.parent] &
+                              (tree.in_player == player))
+        np.add.at(q, tree.in_col[kids], reach[tree.parent[kids]] * vp[kids])
+        np.add.at(q_unit, tree.in_col[kids], vp[kids])
+        is_reach = np.zeros(tree.n_infosets)
+        nodes = np.flatnonzero(at_stage)
+        np.add.at(is_reach, tree.infoset[nodes], reach[nodes])
+        for isid in own[tree.is_own_depth[own] == stage]:
+            sl = tree.col_slice(isid)
+            row = q[sl] if is_reach[isid] > 0.0 else q_unit[sl]
+            tol = 0.0 if rng is None else 1e-9
+            cand = np.flatnonzero(row >= row.max() - tol)
+            acts = tree.is_actions[isid]
+            allowed = (prefer or {}).get(tree.keys[isid], ())
+            inside = [c for c in cand if acts[c] in allowed]
+            if inside:
+                cand = inside
+            slot = int(cand[0]) if rng is None else int(rng.choice(cand))
+            chosen[sl.start + slot] = 1.0
+            decided[sl] = True
+            actions[tree.keys[isid]] = acts[slot]
+    v = sweep(chosen, decided)
+    return float(v[0]) if player == 0 else -float(v[0]), actions
+
+
+def tie_heavy_profile(tree, seed):
+    """Random rows rounded to one decimal, so many actions tie."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.random(tree.n_cols) + 1e-3
+    sums = np.add.reduceat(sigma, tree.is_off)
+    return np.round(sigma / np.repeat(sums, tree.is_nact), 1)
+
+
+def random_prefer(tree, player, rng):
+    """Allowed-action dict over a random subset of the player's
+    infostates; some entries allow nothing."""
+    prefer = {}
+    for isid in tree.infosets_of(player):
+        if rng.random() < 0.7:
+            acts = tree.is_actions[isid]
+            prefer[tree.keys[isid]] = tuple(a for a in acts
+                                            if rng.random() < 0.4)
+    return prefer
+
+
+def prefer_cols(tree, prefer):
+    mask = np.zeros(tree.n_cols, dtype=bool)
+    for key, allowed in prefer.items():
+        isid = tree.key_to_isid[key]
+        for slot, a in enumerate(tree.is_actions[isid]):
+            mask[int(tree.is_off[isid]) + slot] = a in allowed
+    return mask
+
+
+@pytest.mark.parametrize("name", ["leduc", "oshi_zumo_3_3_4"])
+def test_best_response_kernel_matches_per_infostate_reference(name):
+    tree = TreeIndex(make_game(name))
+    rng = np.random.default_rng(7)
+    for seed in range(2):
+        sigma = tie_heavy_profile(tree, seed)
+        for player in (0, 1):
+            prefer = random_prefer(tree, player, rng)
+            for pref in (None, prefer, prefer_cols(tree, prefer)):
+                want = reference_best_response(
+                    tree, sigma, player,
+                    None if pref is None else prefer)
+                br = best_response(tree, sigma, player, prefer=pref)
+                assert (br.value, br.policy.actions) == want
+                ours, theirs = (np.random.default_rng(seed + 10)
+                                for _ in range(2))
+                want = reference_best_response(
+                    tree, sigma, player,
+                    None if pref is None else prefer, rng=theirs)
+                br = best_response(tree, sigma, player, prefer=pref,
+                                   rng=ours)
+                assert (br.value, br.policy.actions) == want
+                assert ours.bit_generator.state == \
+                    theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["kuhn", "leduc"])
+def test_population_mask_is_the_allowed_column_set(name):
+    from efgsolve.xdo import Population, eq1_allowed
+    tree = TreeIndex(make_game(name))
+    rng = np.random.default_rng(3)
+    pops = tuple(Population(tree, p, [PurePolicy(p)] + [
+        random_pure_policy(tree, p, rng) for _ in range(3)])
+        for p in (0, 1))
+    allowed = eq1_allowed(tree, pops)
+    for p in (0, 1):
+        union = {tree.keys[isid]: tuple(sorted(
+            {pi.act(tree.keys[isid], tree.is_actions[isid])
+             for pi in pops[p]})) for isid in tree.infosets_of(p)}
+        assert allowed[p] == union
+        assert np.array_equal(pops[p].cols, prefer_cols(tree, allowed[p]))
+    # An empty population allows nothing anywhere.
+    empty = eq1_allowed(tree, (Population(tree, 0), Population(tree, 1)))
+    for p in (0, 1):
+        assert empty[p] == dict.fromkeys(
+            (tree.keys[isid] for isid in tree.infosets_of(p)), ())
