@@ -73,6 +73,10 @@ class OshiZumoState:
 
 class OshiZumo:
     def __init__(self, coins: int = 4, board: int = 3, horizon: int = 6):
+        for what, size in (("coins", coins), ("board", board),
+                           ("horizon", horizon)):
+            if size < 1:
+                raise ValueError(f"oshi_zumo: {what} must be >= 1, got {size}")
         if board % 2 == 0:
             raise ValueError("board size must be odd so the middle is a draw")
         self.coins = coins

@@ -9,6 +9,9 @@ total over any game it is used on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from .tree import TreeIndex
@@ -104,6 +107,13 @@ def _fill_cols(tree: TreeIndex, sigma: np.ndarray, policy, player: int):
                 sigma[sl.start] = 1.0
             else:
                 sigma[sl] = row
+
+
+def sample_index(probs, r: float) -> int:
+    """Inverse-CDF pick for a uniform draw ``r`` in [0, 1): the first
+    ``i`` with ``r < probs[0] + ... + probs[i]`` (added in order), else
+    the last index, so a draw past every prefix sum takes the last."""
+    return bisect_right(list(accumulate(probs[:-1])), r)
 
 
 def profile_array(tree: TreeIndex, pol0, pol1) -> np.ndarray:

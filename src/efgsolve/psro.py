@@ -17,7 +17,7 @@ import numpy as np
 
 from .evaluate import best_response, expected_value
 from .policy import (PurePolicy, TabularPolicy, profile_array,
-                     random_pure_policy, realize_mixture)
+                     random_pure_policy, realize_mixture, sample_index)
 from .solvers.matrix_solvers import solve_matrix_fp, solve_matrix_lp
 from .tree import CHANCE_NODE, TERMINAL, NodeCounter, TreeIndex
 from .xdo import Population
@@ -76,16 +76,7 @@ def _sampled_payoff(tree: TreeIndex, sigma: np.ndarray, games: int,
                 break
             kids = tree.children(u)
             if kind == CHANCE_NODE:
-                probs = tree.in_prob[kids]
-                r = rng.random()
-                acc = 0.0
-                c = len(kids) - 1
-                for i in range(len(kids) - 1):
-                    acc += probs[i]
-                    if r < acc:
-                        c = i
-                        break
-                u = int(kids[c])
+                u = int(kids[sample_index(tree.in_prob[kids], rng.random())])
             else:
                 # Pure strategies: exactly one child column carries mass.
                 cols = tree.in_col[kids]

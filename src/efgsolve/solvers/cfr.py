@@ -13,8 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..policy import TabularPolicy, policy_from_flat
-from ..tree import DECISION, NodeCounter, TreeIndex
+from ..tree import NodeCounter, TreeIndex
+
+
+def normalise_rows(tree: TreeIndex, x: np.ndarray,
+                   uniform: np.ndarray) -> np.ndarray:
+    """Divide each infostate's columns of ``x`` by their sum; a row that
+    sums to zero takes its entries from ``uniform``."""
+    norm = np.repeat(np.add.reduceat(x, tree.is_off), tree.is_nact)
+    return np.where(norm > 0.0, x / np.where(norm > 0.0, norm, 1.0), uniform)
 
 
 class Cfr:
@@ -41,10 +48,8 @@ class Cfr:
         self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
 
     def current(self) -> np.ndarray:
-        pos = np.maximum(self.regret, 0.0)
-        norm = np.add.reduceat(pos, self.tree.is_off)[self._col_infoset]
-        return np.where(norm > 0.0, pos / np.where(norm > 0.0, norm, 1.0),
-                        self._uniform)
+        return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
+                              self._uniform)
 
     def _passes(self, sigma):
         tree = self.tree
@@ -111,13 +116,4 @@ class Cfr:
                     self.counter.add(self.tree.n_nodes)
 
     def average_flat(self) -> np.ndarray:
-        norm = np.add.reduceat(self.ssum, self.tree.is_off)
-        norm = norm[self._col_infoset]
-        return np.where(norm > 0.0,
-                        self.ssum / np.where(norm > 0.0, norm, 1.0),
-                        self._uniform)
-
-    def average(self) -> tuple[TabularPolicy, TabularPolicy]:
-        flat = self.average_flat()
-        return (policy_from_flat(self.tree, flat, 0),
-                policy_from_flat(self.tree, flat, 1))
+        return normalise_rows(self.tree, self.ssum, self._uniform)

@@ -4,14 +4,76 @@ One iteration traverses the tree once per updating player: the
 traverser's actions are all explored, while chance and the opponent are
 sampled from the seeded generator.  Visited histories are counted
 individually, so the node counter reflects actual sampled work.
+
+The walk runs on plain Python data built once from the ``TreeIndex``,
+because numpy scalars and small temporaries cost microseconds per
+visited history: a terminal is its player-0 payoff as a float, a chance
+node is its children with their probability prefix sums, and a decision
+node is its children, acting player and column range.  ``regret`` and
+``ssum`` are flat float lists.  Every float operation is the one the
+equivalent numpy row operations make, in the same order, so the results
+equal an array implementation bit for bit (``tests/test_solvers.py``
+keeps one as the reference):
+
+* a row's regret-matching norm is added left to right, which is what
+  numpy's sum does below eight elements; longer rows use numpy's sum;
+* the traverser's node value stays ``np.dot(sigma, vals)``.  The BLAS
+  behind it (OpenBLAS on x86-64) computes short dots as a chain of fused
+  multiply-adds, which a Python sum of products misses in the last bit
+  on about half of all rows, and Python has no ``math.fma`` before 3.13;
+* uniforms are drawn 1,024 at a time with ``rng.random(1024)`` and
+  handed out in order.  That is the same stream as one ``rng.random()``
+  per draw at a fraction of the call cost.  The block carries across
+  ``iterate`` calls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+from operator import add
+
 import numpy as np
 
-from ..policy import TabularPolicy
-from ..tree import CHANCE_NODE, DECISION, NodeCounter, TERMINAL, TreeIndex
+from ..policy import sample_index
+from ..tree import CHANCE_NODE, TERMINAL, NodeCounter, TreeIndex
+from .cfr import normalise_rows
+
+_DRAW_BLOCK = 1024
+# numpy sums fewer elements than this one after another; longer sums
+# are pairwise, so those rows go through numpy itself.
+_SEQUENTIAL_SUM = 8
+
+
+def _uniforms(rng: np.random.Generator):
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
+def _walk_table(tree: TreeIndex):
+    """The root of the tree as nested Python data (see the module
+    docstring), built bottom-up over the preorder node ids.  Decision
+    nodes of one infostate share one pair of column-bound ints, which
+    keeps the table small."""
+    kind = tree.kind.tolist()
+    nodes: list = [None] * tree.n_nodes
+    bounds: dict = {}
+    for u in range(tree.n_nodes - 1, -1, -1):
+        if kind[u] == TERMINAL:
+            nodes[u] = float(tree.payoff1[u])
+            continue
+        ids = tree.children(u).tolist()
+        kids = tuple([nodes[c] for c in ids])
+        if kind[u] == CHANCE_NODE:
+            # sample_index's prefix sums, hoisted out of the walk.
+            probs = tree.in_prob[ids].tolist()
+            nodes[u] = (kids, list(accumulate(probs[:-1])))
+        else:
+            lo = int(tree.is_off[tree.infoset[u]])
+            if lo not in bounds:
+                bounds[lo] = (lo, lo + len(ids))
+            nodes[u] = (kids, int(tree.player[u])) + bounds[lo]
+    return nodes[0]
 
 
 class MccfrEs:
@@ -20,80 +82,72 @@ class MccfrEs:
         self.tree = tree
         self.rng = np.random.default_rng(seed)
         self.counter = counter
-        self.regret = np.zeros(tree.n_cols)
-        self.ssum = np.zeros(tree.n_cols)
-        self._col_infoset = np.repeat(np.arange(tree.n_infosets),
-                                      tree.is_nact)
-        self._uniform = 1.0 / tree.is_nact[self._col_infoset]
+        self.regret = [0.0] * tree.n_cols
+        self.ssum = [0.0] * tree.n_cols
+        self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
+        self._root = _walk_table(tree)
+        self._draw = _uniforms(self.rng).__next__
         self._visits = 0
 
-    def _row(self, sl: slice) -> np.ndarray:
-        r = self.regret[sl]
-        pos = np.maximum(r, 0.0)
-        norm = pos.sum()
-        if norm <= 0.0:
-            return np.full(len(pos), 1.0 / len(pos))
-        return pos / norm
-
-    def _sample(self, probs) -> int:
-        # Inverse-CDF draw; Generator.choice is far too slow per node.
-        r = self.rng.random()
-        acc = 0.0
-        last = len(probs) - 1
-        for i in range(last):
-            acc += probs[i]
-            if r < acc:
-                return i
-        return last
-
-    def _walk(self, u: int, player: int) -> float:
-        self._visits += 1
-        tree = self.tree
-        kind = tree.kind[u]
-        if kind == TERMINAL:
-            pay = tree.payoff1[u]
-            return pay if player == 0 else -pay
-        kids = tree.children(u)
-        if kind == CHANCE_NODE:
-            c = self._sample(tree.in_prob[kids])
-            return self._walk(int(kids[c]), player)
-        isid = tree.infoset[u]
-        sl = tree.col_slice(int(isid))
-        sigma = self._row(sl)
-        if tree.player[u] == player:
-            vals = np.array([self._walk(int(c), player) for c in kids])
-            v = float(sigma @ vals)
-            self.regret[sl] += vals - v
-            return v
-        self.ssum[sl] += sigma
-        c = self._sample(sigma)
-        return self._walk(int(kids[c]), player)
-
     def iterate(self, n: int = 1) -> None:
+        regret, ssum, draw = self.regret, self.ssum, self._draw
+        dot, np_sum = np.dot, np.sum
+        visits = 0
+
+        def walk(nd):
+            # Values are player 0's.  Negating every value negates the
+            # dot exactly and turns r + (x - v) into r + (v - x), so
+            # only player 1's regret update is signed.  Chance and
+            # opponent nodes continue the loop instead of recursing, and
+            # a node counts the visits of the children it moves to, so
+            # the traverser reads terminal children without a call.
+            nonlocal visits
+            while nd.__class__ is not float:
+                kids = nd[0]
+                visits += 1
+                if len(nd) == 2:
+                    nd = kids[bisect_right(nd[1], draw())]
+                    continue
+                _, p, lo, hi = nd
+                row = regret[lo:hi]
+                norm = 0.0
+                if hi - lo < _SEQUENTIAL_SUM:
+                    for x in row:
+                        if x > 0.0:
+                            norm += x
+                else:
+                    norm = float(np_sum([x if x > 0.0 else 0.0
+                                         for x in row]))
+                if norm <= 0.0:
+                    sigma = [1.0 / (hi - lo)] * (hi - lo)
+                else:
+                    sigma = [x / norm if x > 0.0 else 0.0 for x in row]
+                if p == me:
+                    visits += hi - lo - 1
+                    vals = [c if c.__class__ is float else walk(c)
+                            for c in kids]
+                    v = float(dot(sigma, vals))
+                    row = regret[lo:hi]
+                    if me == 0:
+                        regret[lo:hi] = [r + (x - v)
+                                         for r, x in zip(row, vals)]
+                    else:
+                        regret[lo:hi] = [r + (v - x)
+                                         for r, x in zip(row, vals)]
+                    return v
+                ssum[lo:hi] = list(map(add, ssum[lo:hi], sigma))
+                nd = kids[sample_index(sigma, draw())]
+            return nd
+
+        root = self._root
         for _ in range(n):
-            for p in (0, 1):
-                self._walk(0, p)
+            for me in (0, 1):
+                visits += 1
+                walk(root)
+        self._visits += visits
         if self.counter is not None:
             self.counter.add(self._visits)
             self._visits = 0
 
-    def average(self) -> tuple[TabularPolicy, TabularPolicy]:
-        out = []
-        for p in (0, 1):
-            pol = TabularPolicy(p)
-            for isid in self.tree.infosets_of(p):
-                sl = self.tree.col_slice(int(isid))
-                row = self.ssum[sl]
-                total = row.sum()
-                n = int(self.tree.is_nact[isid])
-                pol.table[self.tree.keys[isid]] = (
-                    row / total if total > 0.0 else np.full(n, 1.0 / n))
-            out.append(pol)
-        return out[0], out[1]
-
     def average_flat(self) -> np.ndarray:
-        norm = np.add.reduceat(self.ssum, self.tree.is_off)
-        norm = norm[self._col_infoset]
-        return np.where(norm > 0.0,
-                        self.ssum / np.where(norm > 0.0, norm, 1.0),
-                        self._uniform)
+        return normalise_rows(self.tree, np.array(self.ssum), self._uniform)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..evaluate import best_response
-from ..policy import TabularPolicy, policy_from_flat
 from ..tree import NodeCounter, TreeIndex
 
 
@@ -74,7 +73,3 @@ class Xfp:
 
     def average_flat(self) -> np.ndarray:
         return self.sigma.copy()
-
-    def average(self) -> tuple[TabularPolicy, TabularPolicy]:
-        return (policy_from_flat(self.tree, self.sigma, 0),
-                policy_from_flat(self.tree, self.sigma, 1))

@@ -206,7 +206,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("game", ["kgmp_0_2", "kgmp_2_0",
-                                  "clone_gmp_1_0_2"])
+                                  "clone_gmp_1_0_2", "oshi_zumo_4_-1_6",
+                                  "oshi_zumo_0_3_6", "oshi_zumo_4_3_0",
+                                  "oshi_zumo_-2_3_6"])
 def test_cli_rejects_empty_stage_games(game, tmp_path, capsys):
     code = main(["run", "--game", game, "--algo", "cfr",
                  "--max-iters", "2", "--out", str(tmp_path)])

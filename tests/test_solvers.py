@@ -5,6 +5,8 @@ code: every solver here is deterministic for a fixed seed, so the
 assertions are regression pins, not statistical hopes.  Node counts are
 checked against closed forms (full sweeps cost one visit per history)
 so a counting regression cannot hide inside a passing convergence test.
+MCCFR-ES's walk over Python tables is checked bit for bit against the
+numpy walk it replaced, kept here as the reference.
 """
 
 import numpy as np
@@ -12,8 +14,10 @@ import pytest
 
 from efgsolve import (NodeCounter, TreeIndex, exploitability,
                       expected_value, make_game)
+from efgsolve.policy import sample_index
 from efgsolve.solvers import (Cfr, MccfrEs, Xfp, solve_matrix_fp,
                               solve_matrix_lp)
+from efgsolve.tree import CHANCE_NODE, TERMINAL
 
 KUHN_VALUE = -1.0 / 18.0
 
@@ -113,6 +117,113 @@ def test_mccfr_es_counts_sampled_visits_only(kuhn_tree):
     MccfrEs(kuhn_tree, seed=0, counter=counter).iterate(50)
     # Two walks per iteration, each a strict subtree of the full sweep.
     assert 0 < counter.count < 50 * 2 * kuhn_tree.n_nodes
+
+
+def _loop_sample(probs, r):
+    # The inverse-CDF loop the sampled walks used before sample_index.
+    acc = 0.0
+    last = len(probs) - 1
+    for i in range(last):
+        acc += probs[i]
+        if r < acc:
+            return i
+    return last
+
+
+def test_sample_index_matches_the_sequential_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        probs = rng.dirichlet(np.ones(n)) if n > 1 else np.ones(1)
+        if rng.random() < 0.2:
+            probs[int(rng.integers(n))] = 0.0
+        for r in (rng.random(), float(np.nextafter(1.0, 0.0))):
+            assert sample_index(probs, r) == _loop_sample(probs, r)
+            assert sample_index(probs.tolist(), r) == _loop_sample(probs, r)
+    # Prefix sums that stop short of 1.0: a draw past them takes the
+    # last index.
+    probs = [0.1] * 10
+    assert sum(probs[:-1]) < 0.95
+    assert sample_index(probs, 0.95) == _loop_sample(probs, 0.95) == 9
+
+
+class _ArrayMccfrEs:
+    """The numpy walk MccfrEs used before its Python tables: numpy rows
+    per visited history and one ``rng.random()`` per draw."""
+
+    def __init__(self, tree, seed):
+        self.tree = tree
+        self.rng = np.random.default_rng(seed)
+        self.regret = np.zeros(tree.n_cols)
+        self.ssum = np.zeros(tree.n_cols)
+        self.visits = 0
+
+    def _row(self, sl):
+        pos = np.maximum(self.regret[sl], 0.0)
+        norm = pos.sum()
+        if norm <= 0.0:
+            return np.full(len(pos), 1.0 / len(pos))
+        return pos / norm
+
+    def _walk(self, u, player):
+        self.visits += 1
+        tree = self.tree
+        kind = tree.kind[u]
+        if kind == TERMINAL:
+            pay = tree.payoff1[u]
+            return pay if player == 0 else -pay
+        kids = tree.children(u)
+        if kind == CHANCE_NODE:
+            c = _loop_sample(tree.in_prob[kids], self.rng.random())
+            return self._walk(int(kids[c]), player)
+        sl = tree.col_slice(int(tree.infoset[u]))
+        sigma = self._row(sl)
+        if tree.player[u] == player:
+            vals = np.array([self._walk(int(c), player) for c in kids])
+            v = float(sigma @ vals)
+            self.regret[sl] += vals - v
+            return v
+        self.ssum[sl] += sigma
+        c = _loop_sample(sigma, self.rng.random())
+        return self._walk(int(kids[c]), player)
+
+    def iterate(self, n):
+        for _ in range(n):
+            for p in (0, 1):
+                self._walk(0, p)
+
+
+# oshi_zumo_7_3_3 has 8-action rows, which numpy sums pairwise.
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "oshi_zumo_3_3_4",
+                                  "oshi_zumo_7_3_3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mccfr_es_walk_matches_the_array_reference(name, seed):
+    tree = TreeIndex(make_game(name))
+    ref = _ArrayMccfrEs(tree, seed)
+    counter = NodeCounter()
+    solver = MccfrEs(tree, seed=seed, counter=counter)
+    # Uneven calls, so the draw block carries across iterate calls.
+    for n in (1, 2, 3, 60):
+        ref.iterate(n)
+        solver.iterate(n)
+    assert counter.count == ref.visits
+    assert np.array_equal(np.array(solver.regret), ref.regret)
+    assert np.array_equal(np.array(solver.ssum), ref.ssum)
+
+
+@pytest.mark.parametrize("name, first, second", [
+    ("kuhn", 3, 4), ("leduc", 3, 4), ("leduc", 40, 50)])
+def test_mccfr_es_split_iterations_equal_one_call(name, first, second):
+    tree = TreeIndex(make_game(name))
+    whole = MccfrEs(tree, seed=5, counter=NodeCounter())
+    whole.iterate(first + second)
+    split = MccfrEs(tree, seed=5, counter=NodeCounter())
+    split.iterate(first)
+    split.iterate(second)
+    assert split.counter.count == whole.counter.count
+    assert split.regret == whole.regret
+    assert split.ssum == whole.ssum
+    assert np.array_equal(split.average_flat(), whole.average_flat())
 
 
 def test_matrix_lp_on_rock_paper_scissors():
