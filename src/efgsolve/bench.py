@@ -29,16 +29,12 @@ from .games import GAME_PATTERNS, make_game, rps_choice
 from .metrics import cadence_thresholds, write_rows_csv, write_summary_json
 from .psro import PsroConfig, psro_histogram, psro_solve
 from .solvers import Cfr, MccfrEs, Xfp
-from .tree import NodeCounter, TreeIndex
+from .tree import EnumerationOverflow, NodeCounter, TreeIndex
 from .xdo import XdoConfig, xdo_solve
 
 
 class ConfigError(ValueError):
     """Bad experiment configuration; maps to exit code 2."""
-
-
-class EnumerationOverflow(RuntimeError):
-    """Game has more histories than the enumeration cap; exit code 3."""
 
 
 ALGOS = ("cfr", "cfr_plus", "mccfr_es", "xfp", "xdo", "psro")
@@ -54,6 +50,9 @@ _PARAM_KEYS = {
     "psro": {"eps", "meta_solver", "fp_iters", "payoffs", "games_per_pair",
              "init"},
 }
+# Parameters that name one of a fixed set of choices.
+_CHOICES = {"inner": ("cfr_plus", "cfr", "lp"), "meta_solver": ("lp", "fp"),
+            "payoffs": ("exact", "sampled"), "init": ("default", "random")}
 
 
 @dataclass
@@ -103,6 +102,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.algo} does not take parameters "
                           f"{sorted(unknown)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
+    for key, choices in _CHOICES.items():
+        if key in cfg.params and cfg.params[key] not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+                              f"not {cfg.params[key]!r}")
+    period = cfg.params.get("check_period", 1)
+    if not isinstance(period, int) or period < 1:
+        raise ConfigError(f"check_period must be an integer >= 1, "
+                          f"not {period!r}")
 
 
 def guard_enumerable(game, cap: int | None) -> int:
@@ -299,8 +306,8 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     per-trial records and the per-player aggregate histogram.  Trials
     are independent (seed of trial t is seed0 + t) so splitting them
     across a pool changes nothing but the wall time."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if min(trials, horizon, jobs) < 1:
+        raise ConfigError("trials, horizon and jobs must be >= 1")
     if jobs > 1 and trials > 1:
         per = (trials + jobs - 1) // jobs
         chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
@@ -344,10 +351,9 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     return summary
 
 
-def size_report(game, result, base_tree: TreeIndex | None = None) -> dict:
+def size_report(game, result, base: TreeIndex) -> dict:
     """Restricted-game size at the end of a double-oracle run: history
     count ratio and per-player decision-infostate coverage."""
-    base = base_tree if base_tree is not None else TreeIndex(game)
     full_is = (len(base.infosets_of(0)), len(base.infosets_of(1)))
     r_is = result.restricted_infostates
     return dict(
@@ -372,6 +378,9 @@ def run_size_report(game_name: str, seed: int = 0,
     of the full game its final restricted game spans."""
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
+    validate_config(ExperimentConfig(
+        game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
+        max_iters=max_outer, params={"inner": inner}))
     game = make_game(game_name, seed=seed)
     guard_enumerable(game, max_states)
     counter = NodeCounter(node_budget)

@@ -86,6 +86,19 @@ def _sampled_payoff(tree: TreeIndex, sigma: np.ndarray, games: int,
     return total / games
 
 
+def _grow_matrix(m: np.ndarray, shape: tuple[int, int],
+                 payoff) -> np.ndarray:
+    """``m`` grown to ``shape``; each new cell is ``payoff(i, j)``,
+    evaluated in row-major order."""
+    grown = np.zeros(shape)
+    grown[:m.shape[0], :m.shape[1]] = m
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if i >= m.shape[0] or j >= m.shape[1]:
+                grown[i, j] = payoff(i, j)
+    return grown
+
+
 def psro_solve(game, config: PsroConfig | None = None,
                counter: NodeCounter | None = None,
                base_tree: TreeIndex | None = None) -> PsroResult:
@@ -102,8 +115,7 @@ def psro_solve(game, config: PsroConfig | None = None,
     pops = (Population(tree, 0, [first[0]]), Population(tree, 1, [first[1]]))
 
     halves = ([_half_cols(tree, first[0])], [_half_cols(tree, first[1])])
-    m = np.zeros((1, 1))
-    filled = (0, 0)  # rows/cols of m already evaluated
+    m = np.zeros((0, 0))
 
     def payoff(i: int, j: int) -> float:
         sigma = halves[0][i] + halves[1][j]
@@ -123,15 +135,7 @@ def psro_solve(game, config: PsroConfig | None = None,
     while True:
         iters += 1
         n0, n1 = len(pops[0]), len(pops[1])
-        if m.shape != (n0, n1):
-            grown = np.zeros((n0, n1))
-            grown[:m.shape[0], :m.shape[1]] = m
-            m = grown
-        for i in range(n0):
-            for j in range(n1):
-                if i >= filled[0] or j >= filled[1]:
-                    m[i, j] = payoff(i, j)
-        filled = (n0, n1)
+        m = _grow_matrix(m, (n0, n1), payoff)
 
         if cfg.meta_solver == "lp":
             sol = solve_matrix_lp(m)
@@ -240,22 +244,13 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
                 {reduced_canonical(tree, members[1][0], 1)})
         halves = ([_half_cols(tree, members[0][0])],
                   [_half_cols(tree, members[1][0])])
-        m = np.zeros((1, 1))
-        filled = (0, 0)
+        m = np.zeros((0, 0))
         first_pass = None
         e = float("inf")
         for it in range(1, horizon + 1):
-            n0, n1 = len(members[0]), len(members[1])
-            if m.shape != (n0, n1):
-                grown = np.zeros((n0, n1))
-                grown[:m.shape[0], :m.shape[1]] = m
-                m = grown
-            for i in range(n0):
-                for j in range(n1):
-                    if i >= filled[0] or j >= filled[1]:
-                        m[i, j] = expected_value(
-                            tree, halves[0][i] + halves[1][j])
-            filled = (n0, n1)
+            m = _grow_matrix(m, (len(members[0]), len(members[1])),
+                             lambda i, j: expected_value(
+                                 tree, halves[0][i] + halves[1][j]))
             sol = solve_matrix_lp(m)
             mix0 = realize_mixture(tree, members[0], sol.row, 0)
             mix1 = realize_mixture(tree, members[1], sol.col, 1)

@@ -16,7 +16,7 @@ cost nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -25,6 +25,10 @@ from .game import CHANCE
 DECISION = 0
 CHANCE_NODE = 1
 TERMINAL = 2
+
+
+class EnumerationOverflow(RuntimeError):
+    """More histories or strategies than an enumeration cap allows."""
 
 
 class NodeCounter:
@@ -42,6 +46,26 @@ class NodeCounter:
     @property
     def exhausted(self) -> bool:
         return self.budget is not None and self.count >= self.budget
+
+
+# Node and infostate arrays of a TreeIndex with their dtypes, in the
+# order of a walked node's or infostate's row.
+_NODE_ARRAYS = (("parent", np.int64), ("depth", np.int64),
+                ("kind", np.int8), ("player", np.int8),
+                ("infoset", np.int64), ("payoff1", np.float64),
+                ("in_prob", np.float64), ("in_col", np.int64),
+                ("in_player", np.int8))
+_INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
+                     ("is_parent_slot", np.int64),
+                     ("is_own_depth", np.int64))
+
+
+def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
+    """``ids`` (values in ``range(n)`` or -1) renumbered by position in
+    ``kept``; -1, and any value not kept, become -1."""
+    new = np.full(n + 1, -1, dtype=np.int64)  # new[-1] maps -1 to -1
+    new[kept] = np.arange(kept.size)
+    return new[ids]
 
 
 class TreeIndex:
@@ -64,34 +88,19 @@ class TreeIndex:
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
     and action id; they are built on first use, so indexing a tree costs
-    only its enumeration.
+    only its enumeration.  An index derived by ``restrict`` also holds
+    ``base_col``, the column of the parent index behind each column.
     """
 
     def __init__(self, game):
         self.game = game
-        parent, depth, kind, player = [], [], [], []
-        infoset, payoff1, in_prob, in_col, in_player = [], [], [], [], []
-
+        nodes: list[tuple] = []  # one _NODE_ARRAYS row per node
+        infos: list[tuple] = []  # one _INFOSTATE_ARRAYS row per infostate
         keys: list[tuple] = []
-        is_player, is_actions, is_nact = [], [], []
-        is_off, is_parent, is_parent_slot, is_own_depth = [], [], [], []
+        is_actions: list[tuple] = []
+        is_off: list[int] = []
         key_to_isid: dict[tuple, int] = {}
         ncols = 0
-
-        children: list[list[int]] = []
-
-        def new_node(par, dep, knd, ply, iset, pay, iprob, icol, iply):
-            parent.append(par)
-            depth.append(dep)
-            kind.append(knd)
-            player.append(ply)
-            infoset.append(iset)
-            payoff1.append(pay)
-            in_prob.append(iprob)
-            in_col.append(icol)
-            in_player.append(iply)
-            children.append([])
-            return len(parent) - 1
 
         def intern_infoset(key, actions, last):
             isid = key_to_isid.get(key)
@@ -104,33 +113,29 @@ class TreeIndex:
             isid = len(keys)
             key_to_isid[key] = isid
             keys.append(key)
-            is_player.append(key[0])
             is_actions.append(actions)
-            is_nact.append(len(actions))
             is_off.append(ncols)
             ncols += len(actions)
             pisid, pslot = last
-            is_parent.append(pisid)
-            is_parent_slot.append(pslot)
-            is_own_depth.append(0 if pisid < 0 else is_own_depth[pisid] + 1)
+            infos.append((key[0], pisid, pslot,
+                          0 if pisid < 0 else infos[pisid][3] + 1))
             return isid
 
         def visit(state, par, dep, iprob, icol, iply, last0, last1):
+            u = len(nodes)
             if state.is_terminal():
-                r = state.returns()
-                new_node(par, dep, TERMINAL, -1, -1, r[0], iprob, icol, iply)
+                nodes.append((par, dep, TERMINAL, -1, -1, state.returns()[0],
+                              iprob, icol, iply))
                 return
             if state.is_chance():
-                u = new_node(par, dep, CHANCE_NODE, CHANCE, -1, 0.0,
-                             iprob, icol, iply)
+                nodes.append((par, dep, CHANCE_NODE, CHANCE, -1, 0.0,
+                              iprob, icol, iply))
                 outcomes = state.chance_outcomes()
                 total = sum(p for _, p in outcomes)
                 if abs(total - 1.0) > 1e-9:
                     raise ValueError(
                         f"chance outcomes sum to {total} in {self.game.name}")
                 for a, p in outcomes:
-                    c = len(parent)
-                    children[u].append(c)
                     visit(state.apply(a), u, dep + 1, p, -1, -1,
                           last0, last1)
                 return
@@ -141,11 +146,9 @@ class TreeIndex:
             key = state.infostate_key(p)
             last = last0 if p == 0 else last1
             isid = intern_infoset(key, actions, last)
-            u = new_node(par, dep, DECISION, p, isid, 0.0, iprob, icol, iply)
+            nodes.append((par, dep, DECISION, p, isid, 0.0, iprob, icol, iply))
             off = is_off[isid]
             for slot, a in enumerate(actions):
-                c = len(parent)
-                children[u].append(c)
                 nxt = (isid, slot)
                 visit(state.apply(a), u, dep + 1, 1.0, off + slot, p,
                       nxt if p == 0 else last0,
@@ -153,36 +156,32 @@ class TreeIndex:
 
         visit(game.root(), -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
 
-        self.n_nodes = len(parent)
-        self.parent = np.asarray(parent, dtype=np.int64)
-        self.depth = np.asarray(depth, dtype=np.int64)
-        self.kind = np.asarray(kind, dtype=np.int8)
-        self.player = np.asarray(player, dtype=np.int8)
-        self.infoset = np.asarray(infoset, dtype=np.int64)
-        self.payoff1 = np.asarray(payoff1, dtype=np.float64)
-        self.in_prob = np.asarray(in_prob, dtype=np.float64)
-        self.in_col = np.asarray(in_col, dtype=np.int64)
-        self.in_player = np.asarray(in_player, dtype=np.int8)
-
-        counts = np.fromiter((len(c) for c in children), dtype=np.int64,
-                             count=self.n_nodes)
-        self.child_off = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.child_off[1:])
-        self.child_flat = np.fromiter(
-            (c for cs in children for c in cs), dtype=np.int64,
-            count=int(self.child_off[-1]))
-
-        self.n_infosets = len(keys)
+        for fields, rows in ((_NODE_ARRAYS, nodes),
+                             (_INFOSTATE_ARRAYS, infos)):
+            columns = zip(*rows) if rows else [()] * len(fields)
+            for (name, dtype), column in zip(fields, columns):
+                setattr(self, name, np.asarray(column, dtype=dtype))
         self.keys = keys
         self.key_to_isid = key_to_isid
-        self.is_player = np.asarray(is_player, dtype=np.int8)
         self.is_actions = is_actions
-        self.is_nact = np.asarray(is_nact, dtype=np.int64)
-        self.is_off = np.asarray(is_off, dtype=np.int64)
-        self.is_parent = np.asarray(is_parent, dtype=np.int64)
-        self.is_parent_slot = np.asarray(is_parent_slot, dtype=np.int64)
-        self.is_own_depth = np.asarray(is_own_depth, dtype=np.int64)
-        self.n_cols = ncols
+        self._finish()
+
+    def _finish(self) -> None:
+        """Sizes, column ranges, child lists, depth levels and kind masks,
+        derived from the node arrays and ``is_actions``.  The children of
+        a preorder node are the nodes naming it as parent, ascending."""
+        self.n_nodes = len(self.parent)
+        self.n_infosets = len(self.keys)
+        self.is_nact = np.fromiter(map(len, self.is_actions), dtype=np.int64,
+                                   count=self.n_infosets)
+        self.is_off = np.cumsum(self.is_nact) - self.is_nact
+        self.n_cols = int(self.is_nact.sum())
+
+        kids = self.parent[1:]
+        self.child_off = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(kids, minlength=self.n_nodes),
+                  out=self.child_off[1:])
+        self.child_flat = np.argsort(kids, kind="stable") + 1
 
         max_depth = int(self.depth.max(initial=0))
         order = np.argsort(self.depth, kind="stable")
@@ -193,6 +192,58 @@ class TreeIndex:
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
         self._col_isid = self._col_action = None
+
+    def restrict(self, cols: np.ndarray, game) -> TreeIndex:
+        """Index of the subgame that allows only the columns in the bool
+        mask ``cols``, derived from this index without walking ``game``.
+
+        It equals a walk of the perfect-recall game whose legal lists are
+        the allowed actions in this tree's order: kept nodes keep this
+        tree's preorder, and infostates are numbered by their first kept
+        decision node.  ``base_col`` maps restricted columns to columns
+        here.
+        """
+        edge_ok = np.append(cols, True)[self.in_col]  # in_col -1: no column
+        kept = np.zeros(self.n_nodes, dtype=bool)
+        kept[0] = True
+        for level in self.levels[1:]:
+            kept[level] = kept[self.parent[level]] & edge_ok[level]
+        nodes = np.flatnonzero(kept)
+
+        base_is = self.infoset[nodes[self.decision_mask[nodes]]]
+        if not np.isin(base_is, self.col_isid[cols]).all():
+            raise ValueError("decision node with no legal actions")
+        base_is = base_is[np.sort(np.unique(base_is, return_index=True)[1])]
+        col_isid = _relabel(self.col_isid, base_is, self.n_infosets)
+        base_col = np.flatnonzero(cols & (col_isid >= 0))
+        base_col = base_col[np.argsort(col_isid[base_col], kind="stable")]
+
+        out = object.__new__(TreeIndex)
+        out.game = game
+        out.base_col = base_col
+        for name, _ in _NODE_ARRAYS:
+            setattr(out, name, getattr(self, name)[nodes])
+        out.parent = _relabel(out.parent, nodes, self.n_nodes)
+        out.infoset = _relabel(out.infoset, base_is, self.n_infosets)
+        out.in_col = _relabel(out.in_col, base_col, self.n_cols)
+        out.keys = [self.keys[b] for b in base_is.tolist()]
+        out.key_to_isid = dict(zip(out.keys, range(base_is.size)))
+        acts = iter(self.col_action[base_col].tolist())
+        out.is_actions = [tuple(islice(acts, n)) for n in np.bincount(
+            col_isid[base_col], minlength=base_is.size).tolist()]
+        for name, _ in _INFOSTATE_ARRAYS:
+            setattr(out, name, getattr(self, name)[base_is])
+        # A parent's restricted slot counts the allowed columns before
+        # the taken one in its row.
+        par = out.is_parent
+        allowed_before = np.concatenate(([0], np.cumsum(cols)))
+        row = self.is_off[par]
+        out.is_parent_slot = np.where(
+            par < 0, -1, allowed_before[row + out.is_parent_slot]
+            - allowed_before[row])
+        out.is_parent = _relabel(par, base_is, self.n_infosets)
+        out._finish()
+        return out
 
     # Plain properties over attributes set in __init__: caching into the
     # instance dict (functools.cached_property) slows every later

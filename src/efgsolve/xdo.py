@@ -1,13 +1,16 @@
 """Double oracle over extensive-form restricted games.
 
 The outer loop keeps a population of pure strategies per player.  Each
-iteration builds the restricted game whose legal actions at an
-infostate are exactly those some population member plays there, solves
-that game to a decaying tolerance, extends the solution to the full
-game (default action where undefined), and asks exact best-response
-oracles whether either player can still gain.  If the summed gain is
-within the termination tolerance the extended profile is returned;
-otherwise both best responses join the populations.
+iteration takes the restricted game whose legal actions at an
+infostate are exactly those some population member plays there, as a
+column mask over the base tree, and derives its index from the base
+index (``TreeIndex.restrict``, no game walk).  It solves that game to a
+decaying tolerance, extends the solution to the full game by scattering
+its columns onto the base tree (first action where undefined), and asks
+exact best-response oracles whether either player can still gain.  If
+the summed gain is within the termination tolerance the extended
+profile is returned; otherwise both best responses join the
+populations.
 
 The inner solve stops once (a) its restricted-game exploitability is
 below the current tolerance and (b) it is strictly below the full-game
@@ -29,10 +32,11 @@ import numpy as np
 
 from .evaluate import best_response, expected_value
 from .policy import (PurePolicy, TabularPolicy, canonical_pure, lift_policy,
-                     profile_array, realize_mixture)
+                     policy_from_flat, profile_array, realize_mixture)
 from .solvers.cfr import Cfr
 from .solvers.matrix_solvers import solve_matrix_lp
-from .tree import NodeCounter, TreeIndex, infostate_predecessors
+from .tree import (EnumerationOverflow, NodeCounter, TreeIndex,
+                   infostate_predecessors)
 
 
 class Population:
@@ -69,93 +73,28 @@ class Population:
         return iter(self.members)
 
 
-_PAD = np.iinfo(np.int64).max
-
-
-def eq1_allowed(tree: TreeIndex, populations) -> tuple[dict, dict]:
-    """Per-player map: infostate key -> ordered action ids any member
-    plays there (the restricted game's legal lists), read off the
-    populations' column masks."""
-    out = []
-    for player in (0, 1):
-        own = tree.infosets_of(player)
-        cols = np.flatnonzero(populations[player].cols)
-        count = np.bincount(tree.col_isid[cols],
-                            minlength=tree.n_infosets)[own]
-        # Allowed action ids as rows of a table, one per infostate,
-        # sorted and padded past the row's count.
-        table = np.full((own.size, max(int(count.max(initial=0)), 1)), _PAD)
-        rows = np.repeat(np.arange(own.size), count)
-        slot = np.arange(cols.size) - (np.cumsum(count) - count)[rows]
-        table[rows, slot] = tree.col_action[cols]
-        table.sort(axis=1)
-        # Few rows are distinct; build one tuple per distinct row.
-        order = np.lexsort(table.T)
-        table = table[order]
-        new = np.ones(own.size, dtype=bool)
-        new[1:] = (table[1:] != table[:-1]).any(axis=1)
-        which = np.empty(own.size, dtype=np.int64)
-        which[order] = np.cumsum(new) - 1
-        lists = np.fromiter(
-            (tuple(a for a in row if a != _PAD)
-             for row in table[new].tolist()),
-            dtype=object, count=int(new.sum()))
-        out.append(dict(zip(map(tree.keys.__getitem__, own.tolist()),
-                            lists[which].tolist())))
-    return out[0], out[1]
-
-
-class _RestrictedState:
-    __slots__ = ("s", "g")
-
-    def __init__(self, s, g):
-        self.s = s
-        self.g = g
-
-    def is_terminal(self):
-        return self.s.is_terminal()
-
-    def is_chance(self):
-        return self.s.is_chance()
-
-    def current_player(self):
-        return self.s.current_player()
-
-    def chance_outcomes(self):
-        return self.s.chance_outcomes()
-
-    def legal_actions(self):
-        p = self.s.current_player()
-        return self.g.allowed[p][self.s.infostate_key(p)]
-
-    def apply(self, action):
-        return _RestrictedState(self.s.apply(action), self.g)
-
-    def returns(self):
-        return self.s.returns()
-
-    def infostate_key(self, player):
-        return self.s.infostate_key(player)
+def eq1_allowed(populations) -> np.ndarray:
+    """The restricted game's bool mask over the base tree's columns:
+    every action some population member plays at its infostate (the
+    paper's Eq. 1)."""
+    return populations[0].cols | populations[1].cols
 
 
 class RestrictedGame:
-    def __init__(self, base, allowed: tuple[dict, dict]):
+    """The game behind a restricted tree: a base game cut down to the
+    allowed columns ``cols`` of its tree (``TreeIndex.restrict``)."""
+
+    def __init__(self, base, cols: np.ndarray):
         self.base = base
-        self.allowed = allowed
+        self.cols = cols
         self.name = base.name + "+restricted"
 
-    def root(self):
-        return _RestrictedState(self.base.root(), self)
 
-
-def covered_infostate_count(game_or_preds, populations) -> int:
+def covered_infostate_count(game, populations) -> int:
     """How many infostates have their preceding own action chosen by
     some population member (the covering quantity behind the iteration
     bound; infostates with no preceding own action are not counted)."""
-    if isinstance(game_or_preds, tuple):
-        preds = game_or_preds
-    else:
-        preds = infostate_predecessors(game_or_preds)
+    preds = infostate_predecessors(game)
     covered = 0
     for player in (0, 1):
         pop = populations[player]
@@ -188,7 +127,9 @@ def enumerate_reduced_pure(tree: TreeIndex, player: int,
             branch = expand_one(isid)
             combos = [{**c, **b} for c in combos for b in branch]
             if len(combos) > cap:
-                raise ValueError("reduced strategy space exceeds cap")
+                raise EnumerationOverflow(
+                    f"reduced strategy space of player {player} exceeds "
+                    f"cap {cap}")
         return combos
 
     def expand_one(isid: int) -> list[dict]:
@@ -234,14 +175,15 @@ class XdoResult:
     restricted_infostates: tuple[int, int] = (0, 0)
 
 
-def _extend_to_base(rtree: TreeIndex, base_tree: TreeIndex, flat):
-    from .policy import policy_from_flat
-
-    pols = []
-    for p in (0, 1):
-        rpol = policy_from_flat(rtree, flat, p)
-        pols.append(lift_policy(rtree, base_tree, rpol))
-    return pols[0], pols[1]
+def _extend_to_base(rtree: TreeIndex, base_tree: TreeIndex,
+                    flat: np.ndarray) -> np.ndarray:
+    """Base-tree profile of a restricted solution: its rows scattered
+    onto their base columns, the first action wherever it is undefined."""
+    sigma = np.zeros(base_tree.n_cols)
+    sigma[base_tree.is_off] = 1.0
+    sigma[base_tree.is_off[base_tree.col_isid[rtree.base_col]]] = 0.0
+    sigma[rtree.base_col] = flat
+    return sigma
 
 
 def _lp_inner(rtree: TreeIndex, counter, cap: int):
@@ -274,14 +216,12 @@ def xdo_solve(game, config: XdoConfig | None = None,
     trace: list[dict] = []
     terminated = False
     outer = 0
-    policy0 = policy1 = None
     e_full = float("inf")
-    rtree = None
 
     while True:
         outer += 1
-        rtree = TreeIndex(RestrictedGame(game,
-                                         eq1_allowed(base_tree, populations)))
+        allowed = eq1_allowed(populations)
+        rtree = base_tree.restrict(allowed, RestrictedGame(game, allowed))
 
         inner_iter = 0
         solver = None
@@ -313,8 +253,7 @@ def xdo_solve(game, config: XdoConfig | None = None,
                 # check says; skip the expensive part of the check
                 continue
 
-            policy0, policy1 = _extend_to_base(rtree, base_tree, flat)
-            sigma_full = profile_array(base_tree, policy0, policy1)
+            sigma_full = _extend_to_base(rtree, base_tree, flat)
             br0 = best_response(base_tree, sigma_full, 0, counter,
                                 prefer=populations[0].cols)
             br1 = best_response(base_tree, sigma_full, 1, counter,
@@ -346,6 +285,11 @@ def xdo_solve(game, config: XdoConfig | None = None,
         if cfg.max_outer is not None and outer >= cfg.max_outer:
             break
 
+    # Every outer iteration ends on a full check, so (rtree, flat) is
+    # the restricted solution the last check extended.
+    policy0, policy1 = (lift_policy(rtree, base_tree,
+                                    policy_from_flat(rtree, flat, p))
+                        for p in (0, 1))
     r_is = (len(rtree.infosets_of(0)), len(rtree.infosets_of(1)))
     return XdoResult(
         populations=populations, policy0=policy0, policy1=policy1,

@@ -235,10 +235,11 @@ def test_c05_matching_pennies_terminates_within_two_n(exact_xdo_runs):
 def test_c06_clone_actions_stay_bounded(exact_xdo_runs):
     res = exact_xdo_runs["clone_gmp_2_4_3"]
     assert res.terminated
-    allowed = eq1_allowed(TreeIndex(make_game("clone_gmp_2_4_3")),
-                          res.populations)
+    tree = TreeIndex(make_game("clone_gmp_2_4_3"))
+    counts = np.bincount(tree.col_isid[eq1_allowed(res.populations)],
+                         minlength=tree.n_infosets)
     for player in (0, 1):
-        worst = max(len(v) for v in allowed[player].values())
+        worst = int(counts[tree.infosets_of(player)].max())
         assert worst <= 2 * 3, f"player {player} reached {worst} actions"
 
 

@@ -218,6 +218,43 @@ def test_cli_rejects_empty_stage_games(game, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+XDO_RUN = ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "2"]
+PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    XDO_RUN + ["--param", "inner=bogus"],
+    XDO_RUN + ["--param", "check_period=0"],
+    ["size-report", "--game", "kuhn", "--max-iters", "2",
+     "--inner", "bogus"],
+    ["size-report", "--game", "nosuch", "--max-iters", "2"],
+    ["size-report", "--game", "kgmp_0_2", "--max-iters", "2"],
+    PSRO_RUN + ["--param", "meta_solver=bogus"],
+    PSRO_RUN + ["--param", "payoffs=bogus"],
+    PSRO_RUN + ["--param", "init=bogus"],
+    ["psro-hist", "--trials", "2", "--jobs", "0"],
+    ["psro-hist", "--trials", "2", "--horizon", "0"],
+], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
+        "size-report-unknown-game", "size-report-empty-game",
+        "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
+        "psro-hist-horizon"])
+def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_lp_inner_over_its_cap_exits_3(tmp_path, capsys):
+    code = main(["run", "--game", "kuhn", "--algo", "xdo", "--max-iters",
+                 "3", "--param", "inner=lp", "--param", "lp_cap=1",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds cap 1" in err
+
+
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     cfgfile = tmp_path / "exp.yaml"
     cfgfile.write_text(

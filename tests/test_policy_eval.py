@@ -216,8 +216,8 @@ def test_lift_policy_scatters_restricted_rows():
     pops = (Population(base, 0, [PurePolicy(0), PurePolicy(0, {
         base.keys[int(i)]: 1 for i in base.infosets_of(0)})]),
             Population(base, 1, [PurePolicy(1)]))
-    rgame = RestrictedGame(game, eq1_allowed(base, pops))
-    rtree = TreeIndex(rgame)
+    mask = eq1_allowed(pops)
+    rtree = base.restrict(mask, RestrictedGame(game, mask))
     lifted = lift_policy(rtree, base, uniform_policy(rtree, 1))
     for isid in rtree.infosets_of(1):
         key = rtree.keys[int(isid)]
@@ -361,15 +361,16 @@ def test_population_mask_is_the_allowed_column_set(name):
     pops = tuple(Population(tree, p, [PurePolicy(p)] + [
         random_pure_policy(tree, p, rng) for _ in range(3)])
         for p in (0, 1))
-    allowed = eq1_allowed(tree, pops)
+    mask = eq1_allowed(pops)
     for p in (0, 1):
         union = {tree.keys[isid]: tuple(sorted(
             {pi.act(tree.keys[isid], tree.is_actions[isid])
              for pi in pops[p]})) for isid in tree.infosets_of(p)}
-        assert allowed[p] == union
-        assert np.array_equal(pops[p].cols, prefer_cols(tree, allowed[p]))
+        assert {tree.keys[isid]: tuple(
+            tree.col_action[tree.col_slice(isid)][
+                mask[tree.col_slice(isid)]].tolist())
+            for isid in tree.infosets_of(p)} == union
+        assert np.array_equal(pops[p].cols, prefer_cols(tree, union))
     # An empty population allows nothing anywhere.
-    empty = eq1_allowed(tree, (Population(tree, 0), Population(tree, 1)))
-    for p in (0, 1):
-        assert empty[p] == dict.fromkeys(
-            (tree.keys[isid] for isid in tree.infosets_of(p)), ())
+    empty = eq1_allowed((Population(tree, 0), Population(tree, 1)))
+    assert not empty.any()

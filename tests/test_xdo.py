@@ -1,22 +1,26 @@
 """Double oracle over restricted extensive-form games.
 
 Small games keep every claim checkable against enumeration: restricted
-trees are rebuilt by hand from population action sets, iteration bounds
+trees derived from the base index are checked field by field against a
+walk of the game cut down to the population action sets, iteration bounds
 come from counting infostates, and the trace invariants encode the
 inner loop's stop rule (restricted exploitability below tolerance and
 strictly below the full-game number, unless the run is ending anyway).
 """
 
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from efgsolve import (NodeCounter, PurePolicy, TreeIndex, exploitability,
-                      make_game)
+                      make_game, profile_array)
+from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
+from efgsolve.tree import EnumerationOverflow
 from efgsolve.xdo import (Population, RestrictedGame, XdoConfig, XdoResult,
-                          covered_infostate_count, enumerate_reduced_pure,
-                          eq1_allowed, xdo_solve)
+                          _extend_to_base, covered_infostate_count,
+                          enumerate_reduced_pure, eq1_allowed, xdo_solve)
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +46,30 @@ def test_population_deduplicates_by_total_action_table(kuhn_tree):
     assert len(pop) == 2
 
 
+def allowed_actions(tree, mask, isid):
+    sl = tree.col_slice(int(isid))
+    return tuple(tree.col_action[sl][mask[sl]].tolist())
+
+
 def test_eq1_allowed_is_union_of_member_choices(kuhn_tree):
     pops = (Population(kuhn_tree, 0, [PurePolicy(0),
                                       all_action_pure(kuhn_tree, 0, 1)]),
             Population(kuhn_tree, 1, [PurePolicy(1)]))
-    allowed0, allowed1 = eq1_allowed(kuhn_tree, pops)
+    mask = eq1_allowed(pops)
     for isid in kuhn_tree.infosets_of(0):
         acts = kuhn_tree.is_actions[int(isid)]
-        assert allowed0[kuhn_tree.keys[int(isid)]] == (acts[0], acts[1])
+        assert allowed_actions(kuhn_tree, mask, isid) == (acts[0], acts[1])
     for isid in kuhn_tree.infosets_of(1):
         acts = kuhn_tree.is_actions[int(isid)]
-        assert allowed1[kuhn_tree.keys[int(isid)]] == (acts[0],)
+        assert allowed_actions(kuhn_tree, mask, isid) == (acts[0],)
 
 
 def test_restricted_game_with_default_populations_is_forced(kuhn_tree):
     game = make_game("kuhn")
     pops = (Population(kuhn_tree, 0, [PurePolicy(0)]),
             Population(kuhn_tree, 1, [PurePolicy(1)]))
-    rtree = TreeIndex(RestrictedGame(game, eq1_allowed(kuhn_tree, pops)))
+    mask = eq1_allowed(pops)
+    rtree = kuhn_tree.restrict(mask, RestrictedGame(game, mask))
     assert rtree.n_nodes < kuhn_tree.n_nodes
     for isid in range(rtree.n_infosets):
         assert int(rtree.is_nact[isid]) == 1
@@ -71,7 +81,7 @@ def test_enumerate_reduced_pure_counts():
         tree = TreeIndex(make_game(name))
         got = tuple(len(enumerate_reduced_pure(tree, p)) for p in (0, 1))
         assert got == want, name
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationOverflow):
         enumerate_reduced_pure(TreeIndex(make_game("kuhn")), 1, cap=5)
 
 
@@ -193,11 +203,12 @@ def test_clone_classes_stay_out_of_the_restricted_game():
     base = TreeIndex(game)
     res = xdo_solve(game, XdoConfig(inner="lp"), base_tree=base)
     assert res.terminated
-    allowed = eq1_allowed(base, res.populations)
+    counts = np.bincount(base.col_isid[eq1_allowed(res.populations)],
+                         minlength=base.n_infosets)
     # 12 raw actions collapse into 3 payoff classes; the oracle never
     # needs more than one or two clones of each class per player.
     for player in (0, 1):
-        assert max(len(v) for v in allowed[player].values()) <= 6
+        assert counts[base.infosets_of(player)].max() <= 6
     assert res.restricted_nodes < base.n_nodes / 4
 
 
@@ -219,3 +230,133 @@ def test_result_dataclass_shape(kuhn_lp_result):
     assert res.eps_final == 1e-6
     assert 0 < res.eps_inner_final <= 0.35
     assert res.nodes > 0
+
+
+class _RestrictedState:
+    __slots__ = ("s", "g")
+
+    def __init__(self, s, g):
+        self.s = s
+        self.g = g
+
+    def is_terminal(self):
+        return self.s.is_terminal()
+
+    def is_chance(self):
+        return self.s.is_chance()
+
+    def current_player(self):
+        return self.s.current_player()
+
+    def chance_outcomes(self):
+        return self.s.chance_outcomes()
+
+    def legal_actions(self):
+        return self.g.allowed[self.s.infostate_key(self.s.current_player())]
+
+    def apply(self, action):
+        return _RestrictedState(self.s.apply(action), self.g)
+
+    def returns(self):
+        return self.s.returns()
+
+    def infostate_key(self, player):
+        return self.s.infostate_key(player)
+
+
+class _WalkedRestriction:
+    """Walked reference for ``TreeIndex.restrict``: the base game with
+    every legal list cut down to the allowed action ids, in ascending
+    order."""
+
+    def __init__(self, tree, mask):
+        self.base = tree.game
+        self.name = self.base.name + "+restricted"
+        self.allowed = {tree.keys[isid]: tuple(sorted(allowed_actions(
+            tree, mask, isid))) for isid in range(tree.n_infosets)}
+
+    def root(self):
+        return _RestrictedState(self.base.root(), self)
+
+
+RESTRICT_GAMES = ["kuhn", "leduc", "oshi_zumo_3_3_4", "clone_gmp_2_4_3",
+                  "kgmp_1_3"]
+TREE_ARRAYS = ["parent", "depth", "kind", "player", "infoset", "payoff1",
+               "in_prob", "in_col", "in_player", "child_off", "child_flat",
+               "is_player", "is_nact", "is_off", "is_parent",
+               "is_parent_slot", "is_own_depth", "decision_mask",
+               "terminal_mask", "col_isid", "col_action"]
+
+
+@lru_cache(maxsize=None)
+def base_index(name):
+    return TreeIndex(make_game(name))
+
+
+def population_mask(tree, members):
+    """Allowed columns of populations per player: the default pure
+    strategy ("default"), it and three random ones ("random"), or three
+    random ones only ("random-only", where a first action can be
+    missing from the allowed set)."""
+    rng = np.random.default_rng(11)
+    first = [] if members == "random-only" else [PurePolicy]
+    extra = 0 if members == "default" else 3
+    return eq1_allowed(tuple(
+        Population(tree, p, [f(p) for f in first] + [
+            random_pure_policy(tree, p, rng) for _ in range(extra)])
+        for p in (0, 1)))
+
+
+@pytest.mark.parametrize("members", ["default", "random", "random-only"])
+@pytest.mark.parametrize("name", RESTRICT_GAMES)
+def test_restrict_equals_the_walked_restricted_game(name, members):
+    base = base_index(name)
+    mask = population_mask(base, members)
+    got = base.restrict(mask, RestrictedGame(base.game, mask))
+    want = TreeIndex(_WalkedRestriction(base, mask))
+    for field in TREE_ARRAYS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (got.n_nodes, got.n_infosets, got.n_cols) \
+        == (want.n_nodes, want.n_infosets, want.n_cols)
+    assert got.keys == want.keys
+    assert got.is_actions == want.is_actions
+    assert got.key_to_isid == want.key_to_isid
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Each restricted column sits on a base column of the same
+    # infostate and action.
+    assert got.base_col.dtype == np.int64
+    assert np.array_equal(base.col_action[got.base_col], got.col_action)
+    assert [base.keys[i] for i in base.col_isid[got.base_col]] \
+        == [got.keys[i] for i in got.col_isid]
+
+
+@pytest.mark.parametrize("name", RESTRICT_GAMES)
+def test_restrict_rejects_a_reached_infostate_with_no_action(name):
+    base = base_index(name)
+    # Player 0's default actions only: player 1's first decision node
+    # has nothing allowed; with nothing allowed, the first one does.
+    for mask in (population_mask(base, "default")
+                 & (base.is_player[base.col_isid] == 0),
+                 np.zeros(base.n_cols, dtype=bool)):
+        for build in (lambda: base.restrict(mask, None),
+                      lambda: TreeIndex(_WalkedRestriction(base, mask))):
+            with pytest.raises(ValueError,
+                               match="decision node with no legal actions"):
+                build()
+
+
+@pytest.mark.parametrize("name", RESTRICT_GAMES)
+def test_scatter_extension_equals_the_lifted_profile(name):
+    base = base_index(name)
+    mask = population_mask(base, "random-only")
+    rtree = base.restrict(mask, RestrictedGame(base.game, mask))
+    rng = np.random.default_rng(4)
+    flat = rng.random(rtree.n_cols)
+    flat /= np.repeat(np.add.reduceat(flat, rtree.is_off), rtree.is_nact)
+    lifted = [lift_policy(rtree, base, policy_from_flat(rtree, flat, p))
+              for p in (0, 1)]
+    assert np.array_equal(_extend_to_base(rtree, base, flat),
+                          profile_array(base, *lifted))
