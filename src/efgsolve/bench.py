@@ -50,9 +50,34 @@ _PARAM_KEYS = {
     "psro": {"eps", "meta_solver", "fp_iters", "payoffs", "games_per_pair",
              "init"},
 }
-# Parameters that name one of a fixed set of choices.
-_CHOICES = {"inner": ("cfr_plus", "cfr", "lp"), "meta_solver": ("lp", "fp"),
-            "payoffs": ("exact", "sampled"), "init": ("default", "random")}
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(v) -> bool:
+    return _real(v) and isinstance(v, int) and v >= 1
+
+
+# Parameter checks: key -> (test, what the value must be).  None is the
+# solvers' own default for max_inner and alternating.
+_CHECKS = {
+    **{key: (choices.__contains__, "one of " + ", ".join(choices))
+       for key, choices in (("inner", ("cfr_plus", "cfr", "lp")),
+                            ("meta_solver", ("lp", "fp")),
+                            ("payoffs", ("exact", "sampled")),
+                            ("init", ("default", "random")))},
+    **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
+                    (lambda v: _real(v) and v >= 0, "a real number >= 0")),
+    **dict.fromkeys(("check_period", "lp_cap", "fp_iters", "games_per_pair"),
+                    (_count, "an integer >= 1")),
+    "eps_decay": (lambda v: _real(v) and 0 < v <= 1,
+                  "a real number in (0, 1]"),
+    "max_inner": (lambda v: v is None or _count(v), "an integer >= 1"),
+    "alternating": (lambda v: v is None or isinstance(v, bool),
+                    "true or false"),
+}
 
 
 @dataclass
@@ -102,14 +127,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.algo} does not take parameters "
                           f"{sorted(unknown)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
-    for key, choices in _CHOICES.items():
-        if key in cfg.params and cfg.params[key] not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+    for key, (ok, what) in _CHECKS.items():
+        if key in cfg.params and not ok(cfg.params[key]):
+            raise ConfigError(f"{key} must be {what}, "
                               f"not {cfg.params[key]!r}")
-    period = cfg.params.get("check_period", 1)
-    if not isinstance(period, int) or period < 1:
-        raise ConfigError(f"check_period must be an integer >= 1, "
-                          f"not {period!r}")
 
 
 def guard_enumerable(game, cap: int | None) -> int:

@@ -13,8 +13,10 @@ them), then the lowest action id.  Passing a generator replaces the last
 rule with one uniform draw per infostate that still has several
 maximizers, which matters only for which exact maximizer gets reported.
 Infostates the opponent/chance never reach still get an action, chosen
-by the same rules with all histories weighted equally, so returned
-policies are total.
+by the same rules with all histories weighted equally, so every
+infostate gets a choice.  The response comes back as the responder's
+choice array (see ``TreeIndex``): one picked column per infostate, in
+ascending infostate order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .policy import PurePolicy, profile_array
+from .policy import profile_array
 from .tree import TreeIndex, NodeCounter
 
 
@@ -51,7 +53,7 @@ def expected_value(tree: TreeIndex, pol0, pol1=None,
 
 class BestResponse(NamedTuple):
     value: float
-    policy: PurePolicy
+    choice: np.ndarray
 
 
 class _Edges(NamedTuple):
@@ -116,22 +118,21 @@ def _prefer_mask(tree: TreeIndex, prefer) -> np.ndarray:
 
 
 def _stage_rows(tree: TreeIndex, v: np.ndarray, player: int,
-                reach: np.ndarray, kids: np.ndarray, nodes: np.ndarray,
-                isids: np.ndarray, nact: np.ndarray,
-                cols: np.ndarray) -> np.ndarray:
-    """Responder's value of each stage column: summed over the
-    infostate's histories weighted by their reach, or unweighted where
-    the opponent and chance never reach the infostate."""
+                reach: np.ndarray, st) -> np.ndarray:
+    """Responder's value of each column of the own-depth stage ``st``:
+    summed over the infostate's histories weighted by their reach, or
+    unweighted where the opponent and chance never reach the
+    infostate."""
     vp = v if player == 0 else -v
     q = np.zeros(tree.n_cols)
     q_unit = np.zeros(tree.n_cols)
-    kid_cols = tree.in_col[kids]
-    np.add.at(q, kid_cols, reach[tree.parent[kids]] * vp[kids])
-    np.add.at(q_unit, kid_cols, vp[kids])
+    kid_cols = tree.in_col[st.kids]
+    np.add.at(q, kid_cols, reach[tree.parent[st.kids]] * vp[st.kids])
+    np.add.at(q_unit, kid_cols, vp[st.kids])
     is_reach = np.zeros(tree.n_infosets)
-    np.add.at(is_reach, tree.infoset[nodes], reach[nodes])
-    return np.where(np.repeat(is_reach[isids] > 0.0, nact),
-                    q[cols], q_unit[cols])
+    np.add.at(is_reach, tree.infoset[st.nodes], reach[st.nodes])
+    return np.where(np.repeat(is_reach[st.isids] > 0.0, st.nact),
+                    q[st.cols], q_unit[st.cols])
 
 
 def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
@@ -172,12 +173,8 @@ def best_response(tree: TreeIndex, opponent, player: int,
     lowest action id.  The returned value is unaffected; only which
     maximizer is reported changes.
     """
-    if isinstance(opponent, np.ndarray):
-        sigma = opponent
-    else:
-        blank = PurePolicy(player)
-        pair = (blank, opponent) if player == 0 else (opponent, blank)
-        sigma = profile_array(tree, *pair)
+    sigma = opponent if isinstance(opponent, np.ndarray) else profile_array(
+        tree, *((opponent, None) if player else (None, opponent)))
     if counter is not None:
         counter.add(tree.n_nodes)
     pmask = None if prefer is None else _prefer_mask(tree, prefer)
@@ -187,42 +184,19 @@ def best_response(tree: TreeIndex, opponent, player: int,
     chosen = np.zeros(tree.n_cols)
     decided = np.zeros(tree.n_cols, dtype=bool)
 
-    own_infosets = tree.infosets_of(player)
-    own_depth = tree.is_own_depth[own_infosets]
-    dec_nodes = np.flatnonzero(tree.decision_mask & (tree.player == player))
-    dec_stage = tree.is_own_depth[tree.infoset[dec_nodes]]
-    own_kids = np.flatnonzero(tree.in_player == player)
-    kid_stage = tree.is_own_depth[tree.infoset[tree.parent[own_kids]]]
-
-    picked_isids, picked_cols = [], []
-    for stage in sorted(set(own_depth.tolist()), reverse=True):
-        # The stage's infostates in id order; their column slices laid
-        # end to end form segments starting at ``starts``.
-        isids = own_infosets[own_depth == stage]
-        nact = tree.is_nact[isids]
-        starts = np.zeros(isids.size, dtype=np.int64)
-        np.cumsum(nact[:-1], out=starts[1:])
-        cols = (np.repeat(tree.is_off[isids] - starts, nact)
-                + np.arange(int(starts[-1] + nact[-1])))
+    choice = np.empty(tree.infosets_of(player).size, dtype=np.int64)
+    for st in reversed(tree.own_stages(player)):
         row = _stage_rows(tree, _sweep_values(tree, edges, chosen, decided),
-                          player, reach, own_kids[kid_stage == stage],
-                          dec_nodes[dec_stage == stage], isids, nact, cols)
-        pick = cols[_pick(row, starts, nact,
-                          None if pmask is None else pmask[cols], rng)]
+                          player, reach, st)
+        pick = st.cols[_pick(row, st.starts, st.nact,
+                             None if pmask is None else pmask[st.cols], rng)]
         chosen[pick] = 1.0
-        decided[cols] = True
-        picked_isids.append(isids)
-        picked_cols.append(pick)
+        decided[st.cols] = True
+        choice[st.slots] = pick
 
-    actions = PurePolicy(player)
-    if picked_isids:
-        isids = np.concatenate(picked_isids).tolist()
-        actions.actions = dict(zip(
-            map(tree.keys.__getitem__, isids),
-            tree.col_action[np.concatenate(picked_cols)].tolist()))
     v = _sweep_values(tree, edges, chosen, decided)
     value = float(v[0]) if player == 0 else -float(v[0])
-    return BestResponse(value=value, policy=actions)
+    return BestResponse(value=value, choice=choice)
 
 
 def exploitability(tree: TreeIndex, pol0, pol1,

@@ -1,10 +1,16 @@
-"""Behavioral and pure tabular policies over infostate keys.
+"""Strategies as arrays over a ``TreeIndex``, and dict-keyed policies
+at the API edge.
 
-A ``TabularPolicy`` row is a probability vector over the owning game's
-ordered legal-action list at that infostate.  A ``PurePolicy`` maps keys
-to single action ids.  Any key a policy does not mention resolves to the
-first legal action (the package-wide default rule), so every policy is
-total over any game it is used on.
+Inside the package a behavioral profile is one float array over the
+tree's columns, and a pure strategy is a *choice array*: the column
+each of the player's infostates plays, in ascending infostate order
+(see ``TreeIndex``).  ``TabularPolicy`` (key -> probability row over the
+infostate's ordered legal actions) and ``PurePolicy`` (key -> action
+id) are what callers pass in and get back; ``profile_array``,
+``canonical_pure`` and ``policy_from_flat`` convert between the two
+forms.  Any key a dict policy does not mention resolves to the first
+legal action (the package-wide default rule), so every policy is total
+over any game it is used on.
 """
 
 from __future__ import annotations
@@ -46,67 +52,39 @@ class PurePolicy:
 
 
 def uniform_policy(tree: TreeIndex, player: int) -> TabularPolicy:
-    pol = TabularPolicy(player)
-    for isid in tree.infosets_of(player):
-        n = int(tree.is_nact[isid])
-        pol.table[tree.keys[isid]] = np.full(n, 1.0 / n)
-    return pol
+    return policy_from_flat(
+        tree, np.repeat(1.0 / tree.is_nact, tree.is_nact), player)
 
 
-def default_pure_policy(player: int) -> PurePolicy:
-    return PurePolicy(player)
+def random_pure_policy(tree: TreeIndex, player: int, rng) -> np.ndarray:
+    """Choice array with one uniform draw per infostate, in infostate
+    order."""
+    isids = tree.infosets_of(player)
+    return tree.is_off[isids] + rng.integers(tree.is_nact[isids])
 
 
-def random_pure_policy(tree: TreeIndex, player: int, rng) -> PurePolicy:
-    pol = PurePolicy(player)
-    for isid in tree.infosets_of(player):
-        acts = tree.is_actions[isid]
-        pol.actions[tree.keys[isid]] = acts[int(rng.integers(len(acts)))]
-    return pol
-
-
-def extend_with_default(policy, tree: TreeIndex):
-    """Copy with an explicit entry for every decision infostate in ``tree``."""
-    if isinstance(policy, PurePolicy):
-        out = PurePolicy(policy.player, dict(policy.actions))
-        for isid in tree.infosets_of(policy.player):
-            key = tree.keys[isid]
-            if key not in out.actions:
-                out.actions[key] = tree.is_actions[isid][0]
-        return out
-    out = TabularPolicy(policy.player, dict(policy.table))
-    for isid in tree.infosets_of(policy.player):
-        key = tree.keys[isid]
-        if key not in out.table:
-            row = np.zeros(int(tree.is_nact[isid]))
-            row[0] = 1.0
-            out.table[key] = row
-    return out
-
-
-def canonical_pure(tree: TreeIndex, policy: PurePolicy) -> tuple:
-    """Hashable total form used for population deduplication."""
-    return tuple(
-        policy.act(tree.keys[isid], tree.is_actions[isid])
-        for isid in tree.infosets_of(policy.player)
-    )
+def canonical_pure(tree: TreeIndex, policy: PurePolicy) -> np.ndarray:
+    """Choice array of a dict-keyed pure policy."""
+    isids = tree.infosets_of(policy.player)
+    return np.fromiter(
+        (tree.is_off[isid] + tree.is_actions[isid].index(
+            policy.act(tree.keys[isid], tree.is_actions[isid]))
+         for isid in isids.tolist()), dtype=np.int64, count=isids.size)
 
 
 def _fill_cols(tree: TreeIndex, sigma: np.ndarray, policy, player: int):
-    pure = isinstance(policy, PurePolicy)
+    if policy is None:
+        return
+    if isinstance(policy, PurePolicy):
+        sigma[canonical_pure(tree, policy)] = 1.0
+        return
     for isid in tree.infosets_of(player):
-        key = tree.keys[isid]
+        row = policy.row(tree.keys[isid])
         sl = tree.col_slice(isid)
-        acts = tree.is_actions[isid]
-        if pure:
-            a = policy.act(key, acts)
-            sigma[sl.start + acts.index(a)] = 1.0
+        if row is None:
+            sigma[sl.start] = 1.0
         else:
-            row = policy.row(key)
-            if row is None:
-                sigma[sl.start] = 1.0
-            else:
-                sigma[sl] = row
+            sigma[sl] = row
 
 
 def sample_index(probs, r: float) -> int:
@@ -117,10 +95,19 @@ def sample_index(probs, r: float) -> int:
 
 
 def profile_array(tree: TreeIndex, pol0, pol1) -> np.ndarray:
-    """Flatten a policy pair into the tree's column space."""
+    """Flatten a policy pair into the tree's column space; a ``None``
+    side leaves that player's columns at 0."""
     sigma = np.zeros(tree.n_cols)
     _fill_cols(tree, sigma, pol0, 0)
     _fill_cols(tree, sigma, pol1, 1)
+    return sigma
+
+
+def pure_profile(tree: TreeIndex, choice0, choice1) -> np.ndarray:
+    """Flat profile of two choice arrays: 1 on every chosen column."""
+    sigma = np.zeros(tree.n_cols)
+    sigma[choice0] = 1.0
+    sigma[choice1] = 1.0
     return sigma
 
 
@@ -132,70 +119,68 @@ def policy_from_flat(tree: TreeIndex, sigma: np.ndarray,
     return pol
 
 
-def realize_mixture(tree: TreeIndex, pures, weights,
-                    player: int) -> TabularPolicy:
-    """Behavioral policy realization-equivalent to a mixture of pure
-    strategies.
+def own_reachable(tree: TreeIndex, choices: np.ndarray,
+                  player: int) -> np.ndarray:
+    """Bool array shaped like ``choices`` (one choice array, or one per
+    row): whether the strategy's own earlier choices lead to each of
+    the player's infostates."""
+    alive = np.ones(choices.shape, dtype=bool)
+    for st in tree.own_stages(player)[1:]:
+        alive[..., st.slots] = (alive[..., st.parent_slots]
+                                & (choices[..., st.parent_slots]
+                                   == st.parent_cols))
+    return alive
 
-    At each infostate the mixture members still consistent with the
-    player's own action history split the mass by their weights; a
-    member choosing action a contributes its (surviving) weight to a.
+
+def realize_mixture(tree: TreeIndex, choices, weights,
+                    player: int) -> np.ndarray:
+    """The player's half of a flat profile that is realization-
+    equivalent to a mixture of pure strategies (rows of ``choices``);
+    the other player's columns are 0, so two halves add up to a profile.
+
+    At each infostate the members still consistent with the player's
+    own earlier choices split the mass by their weights; a member
+    choosing a column adds its weight there, in member order.
     Infostates carrying no surviving weight are unconstrained by
     realization equivalence and get a uniform row.
     """
-    pures = list(pures)
+    choices = np.asarray(choices, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(pures),):
+    if weights.shape != (len(choices),):
         raise ValueError("need exactly one weight per pure strategy")
-    out = TabularPolicy(player)
     isids = tree.infosets_of(player)
-    alive = np.zeros((tree.n_infosets, len(pures)))
-    for isid in isids:
-        p_isid = tree.is_parent[isid]
-        if p_isid < 0:
-            w = weights.copy()
-        else:
-            slot = int(tree.is_parent_slot[isid])
-            pkey = tree.keys[p_isid]
-            pacts = tree.is_actions[p_isid]
-            taken = pacts[slot]
-            w = alive[p_isid] * np.array(
-                [1.0 if pi.act(pkey, pacts) == taken else 0.0
-                 for pi in pures])
-        alive[isid] = w
-        acts = tree.is_actions[isid]
-        row = np.zeros(len(acts))
-        for k, pi in enumerate(pures):
-            if w[k] > 0.0:
-                row[acts.index(pi.act(tree.keys[isid], acts))] += w[k]
-        total = row.sum()
-        if total > 0.0:
-            row /= total
-        else:
-            row[:] = 1.0 / len(acts)
-        out.table[tree.keys[isid]] = row
-    return out
+    choices = choices.reshape(len(choices), isids.size)
+    live = own_reachable(tree, choices, player) & (weights > 0.0)[:, None]
+    half = np.zeros(tree.n_cols)
+    np.add.at(half, choices[live],
+              np.broadcast_to(weights[:, None], choices.shape)[live])
+    total = np.empty(isids.size)
+    for st in tree.own_stages(player):
+        # Rows of one length laid out as a 2-D block sum exactly as each
+        # row's own ``sum()`` does.
+        for slots, block in st.blocks:
+            total[slots] = half[block].sum(axis=1)
+    nact = tree.is_nact[isids]
+    cols = tree.is_player[tree.col_isid] == player
+    half[cols] = np.divide(half[cols], np.repeat(total, nact),
+                           out=np.repeat(1.0 / nact, nact),
+                           where=np.repeat(total > 0.0, nact))
+    return half
 
 
 def lift_policy(sub: TreeIndex, base: TreeIndex, policy):
     """Re-index a policy built on a restricted tree onto the base tree.
 
-    Restricted legal lists are ordered subsets of base action ids, so
-    rows scatter into the base row at the matching id positions.
+    Each row scatters into the base row at the base columns behind its
+    own (``sub.base_col``, see ``TreeIndex.restrict``).
     """
-    player = policy.player
-    if isinstance(policy, PurePolicy):
-        return PurePolicy(player, dict(policy.actions))
-    out = TabularPolicy(player)
-    for isid in sub.infosets_of(player):
+    out = TabularPolicy(policy.player)
+    for isid in sub.infosets_of(policy.player):
         key = sub.keys[isid]
         row = policy.row(key)
-        if row is None:
-            continue
-        base_isid = base.key_to_isid[key]
-        base_acts = base.is_actions[base_isid]
-        lifted = np.zeros(len(base_acts))
-        for pos, a in enumerate(sub.is_actions[isid]):
-            lifted[base_acts.index(a)] = row[pos]
-        out.table[key] = lifted
+        if row is not None:
+            base_isid = base.key_to_isid[key]
+            out.table[key] = lifted = np.zeros(int(base.is_nact[base_isid]))
+            lifted[sub.base_col[sub.col_slice(isid)]
+                   - base.is_off[base_isid]] = row
     return out

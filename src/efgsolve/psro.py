@@ -1,11 +1,13 @@
 """Normal-form double oracle / tabular PSRO.
 
-Populations of pure strategies per player, an empirical payoff matrix
-over all pairs (exact tree evaluation by default, seeded playout
-averages optionally), a matrix-game meta-solver (LP by default), and
-exact best responses against the realized meta-mixture.  Terminates
-when neither best response improves on the mixture value by more than
-``eps``.
+Populations of pure strategies per player (rows of choice arrays, see
+``xdo.Population``), an empirical payoff matrix over all pairs (each
+cell scatters one row of each population into a flat profile; exact
+tree evaluation by default, seeded playout averages optionally), a
+matrix-game meta-solver (LP by default), and exact best responses
+against the realized meta-mixture, the sum of both players' halves from
+``realize_mixture``.  Terminates when neither best response improves
+on the mixture value by more than ``eps``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import best_response, expected_value
-from .policy import (PurePolicy, TabularPolicy, profile_array,
-                     random_pure_policy, realize_mixture, sample_index)
+# profile_array is not called here; the benchmark's tracer wraps it
+# under this module's name.
+from .policy import (TabularPolicy, own_reachable, policy_from_flat,
+                     profile_array, pure_profile, random_pure_policy,
+                     realize_mixture, sample_index)
 from .solvers.matrix_solvers import solve_matrix_fp, solve_matrix_lp
 from .tree import CHANCE_NODE, TERMINAL, NodeCounter, TreeIndex
 from .xdo import Population
@@ -47,17 +52,6 @@ class PsroResult:
     iters: int
     nodes: int
     trace: list = field(default_factory=list)
-
-
-def _half_cols(tree: TreeIndex, pure: PurePolicy) -> np.ndarray:
-    """One-hot columns for this player's infostates only; a profile of
-    two pure strategies is the sum of their halves."""
-    sigma = np.zeros(tree.n_cols)
-    for isid in tree.infosets_of(pure.player):
-        acts = tree.is_actions[isid]
-        off = int(tree.is_off[isid])
-        sigma[off + acts.index(pure.act(tree.keys[isid], acts))] = 1.0
-    return sigma
 
 
 def _sampled_payoff(tree: TreeIndex, sigma: np.ndarray, games: int,
@@ -108,17 +102,13 @@ def psro_solve(game, config: PsroConfig | None = None,
     tree = base_tree if base_tree is not None else TreeIndex(game)
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.init == "random":
-        first = [random_pure_policy(tree, p, rng) for p in (0, 1)]
-    else:
-        first = [PurePolicy(0), PurePolicy(1)]
-    pops = (Population(tree, 0, [first[0]]), Population(tree, 1, [first[1]]))
-
-    halves = ([_half_cols(tree, first[0])], [_half_cols(tree, first[1])])
+    pops = tuple(Population(tree, p, [
+        random_pure_policy(tree, p, rng) if cfg.init == "random"
+        else tree.is_off[tree.infosets_of(p)]]) for p in (0, 1))
     m = np.zeros((0, 0))
 
     def payoff(i: int, j: int) -> float:
-        sigma = halves[0][i] + halves[1][j]
+        sigma = pure_profile(tree, pops[0].choices[i], pops[1].choices[j])
         if cfg.payoffs == "exact":
             return expected_value(tree, sigma, counter=counter)
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(i, j))
@@ -128,9 +118,6 @@ def psro_solve(game, config: PsroConfig | None = None,
     trace: list[dict] = []
     terminated = False
     iters = 0
-    policy0 = policy1 = None
-    e = float("inf")
-    meta = (np.ones(1), np.ones(1))
 
     while True:
         iters += 1
@@ -143,9 +130,8 @@ def psro_solve(game, config: PsroConfig | None = None,
             sol = solve_matrix_fp(m, cfg.fp_iters)
         meta = (sol.row, sol.col)
 
-        policy0 = realize_mixture(tree, pops[0].members, sol.row, 0)
-        policy1 = realize_mixture(tree, pops[1].members, sol.col, 1)
-        sigma = profile_array(tree, policy0, policy1)
+        sigma = (realize_mixture(tree, pops[0].choices, sol.row, 0)
+                 + realize_mixture(tree, pops[1].choices, sol.col, 1))
         v = expected_value(tree, sigma, counter=counter)
         br0 = best_response(tree, sigma, 0, counter)
         br1 = best_response(tree, sigma, 1, counter)
@@ -164,51 +150,27 @@ def psro_solve(game, config: PsroConfig | None = None,
         if cfg.max_iters is not None and iters >= cfg.max_iters:
             break
 
-        added = False
-        if pops[0].add(br0.policy):
-            halves[0].append(_half_cols(tree, br0.policy))
-            added = True
-        if pops[1].add(br1.policy):
-            halves[1].append(_half_cols(tree, br1.policy))
-            added = True
-        if not added:
+        added = [pops[p].add(br.choice) for p, br in ((0, br0), (1, br1))]
+        if not any(added):
             # Approximate meta-solver failed to use an existing improver;
             # nothing new to evaluate, so stop rather than loop.
             break
 
+    policy0, policy1 = (policy_from_flat(tree, sigma, p) for p in (0, 1))
     return PsroResult(populations=pops, meta=meta, policy0=policy0,
                       policy1=policy1, exploitability=e,
                       terminated=terminated, iters=iters,
                       nodes=counter.count, trace=trace)
 
 
-def reduced_canonical(tree: TreeIndex, pure: PurePolicy,
-                      player: int) -> tuple:
-    """Hashable restriction of a pure strategy to the infostates the
-    player can actually reach under their own play; two strategies with
-    the same reduced form are indistinguishable in payoff terms."""
-    reachable = {}
-    parts = []
-    for isid in tree.infosets_of(player):  # ascending, parents first
-        p_isid = int(tree.is_parent[isid])
-        if p_isid < 0:
-            ok = True
-        else:
-            slot = int(tree.is_parent_slot[isid])
-            pacts = tree.is_actions[p_isid]
-            ok = (reachable[p_isid]
-                  and pure.act(tree.keys[p_isid], pacts) == pacts[slot])
-        reachable[int(isid)] = ok
-        if ok:
-            acts = tree.is_actions[isid]
-            parts.append((int(isid), pure.act(tree.keys[isid], acts)))
-    return tuple(parts)
-
-
-def reduced_strategies_expanded(tree: TreeIndex, pop: Population) -> int:
-    """Distinct reduced pure strategies in a population, the sense in
-    which a player can 'expand all' strategies of a game."""
-    return len({reduced_canonical(tree, pi, pop.player) for pi in pop})
+def reduced_canonical(tree: TreeIndex, choice: np.ndarray,
+                      player: int) -> bytes:
+    """Hashable form of a pure strategy restricted to the infostates the
+    player reaches under their own play (-1 in every other slot); two
+    strategies with the same reduced form are indistinguishable in
+    payoff terms."""
+    return np.where(own_reachable(tree, choice, player), choice,
+                    -1).tobytes()
 
 
 def psro_histogram(game, trials: int = 150, seed0: int = 0,
@@ -242,19 +204,16 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
                    [random_pure_policy(tree, 1, rng)])
         seen = ({reduced_canonical(tree, members[0][0], 0)},
                 {reduced_canonical(tree, members[1][0], 1)})
-        halves = ([_half_cols(tree, members[0][0])],
-                  [_half_cols(tree, members[1][0])])
         m = np.zeros((0, 0))
         first_pass = None
         e = float("inf")
         for it in range(1, horizon + 1):
             m = _grow_matrix(m, (len(members[0]), len(members[1])),
-                             lambda i, j: expected_value(
-                                 tree, halves[0][i] + halves[1][j]))
+                             lambda i, j: expected_value(tree, pure_profile(
+                                 tree, members[0][i], members[1][j])))
             sol = solve_matrix_lp(m)
-            mix0 = realize_mixture(tree, members[0], sol.row, 0)
-            mix1 = realize_mixture(tree, members[1], sol.col, 1)
-            sigma = profile_array(tree, mix0, mix1)
+            sigma = (realize_mixture(tree, members[0], sol.row, 0)
+                     + realize_mixture(tree, members[1], sol.col, 1))
             v = expected_value(tree, sigma)
             br0 = best_response(tree, sigma, 0, rng=rng)
             br1 = best_response(tree, sigma, 1, rng=rng)
@@ -263,11 +222,10 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
             if first_pass is None and d0 <= eps and d1 <= eps:
                 first_pass = it
             for p, br in ((0, br0), (1, br1)):
-                key = reduced_canonical(tree, br.policy, p)
+                key = reduced_canonical(tree, br.choice, p)
                 if key not in seen[p]:
                     seen[p].add(key)
-                    members[p].append(br.policy)
-                    halves[p].append(_half_cols(tree, br.policy))
+                    members[p].append(br.choice)
         records.append(dict(seed=seed, expanded0=len(seen[0]),
                             expanded1=len(seen[1]), iters=horizon,
                             eps_pass_iter=first_pass,

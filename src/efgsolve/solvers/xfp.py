@@ -21,30 +21,16 @@ class Xfp:
         self.tree = tree
         self.counter = counter
         self.t = 0
-        self.sigma = np.zeros(tree.n_cols)
-        for isid in range(tree.n_infosets):
-            sl = tree.col_slice(isid)
-            self.sigma[sl] = 1.0 / tree.is_nact[isid]
+        self.sigma = np.repeat(1.0 / tree.is_nact, tree.is_nact)
 
-    def _own_reach(self, player: int, pure=None) -> np.ndarray:
-        """Sequence probability of each of the player's infostates under
-        the average policy, or 0/1 consistency under a pure policy."""
-        tree = self.tree
-        x = np.zeros(tree.n_infosets)
-        for isid in tree.infosets_of(player):
-            p_isid = tree.is_parent[isid]
-            if p_isid < 0:
-                base = 1.0
-            else:
-                slot = int(tree.is_parent_slot[isid])
-                if pure is None:
-                    off = int(tree.is_off[p_isid])
-                    base = x[p_isid] * self.sigma[off + slot]
-                else:
-                    key = tree.keys[p_isid]
-                    acts = tree.is_actions[p_isid]
-                    base = x[p_isid] if pure.act(key, acts) == acts[slot] else 0.0
-            x[isid] = base
+    def _own_reach(self, player: int, sigma: np.ndarray) -> np.ndarray:
+        """Sequence probability of each of the player's infostates (in
+        infostate order) under the flat profile ``sigma``: the product
+        of the player's own column weights on the way there, one
+        own-depth stage at a time."""
+        x = np.ones(self.tree.infosets_of(player).size)
+        for st in self.tree.own_stages(player)[1:]:
+            x[st.slots] = x[st.parent_slots] * sigma[st.parent_cols]
         return x
 
     def iterate(self, n: int = 1) -> None:
@@ -55,21 +41,21 @@ class Xfp:
             brs = [best_response(tree, self.sigma, p, self.counter)
                    for p in (0, 1)]
             for p, br in zip((0, 1), brs):
-                x_avg = self._own_reach(p)
-                x_br = self._own_reach(p, pure=br.policy)
-                for isid in tree.infosets_of(p):
-                    denom = (1 - alpha) * x_avg[isid] + alpha * x_br[isid]
-                    if denom <= 0.0:
-                        continue
-                    sl = tree.col_slice(int(isid))
-                    row = (1 - alpha) * x_avg[isid] * self.sigma[sl]
-                    if x_br[isid] > 0.0:
-                        acts = tree.is_actions[isid]
-                        a = br.policy.act(tree.keys[isid], acts)
-                        onehot = np.zeros(len(acts))
-                        onehot[acts.index(a)] = 1.0
-                        row = row + alpha * x_br[isid] * onehot
-                    self.sigma[sl] = row / denom
+                onehot = np.zeros(tree.n_cols)
+                onehot[br.choice] = 1.0
+                x_avg = self._own_reach(p, self.sigma)
+                x_br = self._own_reach(p, onehot)
+                # Per column of the player's infostates, in order.
+                nact = tree.is_nact[tree.infosets_of(p)]
+                cols = tree.is_player[tree.col_isid] == p
+                denom = np.repeat((1 - alpha) * x_avg + alpha * x_br, nact)
+                row = (np.repeat((1 - alpha) * x_avg, nact) * self.sigma[cols]
+                       + np.repeat(alpha * x_br, nact) * onehot[cols])
+                # Infostates neither the average nor the response reaches
+                # keep their rows.
+                self.sigma[cols] = np.divide(row, denom,
+                                             out=self.sigma[cols],
+                                             where=denom > 0.0)
 
     def average_flat(self) -> np.ndarray:
         return self.sigma.copy()

@@ -15,8 +15,8 @@ cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,27 @@ _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
                      ("is_own_depth", np.int64))
 
 
+class OwnStage(NamedTuple):
+    """One player's infostates at one own depth, in ascending id order:
+    their ids and slots in the player's choice arrays; the slot of each
+    one's parent infostate and the parent column that leads to it (both
+    -1 at depth 0); the player's decision nodes in them and the edges
+    leaving those nodes; their action counts, and their columns laid
+    end to end (``cols``, segments starting at ``starts``) and, per
+    action count n, as ``(slots, columns)`` with columns a (k, n)
+    block."""
+    isids: np.ndarray
+    slots: np.ndarray
+    parent_slots: np.ndarray
+    parent_cols: np.ndarray
+    nodes: np.ndarray
+    kids: np.ndarray
+    nact: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    blocks: list
+
+
 def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
     """``ids`` (values in ``range(n)`` or -1) renumbered by position in
     ``kept``; -1, and any value not kept, become -1."""
@@ -83,6 +104,10 @@ class TreeIndex:
     contiguous column range), is_parent / is_parent_slot (the player's
     previous decision infostate and the row position taken there, -1 at
     the top), is_own_depth.
+
+    A pure strategy is a *choice array*: the column each of the
+    player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
+    ``own_stages`` groups the slots by own depth.
 
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
@@ -192,6 +217,7 @@ class TreeIndex:
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
         self._col_isid = self._col_action = None
+        self._own_stages = {}
 
     def restrict(self, cols: np.ndarray, game) -> TreeIndex:
         """Index of the subgame that allows only the columns in the bool
@@ -275,80 +301,36 @@ class TreeIndex:
         off = int(self.is_off[isid])
         return slice(off, off + int(self.is_nact[isid]))
 
-
-@dataclass(frozen=True)
-class StateCounts:
-    histories: int
-    terminals: int
-    decision_infostates: tuple[int, int]
-    all_infostates: tuple[int, int]
-
-
-def count_states(game) -> StateCounts:
-    """Exhaustive tally of histories and per-player infostates.
-
-    ``all_infostates`` counts every distinct observation sequence a
-    player holds anywhere in the tree (root, opponent moves, chance and
-    terminals included), which is the count the double-oracle iteration
-    bounds are stated against.
-    """
-    histories = terminals = 0
-    decision: tuple[set, set] = (set(), set())
-    every: tuple[set, set] = (set(), set())
-
-    def visit(state):
-        nonlocal histories, terminals
-        histories += 1
-        for p in (0, 1):
-            every[p].add(state.infostate_key(p))
-        if state.is_terminal():
-            terminals += 1
-            return
-        if state.is_chance():
-            for a, _ in state.chance_outcomes():
-                visit(state.apply(a))
-            return
-        p = state.current_player()
-        decision[p].add(state.infostate_key(p))
-        for a in state.legal_actions():
-            visit(state.apply(a))
-
-    visit(game.root())
-    return StateCounts(
-        histories=histories,
-        terminals=terminals,
-        decision_infostates=(len(decision[0]), len(decision[1])),
-        all_infostates=(len(every[0]), len(every[1])),
-    )
-
-
-def infostate_predecessors(game) -> tuple[dict, dict]:
-    """Map every infostate key to (preceding decision key, action id).
-
-    The preceding action of a key is the owner's most recent own action
-    before that key first exists; keys reached before the owner ever
-    acted map to ``None``.  Used for the covered-infostate tally.
-    """
-    preds: tuple[dict, dict] = ({}, {})
-
-    def visit(state, last0, last1):
-        for p, last in ((0, last0), (1, last1)):
-            k = state.infostate_key(p)
-            if k not in preds[p]:
-                preds[p][k] = last
-        if state.is_terminal():
-            return
-        if state.is_chance():
-            for a, _ in state.chance_outcomes():
-                visit(state.apply(a), last0, last1)
-            return
-        p = state.current_player()
-        key = state.infostate_key(p)
-        for a in state.legal_actions():
-            nxt = (key, a)
-            visit(state.apply(a),
-                  nxt if p == 0 else last0,
-                  nxt if p == 1 else last1)
-
-    visit(game.root(), None, None)
-    return preds
+    def own_stages(self, player: int) -> list[OwnStage]:
+        """The player's infostates grouped by own depth, shallowest
+        first; a parent always sits one stage above its children."""
+        stages = self._own_stages.get(player)
+        if stages is None:
+            own = self.infosets_of(player)
+            depth = self.is_own_depth[own]
+            slot_of = np.full(self.n_infosets + 1, -1, dtype=np.int64)
+            slot_of[own] = np.arange(own.size)
+            nodes = np.flatnonzero(self.decision_mask
+                                   & (self.player == player))
+            kids = np.flatnonzero(self.in_player == player)
+            node_depth = self.is_own_depth[self.infoset[nodes]]
+            kid_depth = self.is_own_depth[self.infoset[self.parent[kids]]]
+            stages = []
+            for d in range(int(depth.max(initial=-1)) + 1):
+                slots = np.flatnonzero(depth == d)
+                isids = own[slots]
+                par = self.is_parent[isids]
+                nact = self.is_nact[isids]
+                starts = np.cumsum(nact) - nact
+                blocks = [(slots[nact == n], self.is_off[isids[nact == n],
+                                                        None] + np.arange(n))
+                          for n in np.unique(nact).tolist()]
+                stages.append(OwnStage(
+                    isids, slots, slot_of[par],
+                    np.where(par < 0, -1, self.is_off[par]
+                             + self.is_parent_slot[isids]),
+                    nodes[node_depth == d], kids[kid_depth == d], nact,
+                    np.repeat(self.is_off[isids] - starts, nact)
+                    + np.arange(int(nact.sum())), starts, blocks))
+            self._own_stages[player] = stages
+        return stages

@@ -1,6 +1,7 @@
 """Double oracle over extensive-form restricted games.
 
-The outer loop keeps a population of pure strategies per player.  Each
+The outer loop keeps a population of pure strategies per player, as
+rows of choice arrays over the base tree (see ``TreeIndex``).  Each
 iteration takes the restricted game whose legal actions at an
 infostate are exactly those some population member plays there, as a
 column mask over the base tree, and derives its index from the base
@@ -31,46 +32,44 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import best_response, expected_value
-from .policy import (PurePolicy, TabularPolicy, canonical_pure, lift_policy,
-                     policy_from_flat, profile_array, realize_mixture)
+# canonical_pure and profile_array are not called here; the benchmark's
+# tracer wraps them under this module's names.
+from .policy import (TabularPolicy, canonical_pure, lift_policy,
+                     policy_from_flat, profile_array, pure_profile,
+                     realize_mixture)
 from .solvers.cfr import Cfr
 from .solvers.matrix_solvers import solve_matrix_lp
-from .tree import (EnumerationOverflow, NodeCounter, TreeIndex,
-                   infostate_predecessors)
+from .tree import EnumerationOverflow, NodeCounter, TreeIndex
 
 
 class Population:
-    """Ordered pure strategies for one player, deduplicated by their
-    total action table over the base tree.  ``cols`` is the bool mask of
-    the base tree's columns that some member plays."""
+    """Pure strategies of one player as the rows of ``choices`` (choice
+    arrays over the base tree, in order of arrival), deduplicated on
+    their bytes.  ``cols`` is the bool mask of the base tree's columns
+    that some member plays."""
 
     def __init__(self, tree: TreeIndex, player: int, members=()):
         self.tree = tree
         self.player = player
-        self.members: list[PurePolicy] = []
+        self.choices = np.empty((0, tree.infosets_of(player).size),
+                                dtype=np.int64)
         self.cols = np.zeros(tree.n_cols, dtype=bool)
-        self._seen: set[tuple] = set()
+        self._seen: set[bytes] = set()
         for m in members:
             self.add(m)
 
-    def add(self, policy: PurePolicy) -> bool:
-        canon = canonical_pure(self.tree, policy)
-        if canon in self._seen:
+    def add(self, choice) -> bool:
+        choice = np.asarray(choice, dtype=np.int64)
+        key = choice.tobytes()
+        if key in self._seen:
             return False
-        self._seen.add(canon)
-        self.members.append(policy)
-        tree = self.tree
-        played = np.zeros(tree.n_infosets, dtype=np.int64)
-        played[tree.infosets_of(self.player)] = canon
-        self.cols |= ((tree.is_player[tree.col_isid] == self.player)
-                      & (tree.col_action == played[tree.col_isid]))
+        self._seen.add(key)
+        self.choices = np.vstack((self.choices, choice))
+        self.cols[choice] = True
         return True
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return len(self.choices)
 
 
 def eq1_allowed(populations) -> np.ndarray:
@@ -90,41 +89,22 @@ class RestrictedGame:
         self.name = base.name + "+restricted"
 
 
-def covered_infostate_count(game, populations) -> int:
-    """How many infostates have their preceding own action chosen by
-    some population member (the covering quantity behind the iteration
-    bound; infostates with no preceding own action are not counted)."""
-    preds = infostate_predecessors(game)
-    covered = 0
-    for player in (0, 1):
-        pop = populations[player]
-        for key, pred in preds[player].items():
-            if pred is None:
-                continue
-            pkey, act = pred
-            if any(pi.act(pkey) == act for pi in pop):
-                covered += 1
-    return covered
-
-
 def enumerate_reduced_pure(tree: TreeIndex, player: int,
-                           cap: int = 100_000) -> list[PurePolicy]:
-    """All reduced pure strategies: assignments over the infostates the
-    player can reach given their own earlier choices."""
-    kids_by_slot: dict[tuple[int, int], list[int]] = {}
-    roots = []
-    for isid in tree.infosets_of(player):
-        p_isid = int(tree.is_parent[isid])
-        if p_isid < 0:
-            roots.append(int(isid))
-        else:
-            slot = int(tree.is_parent_slot[isid])
-            kids_by_slot.setdefault((p_isid, slot), []).append(int(isid))
+                           cap: int = 100_000) -> np.ndarray:
+    """All reduced pure strategies, as rows of choice arrays: every
+    assignment over the infostates the player can reach given their own
+    earlier choices, with the first action everywhere else."""
+    own = tree.infosets_of(player)
+    stages = tree.own_stages(player)
+    kids: dict[int, list[int]] = {}  # parent column -> child slots
+    for st in stages[1:]:
+        for slot, col in zip(st.slots.tolist(), st.parent_cols.tolist()):
+            kids.setdefault(col, []).append(slot)
 
-    def expand_set(isids) -> list[dict]:
+    def expand_set(slots) -> list[dict]:
         combos = [{}]
-        for isid in isids:
-            branch = expand_one(isid)
+        for slot in slots:
+            branch = expand_one(slot)
             combos = [{**c, **b} for c in combos for b in branch]
             if len(combos) > cap:
                 raise EnumerationOverflow(
@@ -132,17 +112,22 @@ def enumerate_reduced_pure(tree: TreeIndex, player: int,
                     f"cap {cap}")
         return combos
 
-    def expand_one(isid: int) -> list[dict]:
-        key = tree.keys[isid]
+    def expand_one(slot: int) -> list[dict]:
+        isid = int(own[slot])
+        off = int(tree.is_off[isid])
         out = []
-        for slot, a in enumerate(tree.is_actions[isid]):
-            for c in expand_set(kids_by_slot.get((isid, slot), ())):
+        for col in range(off, off + int(tree.is_nact[isid])):
+            for c in expand_set(kids.get(col, ())):
                 d = dict(c)
-                d[key] = a
+                d[slot] = col
                 out.append(d)
         return out
 
-    return [PurePolicy(player, d) for d in expand_set(roots)]
+    combos = expand_set(stages[0].slots.tolist() if stages else ())
+    rows = np.tile(tree.is_off[own], (len(combos), 1))
+    for row, d in zip(rows, combos):
+        row[list(d)] = list(d.values())
+    return rows
 
 
 @dataclass
@@ -191,11 +176,11 @@ def _lp_inner(rtree: TreeIndex, counter, cap: int):
     m = np.zeros((len(pures[0]), len(pures[1])))
     for i, pi in enumerate(pures[0]):
         for j, pj in enumerate(pures[1]):
-            m[i, j] = expected_value(rtree, pi, pj, counter)
+            m[i, j] = expected_value(rtree, pure_profile(rtree, pi, pj),
+                                     counter=counter)
     sol = solve_matrix_lp(m)
-    pol0 = realize_mixture(rtree, pures[0], sol.row, 0)
-    pol1 = realize_mixture(rtree, pures[1], sol.col, 1)
-    return profile_array(rtree, pol0, pol1)
+    return (realize_mixture(rtree, pures[0], sol.row, 0)
+            + realize_mixture(rtree, pures[1], sol.col, 1))
 
 
 def xdo_solve(game, config: XdoConfig | None = None,
@@ -208,8 +193,9 @@ def xdo_solve(game, config: XdoConfig | None = None,
     if base_tree is None:
         base_tree = TreeIndex(game)
     if populations is None:
-        populations = (Population(base_tree, 0, [PurePolicy(0)]),
-                       Population(base_tree, 1, [PurePolicy(1)]))
+        populations = tuple(
+            Population(base_tree, p, [base_tree.is_off[
+                base_tree.infosets_of(p)]]) for p in (0, 1))
 
     eps = cfg.eps0
     t_start = time.perf_counter()
@@ -279,8 +265,8 @@ def xdo_solve(game, config: XdoConfig | None = None,
             break
         if counter.exhausted:
             break
-        populations[0].add(br0.policy)
-        populations[1].add(br1.policy)
+        populations[0].add(br0.choice)
+        populations[1].add(br1.choice)
         eps = max(eps * cfg.eps_decay, cfg.eps_floor)
         if cfg.max_outer is not None and outer >= cfg.max_outer:
             break

@@ -19,15 +19,18 @@ external-sampling MCCFR on clone Leduc only a little past the cutoff.
 import numpy as np
 import pytest
 
-from efgsolve import (TabularPolicy, TreeIndex, best_response, count_states,
+from efgsolve import (TabularPolicy, TreeIndex, best_response,
                       exploitability, expected_value, make_game,
                       uniform_policy)
 from efgsolve.bench import ExperimentConfig, run_experiment, run_seed
 from efgsolve.metrics import read_rows_csv
+from efgsolve.policy import pure_profile
 from efgsolve.psro import psro_histogram
 from efgsolve.solvers import Cfr, solve_matrix_lp
 from efgsolve.xdo import (XdoConfig, enumerate_reduced_pure, eq1_allowed,
                           xdo_solve)
+
+from oracles import as_policy, count_states
 
 NODE_BUDGET = 10_000_000
 LEDUC_HISTORIES = 9_451          # enforced in test_game_core
@@ -175,7 +178,8 @@ def test_c01b_best_response_equals_brute_force():
                 opponents.append(pol)
             for opp in opponents:
                 best = -np.inf
-                for pure in enumerate_reduced_pure(tree, player):
+                for choice in enumerate_reduced_pure(tree, player):
+                    pure = as_policy(tree, choice, player)
                     pair = (pure, opp) if player == 0 else (opp, pure)
                     v = expected_value(tree, *pair)
                     best = max(best, v if player == 0 else -v)
@@ -201,8 +205,8 @@ def test_c02_cfr_plus_matches_the_normal_form_lp_value():
     assert exploitability(tree, flat, None) < 1e-3
 
     pures = [enumerate_reduced_pure(tree, p) for p in (0, 1)]
-    matrix = np.array([[expected_value(tree, a, b) for b in pures[1]]
-                       for a in pures[0]])
+    matrix = np.array([[expected_value(tree, pure_profile(tree, a, b))
+                        for b in pures[1]] for a in pures[0]])
     oracle = solve_matrix_lp(matrix).value
     assert oracle == pytest.approx(-1.0 / 18.0, abs=1e-9)
     assert expected_value(tree, flat) == pytest.approx(oracle, abs=1e-3)

@@ -234,10 +234,23 @@ PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
     PSRO_RUN + ["--param", "init=bogus"],
     ["psro-hist", "--trials", "2", "--jobs", "0"],
     ["psro-hist", "--trials", "2", "--horizon", "0"],
+    XDO_RUN + ["--param", "eps0=abc"],
+    XDO_RUN + ["--param", "inner=lp", "--param", "lp_cap=abc"],
+    PSRO_RUN + ["--param", "eps=abc"],
+    PSRO_RUN + ["--param", "payoffs=sampled", "--param",
+                "games_per_pair=0"],
+    ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2",
+     "--param", "alternating=abc"],
+    XDO_RUN + ["--param", "max_inner=-1"],
+    PSRO_RUN + ["--param", "meta_solver=fp", "--param", "fp_iters=0"],
+    XDO_RUN + ["--param", "eps_decay=2"],
+    XDO_RUN + ["--param", "term_eps=true"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
-        "psro-hist-horizon"])
+        "psro-hist-horizon", "xdo-eps0", "xdo-lp-cap", "psro-eps",
+        "psro-games-per-pair", "cfr-alternating", "xdo-max-inner",
+        "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -6,8 +6,10 @@ perfect recall (a player's key determines their own last decision)."""
 import numpy as np
 import pytest
 
-from efgsolve import CHANCE, TreeIndex, count_states, make_game
-from efgsolve.tree import NodeCounter, infostate_predecessors
+from efgsolve import CHANCE, TreeIndex, make_game
+from efgsolve.tree import NodeCounter
+
+from oracles import count_states, infostate_predecessors
 
 INVARIANT_GAMES = [
     "kuhn", "leduc", "rps_choice", "oshi_zumo_4_3_6",

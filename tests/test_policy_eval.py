@@ -12,13 +12,14 @@ against any fixed opponent.
 import numpy as np
 import pytest
 
-from efgsolve import (NodeCounter, PurePolicy, TabularPolicy, TreeIndex,
-                      best_response, exploitability, expected_value,
-                      extend_with_default, make_game, profile_array,
-                      realize_mixture, uniform_policy)
-from efgsolve.policy import (canonical_pure, default_pure_policy, lift_policy,
+from efgsolve import (NodeCounter, TabularPolicy, TreeIndex, best_response,
+                      exploitability, expected_value, make_game,
+                      profile_array, realize_mixture, uniform_policy)
+from efgsolve.policy import (PurePolicy, canonical_pure, lift_policy,
                              policy_from_flat, random_pure_policy)
 from efgsolve.xdo import enumerate_reduced_pure
+
+from oracles import actions_of, as_policy, choice_of, default_choice
 
 
 def random_behavioral(tree, player, rng):
@@ -32,7 +33,8 @@ def random_behavioral(tree, player, rng):
 
 def brute_force_br_value(tree, opponent, player):
     best = -np.inf
-    for pure in enumerate_reduced_pure(tree, player):
+    for choice in enumerate_reduced_pure(tree, player):
+        pure = as_policy(tree, choice, player)
         pair = (pure, opponent) if player == 0 else (opponent, pure)
         v = expected_value(tree, *pair)
         best = max(best, v if player == 0 else -v)
@@ -52,7 +54,8 @@ def test_best_response_matches_brute_force(name):
             assert br.value == pytest.approx(
                 brute_force_br_value(tree, opp, player), abs=1e-12)
             # The reported pure strategy actually achieves the value.
-            pair = (br.policy, opp) if player == 0 else (opp, br.policy)
+            pure = as_policy(tree, br.choice, player)
+            pair = (pure, opp) if player == 0 else (opp, pure)
             achieved = expected_value(tree, *pair)
             achieved = achieved if player == 0 else -achieved
             assert achieved == pytest.approx(br.value, abs=1e-12)
@@ -62,14 +65,14 @@ def test_best_response_tie_breaking_is_lowest_action(kgmp13_tree):
     # Against uniform every action of GMP ties at value 0.
     br = best_response(kgmp13_tree, uniform_policy(kgmp13_tree, 1), 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
-    assert br.policy.act(key) == 0
+    assert actions_of(kgmp13_tree, 0, br.choice)[key] == 0
 
 
 def test_best_response_prefer_filter_breaks_ties(kgmp13_tree):
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
     br = best_response(kgmp13_tree, uniform_policy(kgmp13_tree, 1), 0,
                        prefer={key: (2,)})
-    assert br.policy.act(key) == 2
+    assert actions_of(kgmp13_tree, 0, br.choice)[key] == 2
 
 
 def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
@@ -77,8 +80,8 @@ def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
     opp = uniform_policy(kgmp13_tree, 1)
     det = best_response(kgmp13_tree, opp, 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
-    picks = {best_response(kgmp13_tree, opp, 0, rng=rng).policy.act(key)
-             for _ in range(40)}
+    picks = {actions_of(kgmp13_tree, 0, best_response(
+        kgmp13_tree, opp, 0, rng=rng).choice)[key] for _ in range(40)}
     assert picks == {0, 1, 2}
     for _ in range(5):
         assert best_response(kgmp13_tree, opp, 0, rng=rng).value \
@@ -118,15 +121,18 @@ def test_realized_mixture_obeys_kuhns_theorem(kuhn_tree):
         w = rng.random(len(pures))
         w /= w.sum()
         mix = realize_mixture(kuhn_tree, pures, w, 0)
-        direct = expected_value(kuhn_tree, mix, opp)
-        by_parts = sum(wi * expected_value(kuhn_tree, pi, opp)
+        direct = expected_value(kuhn_tree, mix + profile_array(
+            kuhn_tree, None, opp))
+        by_parts = sum(wi * expected_value(kuhn_tree,
+                                           as_policy(kuhn_tree, pi, 0), opp)
                        for wi, pi in zip(w, pures))
         assert direct == pytest.approx(by_parts, abs=1e-12)
 
 
 def test_realized_mixture_of_one_pure_plays_it_on_path(kuhn_tree):
-    pure = enumerate_reduced_pure(kuhn_tree, 0)[5]
-    mix = realize_mixture(kuhn_tree, [pure], np.ones(1), 0)
+    choice = enumerate_reduced_pure(kuhn_tree, 0)[5]
+    mix = realize_mixture(kuhn_tree, [choice], np.ones(1), 0)
+    pure = actions_of(kuhn_tree, 0, choice)
     reachable = dict.fromkeys(
         (kuhn_tree.keys[int(i)] for i in kuhn_tree.infosets_of(0)), False)
 
@@ -137,7 +143,7 @@ def test_realized_mixture_of_one_pure_plays_it_on_path(kuhn_tree):
             if int(kuhn_tree.is_parent[js]) != isid:
                 continue
             slot = int(kuhn_tree.is_parent_slot[js])
-            taken = pure.act(key, kuhn_tree.is_actions[isid])
+            taken = pure[key]
             down(int(js), alive and
                  kuhn_tree.is_actions[isid][slot] == taken)
 
@@ -148,10 +154,10 @@ def test_realized_mixture_of_one_pure_plays_it_on_path(kuhn_tree):
     for isid in kuhn_tree.infosets_of(0):
         key = kuhn_tree.keys[int(isid)]
         acts = kuhn_tree.is_actions[int(isid)]
-        row = mix.row(key)
+        row = mix[kuhn_tree.col_slice(int(isid))]
         if reachable[key]:
             want = np.zeros(len(acts))
-            want[acts.index(pure.act(key, acts))] = 1.0
+            want[acts.index(pure[key])] = 1.0
             assert np.array_equal(row, want)
         else:
             # Unreachable under the pure itself: unconstrained, filled
@@ -169,32 +175,28 @@ def test_pure_policy_defaults_and_extension(kuhn_tree):
     pure = PurePolicy(0, {(0, 0): 1})
     assert pure.act((0, 0)) == 1
     assert pure.act((0, 1), (0, 1)) == 0, "missing keys take action 0"
-    full = extend_with_default(pure, kuhn_tree)
+    # Its choice array is total: the table's action where it has one,
+    # the first action everywhere else.
+    full = actions_of(kuhn_tree, 0, canonical_pure(kuhn_tree, pure))
     for isid in kuhn_tree.infosets_of(0):
         key = kuhn_tree.keys[int(isid)]
-        assert key in full.actions
+        assert key in full
         want = 1 if key == (0, 0) else 0
-        assert full.act(key) == want
-    # Tabular completion gets one-hot rows on the first action.
-    partial = TabularPolicy(0, {(0, 0): np.array([0.25, 0.75])})
-    filled = extend_with_default(partial, kuhn_tree)
-    assert filled.row((0, 1)) == pytest.approx([1.0, 0.0])
-    assert filled.row((0, 0)) == pytest.approx([0.25, 0.75])
-    assert default_pure_policy(1).act((1, 2)) == 0
+        assert full[key] == want
 
 
 def test_canonical_pure_distinguishes_total_tables(kuhn_tree):
-    a = PurePolicy(0)
-    b = PurePolicy(0, {(0, 0, 10, 11): 1})
-    assert canonical_pure(kuhn_tree, a) != canonical_pure(kuhn_tree, b)
-    assert canonical_pure(kuhn_tree, a) == canonical_pure(
-        kuhn_tree, PurePolicy(0, {}))
+    a = canonical_pure(kuhn_tree, PurePolicy(0))
+    b = canonical_pure(kuhn_tree, PurePolicy(0, {(0, 0, 10, 11): 1}))
+    assert not np.array_equal(a, b)
+    assert np.array_equal(a, canonical_pure(kuhn_tree, PurePolicy(0, {})))
+    assert np.array_equal(a, default_choice(kuhn_tree, 0))
 
 
 def test_random_pure_policy_is_seeded(kuhn_tree):
     a = random_pure_policy(kuhn_tree, 0, np.random.default_rng(3))
     b = random_pure_policy(kuhn_tree, 0, np.random.default_rng(3))
-    assert canonical_pure(kuhn_tree, a) == canonical_pure(kuhn_tree, b)
+    assert np.array_equal(a, b)
 
 
 def test_profile_array_roundtrip(kuhn_tree):
@@ -213,9 +215,9 @@ def test_lift_policy_scatters_restricted_rows():
     game = make_game("kuhn")
     base = TreeIndex(game)
     # Player 1 may check or bet, player 2 is pinned to checking.
-    pops = (Population(base, 0, [PurePolicy(0), PurePolicy(0, {
-        base.keys[int(i)]: 1 for i in base.infosets_of(0)})]),
-            Population(base, 1, [PurePolicy(1)]))
+    pops = (Population(base, 0, [default_choice(base, 0), choice_of(
+        base, 0, {base.keys[int(i)]: 1 for i in base.infosets_of(0)})]),
+            Population(base, 1, [default_choice(base, 1)]))
     mask = eq1_allowed(pops)
     rtree = base.restrict(mask, RestrictedGame(game, mask))
     lifted = lift_policy(rtree, base, uniform_policy(rtree, 1))
@@ -340,7 +342,8 @@ def test_best_response_kernel_matches_per_infostate_reference(name):
                     tree, sigma, player,
                     None if pref is None else prefer)
                 br = best_response(tree, sigma, player, prefer=pref)
-                assert (br.value, br.policy.actions) == want
+                assert (br.value,
+                        actions_of(tree, player, br.choice)) == want
                 ours, theirs = (np.random.default_rng(seed + 10)
                                 for _ in range(2))
                 want = reference_best_response(
@@ -348,7 +351,8 @@ def test_best_response_kernel_matches_per_infostate_reference(name):
                     None if pref is None else prefer, rng=theirs)
                 br = best_response(tree, sigma, player, prefer=pref,
                                    rng=ours)
-                assert (br.value, br.policy.actions) == want
+                assert (br.value,
+                        actions_of(tree, player, br.choice)) == want
                 assert ours.bit_generator.state == \
                     theirs.bit_generator.state
 
@@ -358,14 +362,14 @@ def test_population_mask_is_the_allowed_column_set(name):
     from efgsolve.xdo import Population, eq1_allowed
     tree = TreeIndex(make_game(name))
     rng = np.random.default_rng(3)
-    pops = tuple(Population(tree, p, [PurePolicy(p)] + [
+    pops = tuple(Population(tree, p, [default_choice(tree, p)] + [
         random_pure_policy(tree, p, rng) for _ in range(3)])
         for p in (0, 1))
     mask = eq1_allowed(pops)
     for p in (0, 1):
         union = {tree.keys[isid]: tuple(sorted(
-            {pi.act(tree.keys[isid], tree.is_actions[isid])
-             for pi in pops[p]})) for isid in tree.infosets_of(p)}
+            {actions_of(tree, p, pi)[tree.keys[isid]]
+             for pi in pops[p].choices})) for isid in tree.infosets_of(p)}
         assert {tree.keys[isid]: tuple(
             tree.col_action[tree.col_slice(isid)][
                 mask[tree.col_slice(isid)]].tolist())

@@ -8,12 +8,13 @@ as the exact one: a seed pins the whole trajectory.
 import numpy as np
 import pytest
 
-from efgsolve import (NodeCounter, PurePolicy, TreeIndex, expected_value,
-                      make_game)
-from efgsolve.policy import canonical_pure
+from efgsolve import NodeCounter, TreeIndex, expected_value, make_game
+from efgsolve.policy import pure_profile
 from efgsolve.psro import (PsroConfig, psro_histogram, psro_solve,
-                           reduced_canonical, reduced_strategies_expanded)
+                           reduced_canonical)
 from efgsolve.xdo import Population
+
+from oracles import choice_of, reduced_strategies_expanded
 
 
 def test_exact_lp_terminates_on_gmp():
@@ -40,8 +41,8 @@ def test_meta_mixture_solves_the_rebuilt_empirical_game(kuhn_tree):
     res = psro_solve(make_game("kuhn"), PsroConfig(max_iters=60),
                      base_tree=kuhn_tree)
     pop0, pop1 = res.populations
-    m = np.array([[expected_value(kuhn_tree, pi, pj)
-                   for pj in pop1] for pi in pop0])
+    m = np.array([[expected_value(kuhn_tree, pure_profile(kuhn_tree, pi, pj))
+                   for pj in pop1.choices] for pi in pop0.choices])
     row, col = res.meta
     value = row @ m @ col
     assert (row @ m).min() >= value - 1e-9
@@ -121,12 +122,12 @@ def _unreachable_sibling_pair(tree):
     table[tree.keys[parent]] = away
     other = dict(table)
     other[tree.keys[child]] = tree.is_actions[child][-1]
-    return PurePolicy(0, table), PurePolicy(0, other)
+    return choice_of(tree, 0, table), choice_of(tree, 0, other)
 
 
 def test_reduced_canonical_ignores_unreachable_infostates(kuhn_tree):
     a, b = _unreachable_sibling_pair(kuhn_tree)
-    assert canonical_pure(kuhn_tree, a) != canonical_pure(kuhn_tree, b)
+    assert not np.array_equal(a, b)
     assert reduced_canonical(kuhn_tree, a, 0) \
         == reduced_canonical(kuhn_tree, b, 0)
 

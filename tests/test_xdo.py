@@ -14,13 +14,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from efgsolve import (NodeCounter, PurePolicy, TreeIndex, exploitability,
-                      make_game, profile_array)
+from efgsolve import (NodeCounter, TreeIndex, exploitability, make_game,
+                      profile_array)
 from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
 from efgsolve.tree import EnumerationOverflow
 from efgsolve.xdo import (Population, RestrictedGame, XdoConfig, XdoResult,
-                          _extend_to_base, covered_infostate_count,
-                          enumerate_reduced_pure, eq1_allowed, xdo_solve)
+                          _extend_to_base, enumerate_reduced_pure,
+                          eq1_allowed, xdo_solve)
+
+from oracles import (choice_of, covered_infostate_count, default_choice,
+                     infostate_predecessors)
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +37,14 @@ def all_action_pure(tree, player, action):
     for isid in tree.infosets_of(player):
         acts = tree.is_actions[int(isid)]
         table[tree.keys[int(isid)]] = acts[min(action, len(acts) - 1)]
-    return PurePolicy(player, table)
+    return choice_of(tree, player, table)
 
 
 def test_population_deduplicates_by_total_action_table(kuhn_tree):
-    pop = Population(kuhn_tree, 0, [PurePolicy(0)])
+    pop = Population(kuhn_tree, 0, [default_choice(kuhn_tree, 0)])
     assert len(pop) == 1
-    assert not pop.add(PurePolicy(0, {}))  # same table, rejected
+    # same table, rejected
+    assert not pop.add(choice_of(kuhn_tree, 0, {}))
     assert len(pop) == 1
     assert pop.add(all_action_pure(kuhn_tree, 0, 1))
     assert len(pop) == 2
@@ -52,9 +56,9 @@ def allowed_actions(tree, mask, isid):
 
 
 def test_eq1_allowed_is_union_of_member_choices(kuhn_tree):
-    pops = (Population(kuhn_tree, 0, [PurePolicy(0),
+    pops = (Population(kuhn_tree, 0, [default_choice(kuhn_tree, 0),
                                       all_action_pure(kuhn_tree, 0, 1)]),
-            Population(kuhn_tree, 1, [PurePolicy(1)]))
+            Population(kuhn_tree, 1, [default_choice(kuhn_tree, 1)]))
     mask = eq1_allowed(pops)
     for isid in kuhn_tree.infosets_of(0):
         acts = kuhn_tree.is_actions[int(isid)]
@@ -66,8 +70,8 @@ def test_eq1_allowed_is_union_of_member_choices(kuhn_tree):
 
 def test_restricted_game_with_default_populations_is_forced(kuhn_tree):
     game = make_game("kuhn")
-    pops = (Population(kuhn_tree, 0, [PurePolicy(0)]),
-            Population(kuhn_tree, 1, [PurePolicy(1)]))
+    pops = tuple(Population(kuhn_tree, p, [default_choice(kuhn_tree, p)])
+                 for p in (0, 1))
     mask = eq1_allowed(pops)
     rtree = kuhn_tree.restrict(mask, RestrictedGame(game, mask))
     assert rtree.n_nodes < kuhn_tree.n_nodes
@@ -87,8 +91,8 @@ def test_enumerate_reduced_pure_counts():
 
 def test_covered_infostates_grow_with_the_population(kuhn_tree):
     game = make_game("kuhn")
-    defaults = (Population(kuhn_tree, 0, [PurePolicy(0)]),
-                Population(kuhn_tree, 1, [PurePolicy(1)]))
+    defaults = tuple(Population(kuhn_tree, p, [default_choice(kuhn_tree, p)])
+                     for p in (0, 1))
     base = covered_infostate_count(game, defaults)
     assert base == 18
 
@@ -97,7 +101,6 @@ def test_covered_infostates_grow_with_the_population(kuhn_tree):
     everything = covered_infostate_count(game, full)
     assert base < everything == 42
 
-    from efgsolve.tree import infostate_predecessors
     preds = infostate_predecessors(game)
     with_pred = sum(1 for p in (0, 1)
                     for pred in preds[p].values() if pred is not None)
@@ -299,10 +302,10 @@ def population_mask(tree, members):
     random ones only ("random-only", where a first action can be
     missing from the allowed set)."""
     rng = np.random.default_rng(11)
-    first = [] if members == "random-only" else [PurePolicy]
+    first = [] if members == "random-only" else [default_choice]
     extra = 0 if members == "default" else 3
     return eq1_allowed(tuple(
-        Population(tree, p, [f(p) for f in first] + [
+        Population(tree, p, [f(tree, p) for f in first] + [
             random_pure_policy(tree, p, rng) for _ in range(extra)])
         for p in (0, 1)))
 
