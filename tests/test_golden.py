@@ -38,6 +38,15 @@ CONFIGS = {
     "xdo_leduc": ["run", "--game", "leduc", "--algo", "xdo",
                   "--max-iters", "3"],
     "psro_hist": ["psro-hist", "--trials", "3"],
+    "cfr_plus_leduc": ["run", "--game", "leduc", "--algo", "cfr_plus",
+                       "--max-iters", "20"],
+    "cfr_kuhn_jobs": ["run", "--game", "kuhn", "--algo", "cfr", "--seeds",
+                      "0-1", "--jobs", "2", "--max-iters", "50"],
+    "mccfr_es_leduc": ["run", "--game", "leduc", "--algo", "mccfr_es",
+                       "--node-budget", "200000"],
+    "xfp_perturbed": ["run", "--game", "perturbed_kgmp_1_3", "--algo", "xfp",
+                      "--seeds", "0-1", "--max-iters", "10"],
+    "size_leduc": ["size-report", "--game", "leduc", "--max-iters", "5"],
 }
 
 GOLDEN = {
@@ -94,6 +103,38 @@ GOLDEN = {
             "143cf29352dc7ec25b83423991f0f290e772a1e28e787b70f2366b1adbde9008",
         "psro_hist_trials.csv":
             "a91f4b07b7f11de8d5720a2bd368e12b6ddff741b6ec7583bc39efa0c4e12c7c",
+    },
+    "cfr_plus_leduc": {
+        "cfr_plus_leduc_seed0.csv":
+            "f3ac62f4daba45cb400af9dd18f5292e87e8e5ef20eb555263a8c3c60e8186d0",
+        "cfr_plus_leduc_summary.json":
+            "deb3ebf88d4edc7a026c921a0c42912e50750d19da9b03254deb55470c1ee2e5",
+    },
+    "cfr_kuhn_jobs": {
+        "cfr_kuhn_seed0.csv":
+            "292c149a50b23ebc3372092b0417bc3a9bc3e7c206d2811c09f6a9e65060de8b",
+        "cfr_kuhn_seed1.csv":
+            "2bfcfe942c3d766249a801a62d34a5e7a1af36adf9ffea6bc25a7957af72a393",
+        "cfr_kuhn_summary.json":
+            "1e4ee9a65f75a414c541bf5a92d9cbee68924936aa88a86f8ef67768cbd95438",
+    },
+    "mccfr_es_leduc": {
+        "mccfr_es_leduc_seed0.csv":
+            "8a385c23bc5ed10f269e6e75df216d01006741fdc24f7248c8aee8371164c7c1",
+        "mccfr_es_leduc_summary.json":
+            "129a6797bee477e5b542c677954d54b37b5abb98b6ed96bb40e7a7feda9e1272",
+    },
+    "xfp_perturbed": {
+        "xfp_perturbed_kgmp_1_3_seed0.csv":
+            "17b37c4cb8d9f5665504dab5b2f913860c6cf78c5a945d85074c29427dbd3a83",
+        "xfp_perturbed_kgmp_1_3_seed1.csv":
+            "f7fbf8f8e84df9ce15723f4cfcc0a8e51957e09d76929d3537d7e7444b5e1c05",
+        "xfp_perturbed_kgmp_1_3_summary.json":
+            "664ff2332cdaac504bfe70cf9673c54a69eff55dd94d8f4195be377975843a77",
+    },
+    "size_leduc": {
+        "size_leduc.json":
+            "9a61ba7373b2fe494d1f2159fd9c6b64c827af4a1bc43eff94f12107b4e4f0cf",
     },
 }
 
