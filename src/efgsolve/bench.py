@@ -13,7 +13,15 @@ their own, so their runs always end on a budget and are marked
 truncated; xdo and psro report truncated only when a budget cut them
 off before their stop test fired.  Wall-clock milliseconds are recorded
 per row only when a run opts in; otherwise the column is zeroed so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  They count from the solver's start
+and leave out building the tree.
+
+Each seed builds its game's ``TreeIndex`` once, in ``run_seed``
+(``run_size_report`` for a size report), and every algorithm runs on
+that index.  The build is the only walk of the game, and it enforces
+the ``max_states`` cap on histories: a game past it raises
+``EnumerationOverflow`` from the walk, in the pool worker under
+``jobs > 1``, before any file is written.
 """
 
 from __future__ import annotations
@@ -56,8 +64,16 @@ def _real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _count(v) -> bool:
-    return _real(v) and isinstance(v, int) and v >= 1
+    return _int(v) and v >= 1
+
+
+def _seed(v) -> bool:
+    return _int(v) and v >= 0
 
 
 # Parameter checks: key -> (test, what the value must be).  None is the
@@ -78,6 +94,28 @@ _CHECKS = {
     "alternating": (lambda v: v is None or isinstance(v, bool),
                     "true or false"),
 }
+
+# ExperimentConfig field checks, in the same form.  NaN fails every
+# comparison, so it is no real number > 0; a max_states <= 0 means no
+# cap on the histories a run enumerates.
+_FIELD_CHECKS = {
+    **dict.fromkeys(("node_budget", "max_iters"),
+                    (lambda v: v is None or _count(v), "an integer >= 1")),
+    "max_wall_s": (lambda v: v is None or (_real(v) and v > 0),
+                   "a real number > 0"),
+    "seeds": (lambda v: all(map(_seed, v)), "integers >= 0"),
+    **dict.fromkeys(("eval_start", "jobs"), (_count, "an integer >= 1")),
+    "eval_factor": (lambda v: _int(v) and v >= 2, "an integer >= 2"),
+    "wall_clock": (lambda v: isinstance(v, bool), "true or false"),
+    "max_states": (lambda v: v is None or _int(v), "an integer"),
+}
+
+
+def _check(table: dict, values: dict) -> None:
+    """Raise ConfigError for the first value its table entry rejects."""
+    for key, (ok, what) in table.items():
+        if key in values and not ok(values[key]):
+            raise ConfigError(f"{key} must be {what}, not {values[key]!r}")
 
 
 @dataclass
@@ -107,6 +145,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(err)) from None
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    _check(_FIELD_CHECKS, vars(cfg))
     if (cfg.node_budget is None and cfg.max_iters is None
             and cfg.max_wall_s is None):
         raise ConfigError("at least one budget is required "
@@ -118,24 +157,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
         # hard bound alongside it.
         raise ConfigError(f"{cfg.algo} needs --node-budget or --max-iters "
                           "in addition to a wall-time budget")
-    if cfg.eval_start < 1 or cfg.eval_factor < 2:
-        raise ConfigError("evaluation cadence needs start >= 1, factor >= 2")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     unknown = set(cfg.params) - _PARAM_KEYS[cfg.algo]
     if unknown:
         raise ConfigError(f"{cfg.algo} does not take parameters "
                           f"{sorted(unknown)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
-    for key, (ok, what) in _CHECKS.items():
-        if key in cfg.params and not ok(cfg.params[key]):
-            raise ConfigError(f"{key} must be {what}, "
-                              f"not {cfg.params[key]!r}")
+    _check(_CHECKS, cfg.params)
 
 
 def guard_enumerable(game, cap: int | None) -> int:
     """Count histories iteratively, aborting once past cap (None or a
-    nonpositive cap disables the check)."""
+    nonpositive cap disables the check).
+
+    No run calls this: ``TreeIndex`` enforces the same cap, with the
+    same message, inside the walk that builds the index.  It stays
+    only because the benchmark under ``perfbench/`` times it as part of
+    its set-up metric and traces it by name.
+    """
     if cap is None or cap <= 0:
         return 0
     n = 0
@@ -183,10 +221,9 @@ def _row(cfg: ExperimentConfig, seed: int, outer, inner, nodes, e,
                 wall_ms=wall_ms if cfg.wall_clock else 0)
 
 
-def _run_iterative(game, cfg: ExperimentConfig, seed: int,
+def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
                    counter: _RunCounter) -> tuple[list[dict], dict]:
     t0 = time.perf_counter()
-    tree = TreeIndex(game)
     if cfg.algo in ("cfr", "cfr_plus"):
         solver = Cfr(tree, plus=(cfg.algo == "cfr_plus"),
                      alternating=cfg.params.get("alternating"),
@@ -219,12 +256,12 @@ def _run_iterative(game, cfg: ExperimentConfig, seed: int,
     return rows, summary
 
 
-def _run_xdo(game, cfg: ExperimentConfig, seed: int,
+def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
              counter: _RunCounter) -> tuple[list[dict], dict]:
     keys = _PARAM_KEYS["xdo"] & set(cfg.params)
     xcfg = XdoConfig(max_outer=cfg.max_iters,
                      **{k: cfg.params[k] for k in keys})
-    res = xdo_solve(game, xcfg, counter)
+    res = xdo_solve(tree.game, xcfg, counter, base_tree=tree)
     rows = [_row(cfg, seed, t["outer"], t["inner"], t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
                  t["restricted_nodes"], t["wall_ms"])
@@ -239,12 +276,12 @@ def _run_xdo(game, cfg: ExperimentConfig, seed: int,
     return rows, summary
 
 
-def _run_psro(game, cfg: ExperimentConfig, seed: int,
+def _run_psro(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
               counter: _RunCounter) -> tuple[list[dict], dict]:
     keys = _PARAM_KEYS["psro"] & set(cfg.params)
     pcfg = PsroConfig(seed=seed, max_iters=cfg.max_iters,
                       **{k: cfg.params[k] for k in keys})
-    res = psro_solve(game, pcfg, counter)
+    res = psro_solve(tree.game, pcfg, counter, base_tree=tree)
     rows = [_row(cfg, seed, t["iter"], None, t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
                  wall_ms=t["wall_ms"])
@@ -258,17 +295,19 @@ def _run_psro(game, cfg: ExperimentConfig, seed: int,
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
     """One seeded trial: builds the game (perturbed games draw their
-    payoffs from this seed), runs the algorithm under the configured
-    budgets, returns (metric rows, seed summary)."""
-    game = make_game(cfg.game, seed=seed)
+    payoffs from this seed) and its one TreeIndex under the history cap,
+    runs the algorithm under the configured budgets, returns (metric
+    rows, seed summary)."""
     deadline = (time.perf_counter() + cfg.max_wall_s
                 if cfg.max_wall_s is not None else None)
+    tree = TreeIndex(make_game(cfg.game, seed=seed),
+                     max_histories=cfg.max_states)
     counter = _RunCounter(cfg.node_budget, deadline)
     if cfg.algo == "xdo":
-        return _run_xdo(game, cfg, seed, counter)
+        return _run_xdo(tree, cfg, seed, counter)
     if cfg.algo == "psro":
-        return _run_psro(game, cfg, seed, counter)
-    return _run_iterative(game, cfg, seed, counter)
+        return _run_psro(tree, cfg, seed, counter)
+    return _run_iterative(tree, cfg, seed, counter)
 
 
 def _csv_name(cfg: ExperimentConfig, seed: int) -> str:
@@ -281,7 +320,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     run in a process pool; files are written in seed order either way
     and are byte-identical to a single-process run."""
     validate_config(cfg)
-    guard_enumerable(make_game(cfg.game), cfg.max_states)
     out = Path(cfg.out_dir)
 
     seeds = list(cfg.seeds)
@@ -310,6 +348,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return summary
 
 
+# run_psro_hist argument checks; eps is PSRO's own.
+_HIST_CHECKS = {
+    **dict.fromkeys(("trials", "horizon", "jobs"),
+                    (_count, "an integer >= 1")),
+    "seed0": (_seed, "an integer >= 0"),
+    "eps": _CHECKS["eps"],
+}
+
 HIST_COLUMNS = ("seed", "expanded1", "expanded2", "eps_pass_iter", "iters",
                 "exploitability")
 
@@ -327,8 +373,8 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     per-trial records and the per-player aggregate histogram.  Trials
     are independent (seed of trial t is seed0 + t) so splitting them
     across a pool changes nothing but the wall time."""
-    if min(trials, horizon, jobs) < 1:
-        raise ConfigError("trials, horizon and jobs must be >= 1")
+    _check(_HIST_CHECKS, dict(trials=trials, seed0=seed0, horizon=horizon,
+                              eps=eps, jobs=jobs))
     if jobs > 1 and trials > 1:
         per = (trials + jobs - 1) // jobs
         chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
@@ -401,11 +447,10 @@ def run_size_report(game_name: str, seed: int = 0,
         raise ConfigError("size-report needs --node-budget or --max-iters")
     validate_config(ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
-        max_iters=max_outer, params={"inner": inner}))
+        max_iters=max_outer, max_states=max_states, params={"inner": inner}))
     game = make_game(game_name, seed=seed)
-    guard_enumerable(game, max_states)
     counter = NodeCounter(node_budget)
-    base = TreeIndex(game)
+    base = TreeIndex(game, max_histories=max_states)
     res = xdo_solve(game, XdoConfig(inner=inner, max_outer=max_outer),
                     counter, base_tree=base)
     report = size_report(game, res, base)

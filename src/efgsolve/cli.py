@@ -26,11 +26,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part.lstrip("-"):
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+        try:
+            if "-" in part.lstrip("-"):
+                lo, hi = part.split("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+        except ValueError:
+            raise ConfigError(f"bad seed {part!r} in {text!r}") from None
     if not seeds:
         raise ConfigError(f"no seeds in {text!r}")
     return tuple(seeds)
@@ -74,8 +77,11 @@ def _load_config_file(path) -> dict:
 
 def _run_config(args) -> ExperimentConfig:
     data = _load_config_file(args.config) if args.config else {}
-    if "seeds" in data and not isinstance(data["seeds"], (list, tuple)):
-        data["seeds"] = _parse_seeds(str(data["seeds"]))
+    if "seeds" in data:
+        seeds = data["seeds"]
+        if isinstance(seeds, list):
+            seeds = ",".join(map(str, seeds))
+        data["seeds"] = _parse_seeds(str(seeds))
     overrides = dict(
         game=args.game, algo=args.algo,
         seeds=_parse_seeds(args.seeds) if args.seeds else None,
@@ -91,8 +97,6 @@ def _run_config(args) -> ExperimentConfig:
     params = {k: _numeric(v) for k, v in (data.get("params") or {}).items()}
     params.update(_parse_params(args.param))
     data["params"] = params
-    if "seeds" in data:
-        data["seeds"] = tuple(int(s) for s in data["seeds"])
     for key in ("game", "algo"):
         if not data.get(key):
             raise ConfigError(f"--{key} is required (flag or config file)")

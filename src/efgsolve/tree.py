@@ -3,6 +3,10 @@
 Every solver and evaluator in this package works on a ``TreeIndex``: a
 one-time depth-first enumeration of all histories into numpy arrays, so
 full-width passes become a handful of vectorized sweeps per depth level.
+The walk that builds it is the only walk of a game a run makes, so it
+also enforces the run's cap on the number of histories: it raises
+``EnumerationOverflow`` as soon as it is about to index one history
+more than the cap.  The cap bounds histories, not memory.
 
 Node accounting contract: one full-width pass over a tree (a solver
 iteration, a best-response computation, a counted expected-value call)
@@ -15,6 +19,7 @@ cost nothing.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -115,10 +120,16 @@ class TreeIndex:
     and action id; they are built on first use, so indexing a tree costs
     only its enumeration.  An index derived by ``restrict`` also holds
     ``base_col``, the column of the parent index behind each column.
+
+    ``max_histories`` caps the walk: reaching history number
+    ``max_histories + 1`` raises ``EnumerationOverflow`` from inside the
+    walk.  None or a cap <= 0 means no cap.
     """
 
-    def __init__(self, game):
+    def __init__(self, game, *, max_histories: int | None = None):
         self.game = game
+        cap = max_histories if max_histories and max_histories > 0 \
+            else sys.maxsize
         nodes: list[tuple] = []  # one _NODE_ARRAYS row per node
         infos: list[tuple] = []  # one _INFOSTATE_ARRAYS row per infostate
         keys: list[tuple] = []
@@ -148,6 +159,9 @@ class TreeIndex:
 
         def visit(state, par, dep, iprob, icol, iply, last0, last1):
             u = len(nodes)
+            if u >= cap:
+                raise EnumerationOverflow(
+                    f"{game.name} exceeds {cap} histories")
             if state.is_terminal():
                 nodes.append((par, dep, TERMINAL, -1, -1, state.returns()[0],
                               iprob, icol, iply))

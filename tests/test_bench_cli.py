@@ -10,6 +10,7 @@ from itertools import islice
 
 import pytest
 
+from efgsolve import bench
 from efgsolve.bench import (ConfigError, EnumerationOverflow,
                             ExperimentConfig, guard_enumerable, list_games,
                             run_experiment, run_psro_hist, run_seed,
@@ -220,6 +221,7 @@ def test_cli_rejects_empty_stage_games(game, tmp_path, capsys):
 
 XDO_RUN = ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "2"]
 PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
+CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,17 +247,119 @@ PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
     PSRO_RUN + ["--param", "meta_solver=fp", "--param", "fp_iters=0"],
     XDO_RUN + ["--param", "eps_decay=2"],
     XDO_RUN + ["--param", "term_eps=true"],
+    CFR_RUN + ["--seeds", "a"],
+    CFR_RUN + ["--seeds", "1-a"],
+    ["run", "--game", "kuhn", "--algo", "mccfr_es", "--max-iters", "2",
+     "--seeds", "-3"],
+    PSRO_RUN + ["--param", "init=random", "--seeds", "-3"],
+    ["run", "--game", "perturbed_kgmp_1_3", "--algo", "cfr", "--max-iters",
+     "2", "--seeds", "-3"],
+    ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "0"],
+    CFR_RUN + ["--node-budget", "0"],
+    CFR_RUN + ["--node-budget", "-5"],
+    CFR_RUN + ["--max-wall-s", "-1"],
+    CFR_RUN + ["--max-wall-s", "nan"],
+    ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "0"],
+    ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "-1"],
+    CFR_RUN + ["--jobs", "0"],
+    CFR_RUN + ["--eval-cadence", "0"],
+    CFR_RUN + ["--eval-factor", "1"],
+    ["size-report", "--game", "kuhn", "--max-iters", "0"],
+    ["size-report", "--game", "kuhn", "--node-budget", "-1"],
+    ["psro-hist", "--trials", "2", "--seed0", "-1"],
+    ["psro-hist", "--trials", "2", "--eps", "-1"],
+    ["psro-hist", "--trials", "2", "--eps", "nan"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
         "psro-hist-horizon", "xdo-eps0", "xdo-lp-cap", "psro-eps",
         "psro-games-per-pair", "cfr-alternating", "xdo-max-inner",
-        "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool"])
+        "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool",
+        "seeds-text", "seeds-range-text", "mccfr-es-negative-seed",
+        "psro-random-negative-seed", "perturbed-negative-seed",
+        "max-iters-0", "node-budget-0", "node-budget-negative",
+        "max-wall-s-negative", "max-wall-s-nan", "xdo-max-iters-0",
+        "psro-max-iters-negative", "jobs-0", "eval-cadence-0",
+        "eval-factor-1", "size-report-max-iters-0",
+        "size-report-node-budget-negative", "psro-hist-seed0-negative",
+        "psro-hist-eps-negative", "psro-hist-eps-nan"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lines", [
+    "node_budget: 1e7", "max_iters: abc", "max_iters: 2\njobs: two",
+    "max_iters: 2\nmax_states: lots", "max_iters: 2\nseeds: [a]",
+    "max_iters: 2.5", "max_iters: 2\nwall_clock: maybe",
+], ids=["node-budget-text", "max-iters-text", "jobs-text",
+        "max-states-text", "seeds-text", "max-iters-float",
+        "wall-clock-text"])
+def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys):
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_text(f"game: kuhn\nalgo: cfr\n{lines}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_history_cap_exits_3_without_output(tmp_path, capsys):
+    # The cap is checked while the tree is built; under --jobs it raises
+    # in the pool worker, before any file is written.
+    assert main(["size-report", "--game", "kuhn", "--max-iters", "2",
+                 "--max-states", "10", "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err == "error: kuhn exceeds 10 histories\n"
+    out = tmp_path / "pool"
+    assert main(["run", "--game", "kuhn", "--algo", "cfr", "--seeds", "0,1",
+                 "--jobs", "2", "--max-states", "10", "--max-iters", "2",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: kuhn exceeds 10 histories\n"
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+    assert main(["run", "--game", "leduc", "--algo", "cfr_plus",
+                 "--max-iters", "2", "--max-states", "0",
+                 "--out", str(tmp_path / "free")]) == 0
+
+
+class _RootCounter:
+    """A game whose ``root()`` calls are counted; everything else is
+    the wrapped game's."""
+
+    def __init__(self, game, calls):
+        self._game = game
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._game, name)
+
+    def root(self):
+        self._calls.append(self._game.name)
+        return self._game.root()
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "make_game",
+                        lambda *a, **k: _RootCounter(make_game(*a, **k),
+                                                     calls))
+    return calls
+
+
+@pytest.mark.parametrize("algo", ["cfr_plus", "mccfr_es", "xfp", "xdo",
+                                  "psro"])
+def test_each_seed_walks_its_game_once(algo, root_calls, tmp_path):
+    run_experiment(small_cfg(algo=algo, seeds=(0, 1), max_iters=2,
+                             out_dir=str(tmp_path)))
+    assert root_calls == ["kuhn", "kuhn"]
+
+
+def test_size_report_walks_its_game_once(root_calls, tmp_path):
+    run_size_report("kuhn", max_outer=2, inner="lp", out_dir=str(tmp_path))
+    assert root_calls == ["kuhn"]
 
 
 def test_cli_lp_inner_over_its_cap_exits_3(tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from efgsolve import CHANCE, TreeIndex, make_game
-from efgsolve.tree import NodeCounter
+from efgsolve.bench import guard_enumerable
+from efgsolve.tree import EnumerationOverflow, NodeCounter
 
 from oracles import count_states, infostate_predecessors
 
@@ -149,6 +150,35 @@ def test_tree_enumeration_is_not_counted():
     assert tree.n_nodes == 55
     with pytest.raises(TypeError):
         TreeIndex(make_game("kuhn"), NodeCounter())
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
+def test_tree_history_cap():
+    # The cap is the enumeration guard's: Kuhn's 55 histories fit a cap
+    # of 55 and overflow 54, with the guard's message; None and caps
+    # <= 0 mean no cap.
+    game = make_game("kuhn")
+    free = TreeIndex(game)
+    for cap in (55, None, 0, -1):
+        capped = TreeIndex(game, max_histories=cap)
+        assert vars(capped).keys() == vars(free).keys()
+        for name, value in vars(free).items():
+            assert _same(value, getattr(capped, name)), name
+    with pytest.raises(EnumerationOverflow) as err:
+        TreeIndex(game, max_histories=54)
+    assert str(err.value) == "kuhn exceeds 54 histories"
+    with pytest.raises(EnumerationOverflow) as guard_err:
+        guard_enumerable(game, 54)
+    assert str(guard_err.value) == str(err.value)
 
 
 def test_node_counter_budget():
