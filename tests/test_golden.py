@@ -38,6 +38,7 @@ CONFIGS = {
     "xdo_leduc": ["run", "--game", "leduc", "--algo", "xdo",
                   "--max-iters", "3"],
     "psro_hist": ["psro-hist", "--trials", "3"],
+    "psro_hist_bench": ["psro-hist", "--trials", "20", "--seed0", "20"],
     "cfr_plus_leduc": ["run", "--game", "leduc", "--algo", "cfr_plus",
                        "--max-iters", "20"],
     "cfr_kuhn_jobs": ["run", "--game", "kuhn", "--algo", "cfr", "--seeds",
@@ -103,6 +104,12 @@ GOLDEN = {
             "143cf29352dc7ec25b83423991f0f290e772a1e28e787b70f2366b1adbde9008",
         "psro_hist_trials.csv":
             "a91f4b07b7f11de8d5720a2bd368e12b6ddff741b6ec7583bc39efa0c4e12c7c",
+    },
+    "psro_hist_bench": {
+        "psro_hist_summary.json":
+            "68e4a43dbdaaaf9b3fa573475fd9a9dc7396a7b31ef374ae895ff039660012b3",
+        "psro_hist_trials.csv":
+            "6ee7386e64300c18ea6e0ca8fbcd9f4a5a5aa843d2baabf490d7b9264410c540",
     },
     "cfr_plus_leduc": {
         "cfr_plus_leduc_seed0.csv":
