@@ -195,6 +195,19 @@ def guard_enumerable(game, cap: int | None) -> int:
     return n
 
 
+def _out_dir(path) -> Path:
+    """Create the output directory before any solving, so that a path
+    which cannot be one ends the run with a ConfigError, not a
+    traceback once the work is done."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{err.strerror}") from None
+    return out
+
+
 class _RunCounter(NodeCounter):
     """Visit counter whose budget can also expire on the wall clock, so
     solvers that poll ``exhausted`` honor wall-time budgets unchanged."""
@@ -320,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     run in a process pool; files are written in seed order either way
     and are byte-identical to a single-process run."""
     validate_config(cfg)
-    out = Path(cfg.out_dir)
+    out = _out_dir(cfg.out_dir)
 
     seeds = list(cfg.seeds)
     if cfg.jobs > 1 and len(seeds) > 1:
@@ -375,6 +388,7 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     across a pool changes nothing but the wall time."""
     _check(_HIST_CHECKS, dict(trials=trials, seed0=seed0, horizon=horizon,
                               eps=eps, jobs=jobs))
+    out = _out_dir(out_dir)
     if jobs > 1 and trials > 1:
         per = (trials + jobs - 1) // jobs
         chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
@@ -386,8 +400,6 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
         records = _hist_chunk((trials, seed0, horizon, eps))
     records.sort(key=lambda r: r["seed"])
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(HIST_COLUMNS)]
     for r in records:
         cells = (r["seed"], r["expanded0"], r["expanded1"],
@@ -448,6 +460,7 @@ def run_size_report(game_name: str, seed: int = 0,
     validate_config(ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
         max_iters=max_outer, max_states=max_states, params={"inner": inner}))
+    out = _out_dir(out_dir)
     game = make_game(game_name, seed=seed)
     counter = NodeCounter(node_budget)
     base = TreeIndex(game, max_histories=max_states)
@@ -456,7 +469,7 @@ def run_size_report(game_name: str, seed: int = 0,
     report = size_report(game, res, base)
     report["nodes"] = res.nodes
     report["version"] = __version__
-    write_summary_json(Path(out_dir) / f"size_{game_name}.json", report)
+    write_summary_json(out / f"size_{game_name}.json", report)
     return report
 
 

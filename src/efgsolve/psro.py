@@ -181,14 +181,19 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
     Each trial starts from one uniformly drawn pure strategy per player
     and runs a fixed number of double-oracle iterations: exact payoff
     matrix over the populations, LP meta-solve, exact best responses
-    against the realized meta-mixture.  Ties between equally good best
-    response actions are resolved by the trial's seeded generator, so
-    on games with tied optima the oracle keeps sampling the maximizer
-    set instead of repeating one argmax; populations grow by reduced
-    strategy identity.  The ``eps`` stop test is evaluated and the
-    iteration where it first passes is recorded, but the trial keeps
-    exploring to the horizon; expansion counts are therefore a property
-    of the maximizer sets, not of which tie the stop test hit first.
+    against the realized meta-mixture.  The meta-game is solved only
+    when it grew, in the first iteration and after one that added a
+    strategy: populations only grow, so otherwise the matrix is the one
+    already solved, and the kept solution, mixture and value are what a
+    re-solve would give (HiGHS is deterministic for a fixed input).
+    Ties between equally good best response actions are resolved by the
+    trial's seeded generator, so on games with tied optima the oracle
+    keeps sampling the maximizer set instead of repeating one argmax;
+    populations grow by reduced strategy identity.  The ``eps`` stop
+    test is evaluated and the iteration where it first passes is
+    recorded, but the trial keeps exploring to the horizon; expansion
+    counts are therefore a property of the maximizer sets, not of which
+    tie the stop test hit first.
 
     Returns one record per trial: seed, distinct reduced strategies
     expanded per player, the first iteration at which neither best
@@ -207,25 +212,30 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
         m = np.zeros((0, 0))
         first_pass = None
         e = float("inf")
+        grew = True
         for it in range(1, horizon + 1):
-            m = _grow_matrix(m, (len(members[0]), len(members[1])),
-                             lambda i, j: expected_value(tree, pure_profile(
-                                 tree, members[0][i], members[1][j])))
-            sol = solve_matrix_lp(m)
-            sigma = (realize_mixture(tree, members[0], sol.row, 0)
-                     + realize_mixture(tree, members[1], sol.col, 1))
-            v = expected_value(tree, sigma)
+            if grew:
+                m = _grow_matrix(
+                    m, (len(members[0]), len(members[1])),
+                    lambda i, j: expected_value(tree, pure_profile(
+                        tree, members[0][i], members[1][j])))
+                sol = solve_matrix_lp(m)
+                sigma = (realize_mixture(tree, members[0], sol.row, 0)
+                         + realize_mixture(tree, members[1], sol.col, 1))
+                v = expected_value(tree, sigma)
             br0 = best_response(tree, sigma, 0, rng=rng)
             br1 = best_response(tree, sigma, 1, rng=rng)
             d0, d1 = br0.value - v, br1.value + v
             e = d0 + d1
             if first_pass is None and d0 <= eps and d1 <= eps:
                 first_pass = it
+            grew = False
             for p, br in ((0, br0), (1, br1)):
                 key = reduced_canonical(tree, br.choice, p)
                 if key not in seen[p]:
                     seen[p].add(key)
                     members[p].append(br.choice)
+                    grew = True
         records.append(dict(seed=seed, expanded0=len(seen[0]),
                             expanded1=len(seen[1]), iters=horizon,
                             eps_pass_iter=first_pass,

@@ -290,6 +290,26 @@ def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"],
+    ["psro-hist", "--trials", "2"],
+    ["size-report", "--game", "kuhn", "--max-iters", "2"],
+], ids=["run", "psro-hist", "size-report"])
+def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    def solver_ran(*args, **kwargs):
+        raise AssertionError("a solver ran before the --out check")
+
+    for name in ("run_seed", "psro_histogram", "xdo_solve"):
+        monkeypatch.setattr(bench, name, solver_ran)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(argv + ["--out", str(afile / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot create output directory "
+                   f"{afile / 'x'}: Not a directory\n")
+
+
 @pytest.mark.parametrize("lines", [
     "node_budget: 1e7", "max_iters: abc", "max_iters: 2\njobs: two",
     "max_iters: 2\nmax_states: lots", "max_iters: 2\nseeds: [a]",
