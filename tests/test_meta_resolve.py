@@ -67,8 +67,10 @@ def reference(rps_tree):
     return {seed: reference_trial(rps_tree, seed) for seed in SEEDS}
 
 
-def test_records_match_the_resolve_every_iteration_loop(rps_tree, reference,
-                                                        monkeypatch):
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """Shapes of the matrices psro passes to solve_matrix_lp, in call
+    order."""
     shapes = []
 
     def counting_lp(matrix):
@@ -76,15 +78,20 @@ def test_records_match_the_resolve_every_iteration_loop(rps_tree, reference,
         return solve_matrix_lp(matrix)
 
     monkeypatch.setattr(psro, "solve_matrix_lp", counting_lp)
+    return shapes
+
+
+def test_records_match_the_resolve_every_iteration_loop(rps_tree, reference,
+                                                        lp_shapes):
     game = make_game("rps_choice")
     total_after_growth = 0
     for seed in SEEDS:
-        shapes.clear()
+        lp_shapes.clear()
         record, after_growth, _ = reference[seed]
         assert psro_histogram(game, trials=1, seed0=seed, horizon=HORIZON,
                               base_tree=rps_tree) == [record]
-        assert all(a != b for a, b in zip(shapes, shapes[1:])), seed
-        assert len(shapes) == 1 + after_growth, seed
+        assert all(a != b for a, b in zip(lp_shapes, lp_shapes[1:])), seed
+        assert len(lp_shapes) == 1 + after_growth, seed
         total_after_growth += after_growth
     # The skip matters only if some iterations leave both populations
     # alone, and the test means something only if some grow them.
@@ -93,21 +100,15 @@ def test_records_match_the_resolve_every_iteration_loop(rps_tree, reference,
 
 def test_a_batch_of_trials_makes_one_call_per_grown_matrix(rps_tree,
                                                            reference,
-                                                           monkeypatch):
+                                                           lp_shapes):
     # Each trial starts its own meta-game, whatever the last one did.
     seeds = SEEDS[:10]
-    calls = []
-
-    def counting_lp(matrix):
-        calls.append(np.shape(matrix))
-        return solve_matrix_lp(matrix)
-
-    monkeypatch.setattr(psro, "solve_matrix_lp", counting_lp)
     records = psro_histogram(make_game("rps_choice"), trials=len(seeds),
                              seed0=seeds[0], horizon=HORIZON,
                              base_tree=rps_tree)
     assert records == [reference[s][0] for s in seeds]
-    assert len(calls) == len(seeds) + sum(reference[s][1] for s in seeds)
+    assert len(lp_shapes) == len(seeds) + sum(reference[s][1]
+                                              for s in seeds)
 
 
 def test_lp_solution_is_byte_identical_on_a_repeated_matrix(reference):
