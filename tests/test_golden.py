@@ -48,6 +48,13 @@ CONFIGS = {
     "xfp_perturbed": ["run", "--game", "perturbed_kgmp_1_3", "--algo", "xfp",
                       "--seeds", "0-1", "--max-iters", "10"],
     "size_leduc": ["size-report", "--game", "leduc", "--max-iters", "5"],
+    "xdo_leduc_cfr": ["run", "--game", "leduc", "--algo", "xdo",
+                      "--max-iters", "3", "--param", "inner=cfr"],
+    "cfr_plus_simultaneous": ["run", "--game", "leduc", "--algo", "cfr_plus",
+                              "--max-iters", "20", "--param",
+                              "alternating=false"],
+    "xdo_oshi_small": ["run", "--game", "oshi_zumo_3_3_4", "--algo", "xdo",
+                       "--node-budget", "300000"],
 }
 
 GOLDEN = {
@@ -142,6 +149,24 @@ GOLDEN = {
     "size_leduc": {
         "size_leduc.json":
             "9a61ba7373b2fe494d1f2159fd9c6b64c827af4a1bc43eff94f12107b4e4f0cf",
+    },
+    "xdo_leduc_cfr": {
+        "xdo_leduc_seed0.csv":
+            "aab62008b7481aa018822846298ac5b3394582ff002c2d34d238309327641ba8",
+        "xdo_leduc_summary.json":
+            "0a4f4b2fdf50f03ab8c8c1c1f52e768a83bb79d4903d716fa02f33d79aa71e17",
+    },
+    "cfr_plus_simultaneous": {
+        "cfr_plus_leduc_seed0.csv":
+            "5b2ca0deb2ffb8551a23e8a64d6d32ca1cebaff56f51752877508abc8356eab1",
+        "cfr_plus_leduc_summary.json":
+            "6b8b2aaf5dab22a7cbb7bd6be0309738a0f6f61971d72d26173c4ecc287069bf",
+    },
+    "xdo_oshi_small": {
+        "xdo_oshi_zumo_3_3_4_seed0.csv":
+            "2c2f9007cde51003573831c6903897a796a886f46608d31740fbf86fe01e7ed7",
+        "xdo_oshi_zumo_3_3_4_summary.json":
+            "c36ada092f1b2435ebed146e7d79c3afd5c9a46215a7a611341dd3e46861d790",
     },
 }
 
