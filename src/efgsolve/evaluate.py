@@ -1,15 +1,18 @@
 """Exact evaluation: expected value, best response, exploitability.
 
-All functions take a ``TreeIndex`` and flat or tabular policies.  A best
-response is built stage by stage over the responder's own decision
-depth, deepest stage first.  One backward sweep per stage values every
-column of the stage, and a segment max (``np.maximum.reduceat`` over the
-infostates' column slices) gives each infostate's best value.  Ties
-between equally good actions are then broken in order: a caller-preferred
-action set first (``prefer``, a dict of key -> action ids or a bool
-column mask; used to keep responses inside a restricted game's action
-set when possible; an infostate with no preferred maximizer keeps all of
-them), then the lowest action id.  Passing a generator replaces the last
+All functions take a ``TreeIndex`` and flat or tabular policies, and
+sweep the tree only through its ``reach`` and ``values`` passes.  An
+expected value is one ``values`` pass.  A best response is built stage
+by stage over the responder's own decision depth, deepest stage first.
+One ``values`` pass per stage, with the responder's edges weighted by
+the choices already made below it, values every column of the stage,
+and a segment max (``np.maximum.reduceat`` over the infostates' column
+slices) gives each infostate's best value.  Ties between equally good
+actions are then broken in order: a caller-preferred action set first
+(``prefer``, a dict of key -> action ids or a bool column mask; used to
+keep responses inside a restricted game's action set when possible; an
+infostate with no preferred maximizer keeps all of them), then the
+lowest action id.  Passing a generator replaces the last
 rule with one uniform draw per infostate that still has several
 maximizers, which matters only for which exact maximizer gets reported.
 Infostates the opponent/chance never reach still get an action, chosen
@@ -42,63 +45,12 @@ def expected_value(tree: TreeIndex, pol0, pol1=None,
     sigma = _as_sigma(tree, pol0, pol1)
     if counter is not None:
         counter.add(tree.n_nodes)
-    v = tree.payoff1.copy()
-    for ids in reversed(tree.levels[1:]):
-        w = tree.in_prob[ids].copy()
-        dec = tree.in_col[ids] >= 0
-        w[dec] *= sigma[tree.in_col[ids][dec]]
-        np.add.at(v, tree.parent[ids], w * v[ids])
-    return float(v[0])
+    return float(tree.values(tree.edge_weights(sigma))[0])
 
 
 class BestResponse(NamedTuple):
     value: float
     choice: np.ndarray
-
-
-class _Edges(NamedTuple):
-    """One depth level's incoming edges: node ids, their parents, the
-    chance-and-opponent weight of each edge, and the positions and
-    columns of the responder's own edges."""
-    ids: np.ndarray
-    parents: np.ndarray
-    w: np.ndarray
-    own: np.ndarray
-    own_cols: np.ndarray
-
-
-def _edges(tree: TreeIndex, sigma: np.ndarray, player: int) -> list:
-    out = []
-    for ids in tree.levels[1:]:
-        w = tree.in_prob[ids].copy()
-        cols = tree.in_col[ids]
-        opp = tree.in_player[ids] == (1 - player)
-        w[opp] *= sigma[cols[opp]]
-        own = np.flatnonzero(tree.in_player[ids] == player)
-        out.append(_Edges(ids, tree.parent[ids], w, own, cols[own]))
-    return out
-
-
-def _cf_reach(tree: TreeIndex, edges: list) -> np.ndarray:
-    """Chance-and-opponent reach of every history (own actions free)."""
-    reach = np.ones(tree.n_nodes)
-    for e in edges:
-        reach[e.ids] = reach[e.parents] * e.w
-    return reach
-
-
-def _sweep_values(tree: TreeIndex, edges: list, chosen: np.ndarray,
-                  decided: np.ndarray) -> np.ndarray:
-    """Backward pass for player-0 values where the responder's edges use
-    one-hot ``chosen`` columns; edges out of undecided responder nodes
-    contribute 0 (their values are never read above)."""
-    own_w = np.where(decided, chosen, 0.0)
-    v = tree.payoff1.copy()
-    for e in reversed(edges):
-        w = e.w.copy()
-        w[e.own] *= own_w[e.own_cols]
-        np.add.at(v, e.parents, w * v[e.ids])
-    return v
 
 
 def _prefer_mask(tree: TreeIndex, prefer) -> np.ndarray:
@@ -179,22 +131,22 @@ def best_response(tree: TreeIndex, opponent, player: int,
         counter.add(tree.n_nodes)
     pmask = None if prefer is None else _prefer_mask(tree, prefer)
 
-    edges = _edges(tree, sigma, player)
-    reach = _cf_reach(tree, edges)
+    base = tree.edge_weights(sigma, (1 - player,))
+    reach = tree.reach(base)  # chance-and-opponent reach
+    # One-hot choices of the stages decided so far: the responder's edges
+    # out of undecided stages weigh 0, and their values are never read.
     chosen = np.zeros(tree.n_cols)
-    decided = np.zeros(tree.n_cols, dtype=bool)
 
     choice = np.empty(tree.infosets_of(player).size, dtype=np.int64)
     for st in reversed(tree.own_stages(player)):
-        row = _stage_rows(tree, _sweep_values(tree, edges, chosen, decided),
-                          player, reach, st)
+        v = tree.values(tree.edge_weights(chosen, (player,), base))
+        row = _stage_rows(tree, v, player, reach, st)
         pick = st.cols[_pick(row, st.starts, st.nact,
                              None if pmask is None else pmask[st.cols], rng)]
         chosen[pick] = 1.0
-        decided[st.cols] = True
         choice[st.slots] = pick
 
-    v = _sweep_values(tree, edges, chosen, decided)
+    v = tree.values(tree.edge_weights(chosen, (player,), base))
     value = float(v[0]) if player == 0 else -float(v[0])
     return BestResponse(value=value, choice=choice)
 

@@ -1,12 +1,15 @@
 """Counterfactual regret minimization over a TreeIndex.
 
-Each iteration is one vectorized forward/backward sweep of the full
-tree with simultaneous regret updates for both players (one history
-visit per node per iteration).  ``plus=True`` gives CFR+: regrets are
-clamped at zero after every update, the average strategy is weighted
-linearly by iteration number, and updates alternate between players
-with values recomputed in between (two sweeps per iteration), which is
-what makes CFR+ fast; pass ``alternating`` explicitly to override.
+Each iteration is one sweep of the full tree with simultaneous regret
+updates for both players (one history visit per node per iteration):
+two ``TreeIndex.reach`` passes give each player's own reach, one
+``TreeIndex.values`` pass the player-0 values, and the chance reach, a
+constant of the tree, is computed once.  ``plus=True`` gives CFR+:
+regrets are clamped at zero after every update, the average strategy
+is weighted linearly by iteration number, and updates alternate
+between players with values recomputed in between (two sweeps per
+iteration), which is what makes CFR+ fast; pass ``alternating``
+explicitly to override.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ class Cfr:
         self.regret = np.zeros(tree.n_cols)
         self.ssum = np.zeros(tree.n_cols)
 
-        self._col_infoset = np.repeat(np.arange(tree.n_infosets),
-                                      tree.is_nact)
+        self._col_infoset = tree.col_isid
         self._col_player = tree.is_player[self._col_infoset]
         self._uniform = 1.0 / tree.is_nact[self._col_infoset]
         self._dec_nodes = [
@@ -46,43 +48,28 @@ class Cfr:
         ]
         self._kids = [np.flatnonzero(tree.in_player == p) for p in (0, 1)]
         self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
+        self._ones = [np.ones(e.ids.size) for e in tree.edges]
+        self._rc = tree.reach([e.prob for e in tree.edges])
 
     def current(self) -> np.ndarray:
         return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
                               self._uniform)
 
     def _passes(self, sigma):
+        """Each player's own reach and the player-0 values under
+        ``sigma``."""
         tree = self.tree
-        r0 = np.ones(tree.n_nodes)
-        r1 = np.ones(tree.n_nodes)
-        rc = np.ones(tree.n_nodes)
-        for d in range(1, len(tree.levels)):
-            ids = tree.levels[d]
-            par = tree.parent[ids]
-            cols = tree.in_col[ids]
-            ply = tree.in_player[ids]
-            w0 = np.where(ply == 0, sigma[np.where(cols >= 0, cols, 0)], 1.0)
-            w1 = np.where(ply == 1, sigma[np.where(cols >= 0, cols, 0)], 1.0)
-            r0[ids] = r0[par] * w0
-            r1[ids] = r1[par] * w1
-            rc[ids] = rc[par] * tree.in_prob[ids]
-        v = tree.payoff1.copy()
-        for d in range(len(tree.levels) - 1, 0, -1):
-            ids = tree.levels[d]
-            cols = tree.in_col[ids]
-            w = tree.in_prob[ids] * np.where(
-                cols >= 0, sigma[np.where(cols >= 0, cols, 0)], 1.0)
-            np.add.at(v, tree.parent[ids], w * v[ids])
-        return r0, r1, rc, v
+        return ([tree.reach(tree.edge_weights(sigma, (p,), self._ones))
+                 for p in (0, 1)], tree.values(tree.edge_weights(sigma)))
 
-    def _update(self, sigma, r0, r1, rc, v, player):
+    def _update(self, sigma, reach, v, player):
         tree = self.tree
-        opp_reach = r1 if player == 0 else r0
         kids = self._kids[player]
         par = tree.parent[kids]
         vp = v[kids] if player == 0 else -v[kids]
         q = np.zeros(tree.n_cols)
-        np.add.at(q, tree.in_col[kids], rc[par] * opp_reach[par] * vp)
+        np.add.at(q, tree.in_col[kids],
+                  self._rc[par] * reach[1 - player][par] * vp)
         node_val = np.add.reduceat(sigma * q, tree.is_off)
         cols = self._pcols[player]
         self.regret[cols] += q[cols] - node_val[self._col_infoset[cols]]
@@ -90,10 +77,9 @@ class Cfr:
             np.maximum(self.regret, 0.0, out=self.regret,
                        where=self._col_player == player)
 
-        own_reach = r0 if player == 0 else r1
         dec = self._dec_nodes[player]
         ow = np.zeros(tree.n_infosets)
-        np.add.at(ow, tree.infoset[dec], own_reach[dec])
+        np.add.at(ow, tree.infoset[dec], reach[player][dec])
         w = float(self.t) if self.plus else 1.0
         self.ssum[cols] += w * ow[self._col_infoset[cols]] * sigma[cols]
 

@@ -3,6 +3,10 @@
 Every solver and evaluator in this package works on a ``TreeIndex``: a
 one-time depth-first enumeration of all histories into numpy arrays, so
 full-width passes become a handful of vectorized sweeps per depth level.
+The index holds the package's only two such sweeps: ``reach``, the
+forward product of edge weights from the root, and ``values``, the
+backward sum of weighted child values; ``edge_weights`` turns a flat
+profile into the per-level weights both take.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` as soon as it is about to index one history
@@ -86,6 +90,20 @@ class OwnStage(NamedTuple):
     blocks: list
 
 
+class Edges(NamedTuple):
+    """The incoming edges of one depth level below the root: the nodes
+    they lead to, their parents, their chance probabilities (1.0 below
+    decision nodes), their columns (-1 below chance nodes), and per
+    player the positions in the level of that player's edges and those
+    edges' columns."""
+    ids: np.ndarray
+    parents: np.ndarray
+    prob: np.ndarray
+    cols: np.ndarray
+    own: tuple
+    own_cols: tuple
+
+
 def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
     """``ids`` (values in ``range(n)`` or -1) renumbered by position in
     ``kept``; -1, and any value not kept, become -1."""
@@ -109,6 +127,9 @@ class TreeIndex:
     contiguous column range), is_parent / is_parent_slot (the player's
     previous decision infostate and the row position taken there, -1 at
     the top), is_own_depth.
+
+    ``levels`` lists the node ids at each depth; ``edges`` holds, for
+    each level below the root, its incoming ``Edges``.
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
@@ -206,9 +227,10 @@ class TreeIndex:
         self._finish()
 
     def _finish(self) -> None:
-        """Sizes, column ranges, child lists, depth levels and kind masks,
-        derived from the node arrays and ``is_actions``.  The children of
-        a preorder node are the nodes naming it as parent, ascending."""
+        """Sizes, column ranges, child lists, depth levels, edge tables
+        and kind masks, derived from the node arrays and ``is_actions``.
+        The children of a preorder node are the nodes naming it as
+        parent, ascending."""
         self.n_nodes = len(self.parent)
         self.n_infosets = len(self.keys)
         self.is_nact = np.fromiter(map(len, self.is_actions), dtype=np.int64,
@@ -227,6 +249,14 @@ class TreeIndex:
         bounds = np.searchsorted(self.depth[order], np.arange(max_depth + 2))
         self.levels = [order[bounds[d]:bounds[d + 1]]
                        for d in range(max_depth + 1)]
+        self.edges = []
+        for ids in self.levels[1:]:
+            cols = self.in_col[ids]
+            own = tuple(np.flatnonzero(self.in_player[ids] == p)
+                        for p in (0, 1))
+            self.edges.append(Edges(ids, self.parent[ids],
+                                    self.in_prob[ids], cols, own,
+                                    tuple(cols[o] for o in own)))
 
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
@@ -243,12 +273,9 @@ class TreeIndex:
         decision node.  ``base_col`` maps restricted columns to columns
         here.
         """
-        edge_ok = np.append(cols, True)[self.in_col]  # in_col -1: no column
-        kept = np.zeros(self.n_nodes, dtype=bool)
-        kept[0] = True
-        for level in self.levels[1:]:
-            kept[level] = kept[self.parent[level]] & edge_ok[level]
-        nodes = np.flatnonzero(kept)
+        edge_ok = np.append(cols, True)  # column -1: no column
+        nodes = np.flatnonzero(self.reach(
+            [edge_ok[e.cols] for e in self.edges]))
 
         base_is = self.infoset[nodes[self.decision_mask[nodes]]]
         if not np.isin(base_is, self.col_isid[cols]).all():
@@ -284,6 +311,36 @@ class TreeIndex:
         out.is_parent = _relabel(par, base_is, self.n_infosets)
         out._finish()
         return out
+
+    def edge_weights(self, sigma: np.ndarray, players=(0, 1),
+                     base=None) -> list:
+        """Per-level edge weights for ``reach`` and ``values``: ``base``
+        (by default each level's chance probabilities) times ``sigma``
+        on the edges of ``players``."""
+        out = []
+        for e, w in zip(self.edges, base or [e.prob for e in self.edges]):
+            w = w.copy()
+            for p in players:
+                w[e.own[p]] *= sigma[e.own_cols[p]]
+            out.append(w)
+        return out
+
+    def reach(self, weights) -> np.ndarray:
+        """Forward pass: the product of ``weights`` along the path from
+        the root to every node (the root's reach is 1)."""
+        r = np.ones(self.n_nodes)
+        for e, w in zip(self.edges, weights):
+            r[e.ids] = r[e.parents] * w
+        return r
+
+    def values(self, weights) -> np.ndarray:
+        """Backward pass, deepest level first: every node's player-0
+        value, its terminal payoff or the ``weights``-weighted sum of
+        its children's values."""
+        v = self.payoff1.copy()
+        for e, w in zip(reversed(self.edges), reversed(weights)):
+            np.add.at(v, e.parents, w * v[e.ids])
+        return v
 
     # Plain properties over attributes set in __init__: caching into the
     # instance dict (functools.cached_property) slows every later

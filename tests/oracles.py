@@ -1,9 +1,10 @@
 """Exact oracles and conversions used only by the tests.
 
-Exhaustive game walks (state counts and own-action predecessors), the
-covering tally behind the double-oracle iteration bound, and helpers
-that turn choice arrays (see ``TreeIndex``) into dict-keyed or tabular
-forms for assertions.
+Exhaustive game walks (state counts and own-action predecessors),
+per-node recursions standing in for ``TreeIndex.reach`` and
+``TreeIndex.values``, the covering tally behind the double-oracle
+iteration bound, and helpers that turn choice arrays (see
+``TreeIndex``) into dict-keyed or tabular forms for assertions.
 """
 
 from __future__ import annotations
@@ -92,6 +93,38 @@ def infostate_predecessors(game) -> tuple[dict, dict]:
 
     visit(game.root(), None, None)
     return preds
+
+
+def reference_reach(tree, w: np.ndarray) -> np.ndarray:
+    """Product of the incoming edge weights ``w`` (one per node, the
+    root's unused) along each node's path from the root, node by node
+    from the root down."""
+    reach = np.empty(tree.n_nodes)
+
+    def visit(u, r):
+        reach[u] = r
+        for c in tree.children(u).tolist():
+            visit(c, r * w[c])
+
+    visit(0, 1.0)
+    return reach
+
+
+def reference_values(tree, w: np.ndarray) -> np.ndarray:
+    """Each node's player-0 value: its terminal payoff, else the sum over
+    its children, in order, of the incoming edge weight ``w`` times the
+    child's value."""
+    values = np.empty(tree.n_nodes)
+
+    def visit(u):
+        total = tree.payoff1[u]
+        for c in tree.children(u).tolist():
+            total += w[c] * visit(c)
+        values[u] = total
+        return total
+
+    visit(0)
+    return values
 
 
 def covered_infostate_count(game, populations) -> int:
