@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -93,6 +94,28 @@ def _grow_matrix(m: np.ndarray, shape: tuple[int, int],
     return grown
 
 
+def _double_oracle(tree: TreeIndex, pops, payoff, solve,
+                   counter: NodeCounter | None = None, rng=None):
+    """Matrix double-oracle iterations over ``pops``, which the caller
+    grows between them.  Each yields the meta-solution, the realized
+    mixture ``sigma``, its value and both best responses against it.
+    The matrix (new cells ``payoff(i, j)``), its ``solve``, ``sigma``
+    and the value are recomputed only after a population grew; the
+    matrix is otherwise the one already solved, and HiGHS is
+    deterministic for a fixed input."""
+    m = np.zeros((0, 0))
+    while True:
+        shape = (len(pops[0]), len(pops[1]))
+        if shape != m.shape:
+            m = _grow_matrix(m, shape, payoff)
+            sol = solve(m)
+            sigma = (realize_mixture(tree, pops[0].choices, sol.row, 0)
+                     + realize_mixture(tree, pops[1].choices, sol.col, 1))
+            v = expected_value(tree, sigma, counter=counter)
+        yield (sol, sigma, v, best_response(tree, sigma, 0, counter, rng=rng),
+               best_response(tree, sigma, 1, counter, rng=rng))
+
+
 def psro_solve(game, config: PsroConfig | None = None,
                counter: NodeCounter | None = None,
                base_tree: TreeIndex | None = None) -> PsroResult:
@@ -105,7 +128,6 @@ def psro_solve(game, config: PsroConfig | None = None,
     pops = tuple(Population(tree, p, [
         random_pure_policy(tree, p, rng) if cfg.init == "random"
         else tree.is_off[tree.infosets_of(p)]]) for p in (0, 1))
-    m = np.zeros((0, 0))
 
     def payoff(i: int, j: int) -> float:
         sigma = pure_profile(tree, pops[0].choices[i], pops[1].choices[j])
@@ -114,32 +136,21 @@ def psro_solve(game, config: PsroConfig | None = None,
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(i, j))
         return _sampled_payoff(tree, sigma, cfg.games_per_pair, seq, counter)
 
+    solve = solve_matrix_lp if cfg.meta_solver == "lp" else partial(
+        solve_matrix_fp, iterations=cfg.fp_iters)
+
     t_start = time.perf_counter()
     trace: list[dict] = []
     terminated = False
-    iters = 0
 
-    while True:
-        iters += 1
-        n0, n1 = len(pops[0]), len(pops[1])
-        m = _grow_matrix(m, (n0, n1), payoff)
-
-        if cfg.meta_solver == "lp":
-            sol = solve_matrix_lp(m)
-        else:
-            sol = solve_matrix_fp(m, cfg.fp_iters)
-        meta = (sol.row, sol.col)
-
-        sigma = (realize_mixture(tree, pops[0].choices, sol.row, 0)
-                 + realize_mixture(tree, pops[1].choices, sol.col, 1))
-        v = expected_value(tree, sigma, counter=counter)
-        br0 = best_response(tree, sigma, 0, counter)
-        br1 = best_response(tree, sigma, 1, counter)
+    for iters, (sol, sigma, v, br0, br1) in enumerate(
+            _double_oracle(tree, pops, payoff, solve, counter), 1):
         d0 = br0.value - v
         d1 = br1.value + v
         e = d0 + d1
         trace.append(dict(iter=iters, nodes=counter.count,
-                          exploitability=e, pop0=n0, pop1=n1,
+                          exploitability=e, pop0=len(pops[0]),
+                          pop1=len(pops[1]),
                           wall_ms=(time.perf_counter() - t_start) * 1000.0))
 
         if d0 <= cfg.eps and d1 <= cfg.eps:
@@ -157,8 +168,8 @@ def psro_solve(game, config: PsroConfig | None = None,
             break
 
     policy0, policy1 = (policy_from_flat(tree, sigma, p) for p in (0, 1))
-    return PsroResult(populations=pops, meta=meta, policy0=policy0,
-                      policy1=policy1, exploitability=e,
+    return PsroResult(populations=pops, meta=(sol.row, sol.col),
+                      policy0=policy0, policy1=policy1, exploitability=e,
                       terminated=terminated, iters=iters,
                       nodes=counter.count, trace=trace)
 
@@ -181,19 +192,16 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
     Each trial starts from one uniformly drawn pure strategy per player
     and runs a fixed number of double-oracle iterations: exact payoff
     matrix over the populations, LP meta-solve, exact best responses
-    against the realized meta-mixture.  The meta-game is solved only
-    when it grew, in the first iteration and after one that added a
-    strategy: populations only grow, so otherwise the matrix is the one
-    already solved, and the kept solution, mixture and value are what a
-    re-solve would give (HiGHS is deterministic for a fixed input).
-    Ties between equally good best response actions are resolved by the
-    trial's seeded generator, so on games with tied optima the oracle
-    keeps sampling the maximizer set instead of repeating one argmax;
-    populations grow by reduced strategy identity.  The ``eps`` stop
-    test is evaluated and the iteration where it first passes is
-    recorded, but the trial keeps exploring to the horizon; expansion
-    counts are therefore a property of the maximizer sets, not of which
-    tie the stop test hit first.
+    against the realized meta-mixture (``_double_oracle``, which
+    re-solves the meta-game only after an iteration that added a
+    strategy).  Ties between equally good best response actions are
+    resolved by the trial's seeded generator, so on games with tied
+    optima the oracle keeps sampling the maximizer set instead of
+    repeating one argmax; populations grow by reduced strategy
+    identity.  The ``eps`` stop test is evaluated and the iteration
+    where it first passes is recorded, but the trial keeps exploring to
+    the horizon; expansion counts are therefore a property of the
+    maximizer sets, not of which tie the stop test hit first.
 
     Returns one record per trial: seed, distinct reduced strategies
     expanded per player, the first iteration at which neither best
@@ -205,37 +213,28 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
     for t in range(trials):
         seed = seed0 + t
         rng = np.random.default_rng(seed)
-        members = ([random_pure_policy(tree, 0, rng)],
-                   [random_pure_policy(tree, 1, rng)])
-        seen = ({reduced_canonical(tree, members[0][0], 0)},
-                {reduced_canonical(tree, members[1][0], 1)})
-        m = np.zeros((0, 0))
+        pops = tuple(Population(tree, p, [random_pure_policy(tree, p, rng)])
+                     for p in (0, 1))
+        seen = tuple({reduced_canonical(tree, pops[p].choices[0], p)}
+                     for p in (0, 1))
         first_pass = None
         e = float("inf")
-        grew = True
-        for it in range(1, horizon + 1):
-            if grew:
-                m = _grow_matrix(
-                    m, (len(members[0]), len(members[1])),
-                    lambda i, j: expected_value(tree, pure_profile(
-                        tree, members[0][i], members[1][j])))
-                sol = solve_matrix_lp(m)
-                sigma = (realize_mixture(tree, members[0], sol.row, 0)
-                         + realize_mixture(tree, members[1], sol.col, 1))
-                v = expected_value(tree, sigma)
-            br0 = best_response(tree, sigma, 0, rng=rng)
-            br1 = best_response(tree, sigma, 1, rng=rng)
+        loop = _double_oracle(
+            tree, pops, lambda i, j: expected_value(tree, pure_profile(
+                tree, pops[0].choices[i], pops[1].choices[j])),
+            solve_matrix_lp, rng=rng)
+        # zip draws the iteration number first, so the loop stops before
+        # the best responses of an iteration past the horizon.
+        for it, (_, _, v, br0, br1) in zip(range(1, horizon + 1), loop):
             d0, d1 = br0.value - v, br1.value + v
             e = d0 + d1
             if first_pass is None and d0 <= eps and d1 <= eps:
                 first_pass = it
-            grew = False
             for p, br in ((0, br0), (1, br1)):
                 key = reduced_canonical(tree, br.choice, p)
                 if key not in seen[p]:
                     seen[p].add(key)
-                    members[p].append(br.choice)
-                    grew = True
+                    pops[p].add(br.choice)
         records.append(dict(seed=seed, expanded0=len(seen[0]),
                             expanded1=len(seen[1]), iters=horizon,
                             eps_pass_iter=first_pass,
