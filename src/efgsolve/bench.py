@@ -34,7 +34,8 @@ from pathlib import Path
 from . import __version__
 from .evaluate import exploitability
 from .games import GAME_PATTERNS, make_game, rps_choice
-from .metrics import cadence_thresholds, write_rows_csv, write_summary_json
+from .metrics import (cadence_thresholds, format_cell, write_rows_csv,
+                      write_summary_json)
 from .psro import PsroConfig, psro_histogram, psro_solve
 from .solvers import Cfr, MccfrEs, Xfp
 from .tree import EnumerationOverflow, NodeCounter, TreeIndex
@@ -99,6 +100,8 @@ _CHECKS = {
 # comparison, so it is no real number > 0; a max_states <= 0 means no
 # cap on the histories a run enumerates.
 _FIELD_CHECKS = {
+    "game": (lambda v: isinstance(v, str), "a game name"),
+    "out_dir": (lambda v: isinstance(v, (str, Path)), "a path"),
     **dict.fromkeys(("node_budget", "max_iters"),
                     (lambda v: v is None or _count(v), "an integer >= 1")),
     "max_wall_s": (lambda v: v is None or (_real(v) and v > 0),
@@ -139,13 +142,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algorithm {cfg.algo!r}; "
                           f"choose from {', '.join(ALGOS)}")
+    _check(_FIELD_CHECKS, vars(cfg))
     try:
         make_game(cfg.game)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
-    _check(_FIELD_CHECKS, vars(cfg))
     if (cfg.node_budget is None and cfg.max_iters is None
             and cfg.max_wall_s is None):
         raise ConfigError("at least one budget is required "
@@ -404,9 +407,7 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     for r in records:
         cells = (r["seed"], r["expanded0"], r["expanded1"],
                  r["eps_pass_iter"], r["iters"], r["exploitability"])
-        lines.append(",".join("" if c is None else repr(c)
-                              if isinstance(c, float) else str(c)
-                              for c in cells))
+        lines.append(",".join(map(format_cell, cells)))
     (out / "psro_hist_trials.csv").write_text("\n".join(lines) + "\n")
 
     hist = {}

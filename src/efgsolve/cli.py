@@ -94,7 +94,10 @@ def _run_config(args) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             data[key] = val
-    params = {k: _numeric(v) for k, v in (data.get("params") or {}).items()}
+    params = data.get("params") or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a mapping, not {params!r}")
+    params = {k: _numeric(v) for k, v in params.items()}
     params.update(_parse_params(args.param))
     data["params"] = params
     for key in ("game", "algo"):

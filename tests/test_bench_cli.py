@@ -314,17 +314,25 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "node_budget: 1e7", "max_iters: abc", "max_iters: 2\njobs: two",
     "max_iters: 2\nmax_states: lots", "max_iters: 2\nseeds: [a]",
     "max_iters: 2.5", "max_iters: 2\nwall_clock: maybe",
+    "max_iters: 2\nparams: [1, 2]", "max_iters: 2\ngame: 5",
+    "max_iters: 2\nout_dir: 5",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
-        "wall-clock-text"])
-def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys):
+        "wall-clock-text", "params-list", "game-number", "out-dir-number"])
+def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "exp.yaml"
     cfgfile.write_text(f"game: kuhn\nalgo: cfr\n{lines}\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    argv = ["run", "--config", str(cfgfile)]
+    if "out_dir" not in lines:
+        # --out would override the file's out_dir.
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
 
 def test_cli_history_cap_exits_3_without_output(tmp_path, capsys):
