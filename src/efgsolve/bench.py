@@ -163,7 +163,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     unknown = set(cfg.params) - _PARAM_KEYS[cfg.algo]
     if unknown:
         raise ConfigError(f"{cfg.algo} does not take parameters "
-                          f"{sorted(unknown)}; "
+                          f"{sorted(unknown, key=str)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
     _check(_CHECKS, cfg.params)
 

@@ -315,10 +315,11 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2\nmax_states: lots", "max_iters: 2\nseeds: [a]",
     "max_iters: 2.5", "max_iters: 2\nwall_clock: maybe",
     "max_iters: 2\nparams: [1, 2]", "max_iters: 2\ngame: 5",
-    "max_iters: 2\nout_dir: 5",
+    "max_iters: 2\nout_dir: 5", "max_iters: 2\nparams: {1: 2, foo: 3}",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
-        "wall-clock-text", "params-list", "game-number", "out-dir-number"])
+        "wall-clock-text", "params-list", "game-number", "out-dir-number",
+        "params-mixed-keys"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
