@@ -129,7 +129,8 @@ class TreeIndex:
     the top), is_own_depth.
 
     ``levels`` lists the node ids at each depth; ``edges`` holds, for
-    each level below the root, its incoming ``Edges``.
+    each level below the root, its incoming ``Edges``, built on first
+    use like the column maps below.
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
@@ -227,10 +228,9 @@ class TreeIndex:
         self._finish()
 
     def _finish(self) -> None:
-        """Sizes, column ranges, child lists, depth levels, edge tables
-        and kind masks, derived from the node arrays and ``is_actions``.
-        The children of a preorder node are the nodes naming it as
-        parent, ascending."""
+        """Sizes, column ranges, child lists, depth levels and kind masks,
+        derived from the node arrays and ``is_actions``.  The children of
+        a preorder node are the nodes naming it as parent, ascending."""
         self.n_nodes = len(self.parent)
         self.n_infosets = len(self.keys)
         self.is_nact = np.fromiter(map(len, self.is_actions), dtype=np.int64,
@@ -249,18 +249,10 @@ class TreeIndex:
         bounds = np.searchsorted(self.depth[order], np.arange(max_depth + 2))
         self.levels = [order[bounds[d]:bounds[d + 1]]
                        for d in range(max_depth + 1)]
-        self.edges = []
-        for ids in self.levels[1:]:
-            cols = self.in_col[ids]
-            own = tuple(np.flatnonzero(self.in_player[ids] == p)
-                        for p in (0, 1))
-            self.edges.append(Edges(ids, self.parent[ids],
-                                    self.in_prob[ids], cols, own,
-                                    tuple(cols[o] for o in own)))
 
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
-        self._col_isid = self._col_action = None
+        self._col_isid = self._col_action = self._edges = None
         self._own_stages = {}
 
     def restrict(self, cols: np.ndarray, game) -> TreeIndex:
@@ -361,6 +353,20 @@ class TreeIndex:
                 chain.from_iterable(self.is_actions), dtype=np.int32,
                 count=self.n_cols)
         return self._col_action
+
+    @property
+    def edges(self) -> list[Edges]:
+        """Incoming ``Edges`` of every level below the root."""
+        if self._edges is None:
+            self._edges = []
+            for ids in self.levels[1:]:
+                cols = self.in_col[ids]
+                own = tuple(np.flatnonzero(self.in_player[ids] == p)
+                            for p in (0, 1))
+                self._edges.append(Edges(ids, self.parent[ids],
+                                         self.in_prob[ids], cols, own,
+                                         tuple(cols[o] for o in own)))
+        return self._edges
 
     def children(self, u: int) -> np.ndarray:
         return self.child_flat[self.child_off[u]:self.child_off[u + 1]]
