@@ -98,7 +98,8 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
                    counter: NodeCounter | None = None, rng=None):
     """Matrix double-oracle iterations over ``pops``, which the caller
     grows between them.  Each yields the meta-solution, the realized
-    mixture ``sigma``, its value and both best responses against it.
+    mixture ``sigma``, both best responses against it and each one's
+    gain over the mixture's value.
     The matrix (new cells ``payoff(i, j)``), its ``solve``, ``sigma``
     and the value are recomputed only after a population grew; the
     matrix is otherwise the one already solved, and HiGHS is
@@ -112,8 +113,9 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
             sigma = (realize_mixture(tree, pops[0].choices, sol.row, 0)
                      + realize_mixture(tree, pops[1].choices, sol.col, 1))
             v = expected_value(tree, sigma, counter=counter)
-        yield (sol, sigma, v, best_response(tree, sigma, 0, counter, rng=rng),
-               best_response(tree, sigma, 1, counter, rng=rng))
+        br0 = best_response(tree, sigma, 0, counter, rng=rng)
+        br1 = best_response(tree, sigma, 1, counter, rng=rng)
+        yield sol, sigma, br0, br1, br0.value - v, br1.value + v
 
 
 def psro_solve(game, config: PsroConfig | None = None,
@@ -143,10 +145,8 @@ def psro_solve(game, config: PsroConfig | None = None,
     trace: list[dict] = []
     terminated = False
 
-    for iters, (sol, sigma, v, br0, br1) in enumerate(
+    for iters, (sol, sigma, br0, br1, d0, d1) in enumerate(
             _double_oracle(tree, pops, payoff, solve, counter), 1):
-        d0 = br0.value - v
-        d1 = br1.value + v
         e = d0 + d1
         trace.append(dict(iter=iters, nodes=counter.count,
                           exploitability=e, pop0=len(pops[0]),
@@ -225,8 +225,7 @@ def psro_histogram(game, trials: int = 150, seed0: int = 0,
             solve_matrix_lp, rng=rng)
         # zip draws the iteration number first, so the loop stops before
         # the best responses of an iteration past the horizon.
-        for it, (_, _, v, br0, br1) in zip(range(1, horizon + 1), loop):
-            d0, d1 = br0.value - v, br1.value + v
+        for it, (_, _, br0, br1, d0, d1) in zip(range(1, horizon + 1), loop):
             e = d0 + d1
             if first_pass is None and d0 <= eps and d1 <= eps:
                 first_pass = it

@@ -39,9 +39,8 @@ class Cfr:
         self.regret = np.zeros(tree.n_cols)
         self.ssum = np.zeros(tree.n_cols)
 
-        self._col_infoset = tree.col_isid
-        self._col_player = tree.is_player[self._col_infoset]
-        self._uniform = 1.0 / tree.is_nact[self._col_infoset]
+        self._col_player = tree.is_player[tree.col_isid]
+        self._uniform = 1.0 / tree.is_nact[tree.col_isid]
         self._dec_nodes = [
             np.flatnonzero(tree.decision_mask & (tree.player == p))
             for p in (0, 1)
@@ -72,7 +71,7 @@ class Cfr:
                   self._rc[par] * reach[1 - player][par] * vp)
         node_val = np.add.reduceat(sigma * q, tree.is_off)
         cols = self._pcols[player]
-        self.regret[cols] += q[cols] - node_val[self._col_infoset[cols]]
+        self.regret[cols] += q[cols] - node_val[tree.col_isid[cols]]
         if self.plus:
             np.maximum(self.regret, 0.0, out=self.regret,
                        where=self._col_player == player)
@@ -81,7 +80,7 @@ class Cfr:
         ow = np.zeros(tree.n_infosets)
         np.add.at(ow, tree.infoset[dec], reach[player][dec])
         w = float(self.t) if self.plus else 1.0
-        self.ssum[cols] += w * ow[self._col_infoset[cols]] * sigma[cols]
+        self.ssum[cols] += w * ow[tree.col_isid[cols]] * sigma[cols]
 
     def iterate(self, n: int = 1) -> None:
         for _ in range(n):

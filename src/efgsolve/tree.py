@@ -126,11 +126,7 @@ class TreeIndex:
     (ordered action ids), is_nact, is_off (start of the infostate's
     contiguous column range), is_parent / is_parent_slot (the player's
     previous decision infostate and the row position taken there, -1 at
-    the top), is_own_depth.
-
-    ``levels`` lists the node ids at each depth; ``edges`` holds, for
-    each level below the root, its incoming ``Edges``, built on first
-    use like the column maps below.
+    the top), is_own_depth.  ``levels`` lists the node ids at each depth.
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
@@ -139,8 +135,9 @@ class TreeIndex:
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
-    and action id; they are built on first use, so indexing a tree costs
-    only its enumeration.  An index derived by ``restrict`` also holds
+    and action id.  They, and ``edges`` (the incoming ``Edges`` of each
+    level below the root), are built on first use, so indexing a tree
+    costs only its enumeration.  An index derived by ``restrict`` also holds
     ``base_col``, the column of the parent index behind each column.
 
     ``max_histories`` caps the walk: reaching history number
