@@ -99,11 +99,11 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
     """Matrix double-oracle iterations over ``pops``, which the caller
     grows between them.  Each yields the meta-solution, the realized
     mixture ``sigma``, both best responses against it and each one's
-    gain over the mixture's value.
-    The matrix (new cells ``payoff(i, j)``), its ``solve``, ``sigma``
-    and the value are recomputed only after a population grew; the
-    matrix is otherwise the one already solved, and HiGHS is
-    deterministic for a fixed input."""
+    gain over the mixture's value.  The matrix (new cells
+    ``payoff(i, j)``), its ``solve``, ``sigma`` and the value are
+    recomputed only after a population grew; the matrix is otherwise
+    the one already solved, and HiGHS is deterministic for a fixed
+    input."""
     m = np.zeros((0, 0))
     while True:
         shape = (len(pops[0]), len(pops[1]))
