@@ -106,7 +106,8 @@ _FIELD_CHECKS = {
                     (lambda v: v is None or _count(v), "an integer >= 1")),
     "max_wall_s": (lambda v: v is None or (_real(v) and v > 0),
                    "a real number > 0"),
-    "seeds": (lambda v: all(map(_seed, v)), "integers >= 0"),
+    "seeds": (lambda v: all(map(_seed, v)) and len(set(v)) == len(v),
+              "distinct integers >= 0"),
     **dict.fromkeys(("eval_start", "jobs"), (_count, "an integer >= 1")),
     "eval_factor": (lambda v: _int(v) and v >= 2, "an integer >= 2"),
     "wall_clock": (lambda v: isinstance(v, bool), "true or false"),

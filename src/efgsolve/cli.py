@@ -22,14 +22,17 @@ from .bench import (ConfigError, EnumerationOverflow, ExperimentConfig,
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """"0,3,7" and "0-149" forms, mixable."""
+    """"0,3,7" and "0-149" forms, mixable; a range must not run
+    backwards."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
         try:
             if "-" in part.lstrip("-"):
-                lo, hi = part.split("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
+                if hi < lo:
+                    raise ValueError
+                seeds.extend(range(lo, hi + 1))
             elif part:
                 seeds.append(int(part))
         except ValueError:

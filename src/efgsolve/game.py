@@ -73,7 +73,3 @@ class Game(Protocol):
     name: str
 
     def root(self) -> State: ...
-
-
-def other(player: int) -> int:
-    return 1 - player

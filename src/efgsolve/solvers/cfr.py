@@ -45,10 +45,9 @@ class Cfr:
             np.flatnonzero(tree.decision_mask & (tree.player == p))
             for p in (0, 1)
         ]
-        self._kids = [np.flatnonzero(tree.in_player == p) for p in (0, 1)]
         self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
-        self._ones = [np.ones(e.ids.size) for e in tree.edges]
-        self._rc = tree.reach([e.prob for e in tree.edges])
+        self._ones = np.ones(tree.n_nodes)
+        self._rc = tree.reach(tree.in_prob)
 
     def current(self) -> np.ndarray:
         return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
@@ -63,12 +62,11 @@ class Cfr:
 
     def _update(self, sigma, reach, v, player):
         tree = self.tree
-        kids = self._kids[player]
+        kids, kid_cols = tree.own_edges[player]
         par = tree.parent[kids]
         vp = v[kids] if player == 0 else -v[kids]
         q = np.zeros(tree.n_cols)
-        np.add.at(q, tree.in_col[kids],
-                  self._rc[par] * reach[1 - player][par] * vp)
+        np.add.at(q, kid_cols, self._rc[par] * reach[1 - player][par] * vp)
         node_val = np.add.reduceat(sigma * q, tree.is_off)
         cols = self._pcols[player]
         self.regret[cols] += q[cols] - node_val[tree.col_isid[cols]]

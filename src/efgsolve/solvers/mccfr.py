@@ -52,9 +52,10 @@ def _uniforms(rng: np.random.Generator):
 
 def _walk_table(tree: TreeIndex):
     """The root of the tree as nested Python data (see the module
-    docstring), built bottom-up over the preorder node ids.  Decision
-    nodes of one infostate share one pair of column-bound ints, which
-    keeps the table small."""
+    docstring), built bottom-up from the last node id, since a node's
+    children have larger ids than the node.  Decision nodes of one
+    infostate share one pair of column-bound ints, which keeps the
+    table small."""
     kind = tree.kind.tolist()
     nodes: list = [None] * tree.n_nodes
     bounds: dict = {}

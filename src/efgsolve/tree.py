@@ -1,12 +1,13 @@
 """Flat array index over a game tree, plus node-visit accounting.
 
 Every solver and evaluator in this package works on a ``TreeIndex``: a
-one-time depth-first enumeration of all histories into numpy arrays, so
-full-width passes become a handful of vectorized sweeps per depth level.
-The index holds the package's only two such sweeps: ``reach``, the
-forward product of edge weights from the root, and ``values``, the
-backward sum of weighted child values; ``edge_weights`` turns a flat
-profile into the per-level weights both take.
+one-time depth-first enumeration of all histories into numpy arrays,
+numbered level by level, so each depth level is one contiguous slice of
+node ids and a full-width pass is one vectorized step per level.  The
+index holds the package's only two such sweeps: ``reach``, the forward
+product of edge weights from the root, and ``values``, the backward sum
+of weighted child values; both take one weight per node, which
+``edge_weights`` builds from a flat profile.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` as soon as it is about to index one history
@@ -58,12 +59,14 @@ class NodeCounter:
 
 
 # Node and infostate arrays of a TreeIndex with their dtypes, in the
-# order of a walked node's or infostate's row.
-_NODE_ARRAYS = (("parent", np.int64), ("depth", np.int64),
-                ("kind", np.int8), ("player", np.int8),
-                ("infoset", np.int64), ("payoff1", np.float64),
-                ("in_prob", np.float64), ("in_col", np.int64),
-                ("in_player", np.int8))
+# order of a walked node's or infostate's row; a node's row starts with
+# its parent's rank in the walk.  ``depth`` and ``preorder`` come from
+# the walk order.
+_ROW_ARRAYS = (("parent", np.int64), ("kind", np.int8),
+               ("player", np.int8), ("infoset", np.int64),
+               ("payoff1", np.float64), ("in_prob", np.float64),
+               ("in_col", np.int64), ("in_player", np.int8))
+_NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64), ("preorder", np.int64))
 _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
                      ("is_parent_slot", np.int64),
                      ("is_own_depth", np.int64))
@@ -90,20 +93,6 @@ class OwnStage(NamedTuple):
     blocks: list
 
 
-class Edges(NamedTuple):
-    """The incoming edges of one depth level below the root: the nodes
-    they lead to, their parents, their chance probabilities (1.0 below
-    decision nodes), their columns (-1 below chance nodes), and per
-    player the positions in the level of that player's edges and those
-    edges' columns."""
-    ids: np.ndarray
-    parents: np.ndarray
-    prob: np.ndarray
-    cols: np.ndarray
-    own: tuple
-    own_cols: tuple
-
-
 def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
     """``ids`` (values in ``range(n)`` or -1) renumbered by position in
     ``kept``; -1, and any value not kept, become -1."""
@@ -115,18 +104,24 @@ def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
 class TreeIndex:
     """Arrays describing one game's full tree.
 
-    Node arrays (length ``n_nodes``, depth-first preorder, root first):
+    Node arrays (length ``n_nodes``), numbered level by level: the root
+    is 0, each depth's nodes follow those of the depth above, and within
+    a depth they keep the order of the depth-first walk.  ``levels``
+    lists the depths as contiguous slices of node ids, and the children
+    of a node are a contiguous id range (``children``), in action or
+    outcome order.
       parent, depth, kind, player (acting player at decision nodes),
       infoset (decision nodes only), payoff1 (terminals), in_prob
       (chance probability of the incoming edge, 1.0 elsewhere), in_col
       (flat policy column of the incoming edge when the parent is a
-      decision node, else -1), in_player (owner of that column).
+      decision node, else -1), in_player (owner of that column),
+      preorder (the node's rank in the depth-first walk).
 
-    Infostate arrays (length ``n_infosets``): is_player, is_actions
-    (ordered action ids), is_nact, is_off (start of the infostate's
-    contiguous column range), is_parent / is_parent_slot (the player's
-    previous decision infostate and the row position taken there, -1 at
-    the top), is_own_depth.  ``levels`` lists the node ids at each depth.
+    Infostate arrays (length ``n_infosets``), numbered by first visit in
+    the walk: is_player, is_actions (ordered action ids), is_nact,
+    is_off (start of the infostate's contiguous column range),
+    is_parent / is_parent_slot (the player's previous decision infostate
+    and the row position taken there, -1 at the top), is_own_depth.
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
@@ -135,9 +130,9 @@ class TreeIndex:
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
-    and action id.  They, and ``edges`` (the incoming ``Edges`` of each
-    level below the root), are built on first use, so indexing a tree
-    costs only its enumeration.  An index derived by ``restrict`` also holds
+    and action id, and ``own_edges`` gives each player's edges and their
+    columns.  These are built on first use, so indexing a tree costs
+    only its enumeration.  An index derived by ``restrict`` also holds
     ``base_col``, the column of the parent index behind each column.
 
     ``max_histories`` caps the walk: reaching history number
@@ -149,7 +144,8 @@ class TreeIndex:
         self.game = game
         cap = max_histories if max_histories and max_histories > 0 \
             else sys.maxsize
-        nodes: list[tuple] = []  # one _NODE_ARRAYS row per node
+        levels: list[list[tuple]] = [[]]  # per depth, one row per node
+        walk_depth: list[int] = []  # each node's depth, in walk order
         infos: list[tuple] = []  # one _INFOSTATE_ARRAYS row per infostate
         keys: list[tuple] = []
         is_actions: list[tuple] = []
@@ -177,16 +173,20 @@ class TreeIndex:
             return isid
 
         def visit(state, par, dep, iprob, icol, iply, last0, last1):
-            u = len(nodes)
+            u = len(walk_depth)  # this node's rank in the walk
             if u >= cap:
                 raise EnumerationOverflow(
                     f"{game.name} exceeds {cap} histories")
+            walk_depth.append(dep)
+            level = levels[dep]
             if state.is_terminal():
-                nodes.append((par, dep, TERMINAL, -1, -1, state.returns()[0],
+                level.append((par, TERMINAL, -1, -1, state.returns()[0],
                               iprob, icol, iply))
                 return
+            if dep + 1 == len(levels):
+                levels.append([])
             if state.is_chance():
-                nodes.append((par, dep, CHANCE_NODE, CHANCE, -1, 0.0,
+                level.append((par, CHANCE_NODE, CHANCE, -1, 0.0,
                               iprob, icol, iply))
                 outcomes = state.chance_outcomes()
                 total = sum(p for _, p in outcomes)
@@ -204,7 +204,7 @@ class TreeIndex:
             key = state.infostate_key(p)
             last = last0 if p == 0 else last1
             isid = intern_infoset(key, actions, last)
-            nodes.append((par, dep, DECISION, p, isid, 0.0, iprob, icol, iply))
+            level.append((par, DECISION, p, isid, 0.0, iprob, icol, iply))
             off = is_off[isid]
             for slot, a in enumerate(actions):
                 nxt = (isid, slot)
@@ -214,20 +214,27 @@ class TreeIndex:
 
         visit(game.root(), -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
 
-        for fields, rows in ((_NODE_ARRAYS, nodes),
+        for fields, rows in ((_ROW_ARRAYS, chain.from_iterable(levels)),
                              (_INFOSTATE_ARRAYS, infos)):
-            columns = zip(*rows) if rows else [()] * len(fields)
+            columns = list(zip(*rows)) or [()] * len(fields)
             for (name, dtype), column in zip(fields, columns):
                 setattr(self, name, np.asarray(column, dtype=dtype))
+        # The rows were laid out by depth, in walk order within a depth,
+        # which is the stable sort of the walk's depths.
+        walk_depth = np.array(walk_depth, dtype=np.int64)
+        self.preorder = np.argsort(walk_depth, kind="stable")
+        self.depth = walk_depth[self.preorder]
+        self.parent = _relabel(self.parent, self.preorder, self.preorder.size)
         self.keys = keys
         self.key_to_isid = key_to_isid
         self.is_actions = is_actions
         self._finish()
 
     def _finish(self) -> None:
-        """Sizes, column ranges, child lists, depth levels and kind masks,
-        derived from the node arrays and ``is_actions``.  The children of
-        a preorder node are the nodes naming it as parent, ascending."""
+        """Sizes, column ranges, child ranges, depth levels and kind
+        masks, derived from the node arrays and ``is_actions``.  Nodes
+        are sorted by depth and by parent, so each level and each
+        node's children are a run of consecutive ids."""
         self.n_nodes = len(self.parent)
         self.n_infosets = len(self.keys)
         self.is_nact = np.fromiter(map(len, self.is_actions), dtype=np.int64,
@@ -235,21 +242,15 @@ class TreeIndex:
         self.is_off = np.cumsum(self.is_nact) - self.is_nact
         self.n_cols = int(self.is_nact.sum())
 
-        kids = self.parent[1:]
-        self.child_off = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(kids, minlength=self.n_nodes),
-                  out=self.child_off[1:])
-        self.child_flat = np.argsort(kids, kind="stable") + 1
-
-        max_depth = int(self.depth.max(initial=0))
-        order = np.argsort(self.depth, kind="stable")
-        bounds = np.searchsorted(self.depth[order], np.arange(max_depth + 2))
-        self.levels = [order[bounds[d]:bounds[d + 1]]
-                       for d in range(max_depth + 1)]
+        self.child_off = np.searchsorted(self.parent,
+                                         np.arange(self.n_nodes + 1))
+        bounds = np.searchsorted(
+            self.depth, np.arange(int(self.depth[-1]) + 2)).tolist()
+        self.levels = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
-        self._col_isid = self._col_action = self._edges = None
+        self._col_isid = self._col_action = self._own_edges = None
         self._own_stages = {}
 
     def restrict(self, cols: np.ndarray, game) -> TreeIndex:
@@ -258,15 +259,15 @@ class TreeIndex:
 
         It equals a walk of the perfect-recall game whose legal lists are
         the allowed actions in this tree's order: kept nodes keep this
-        tree's preorder, and infostates are numbered by their first kept
-        decision node.  ``base_col`` maps restricted columns to columns
-        here.
+        tree's order, and infostates are numbered by their first kept
+        decision node in walk order.  ``base_col`` maps restricted
+        columns to columns here; ``preorder`` keeps this tree's ranks.
         """
         edge_ok = np.append(cols, True)  # column -1: no column
-        nodes = np.flatnonzero(self.reach(
-            [edge_ok[e.cols] for e in self.edges]))
+        nodes = np.flatnonzero(self.reach(edge_ok[self.in_col]))
 
-        base_is = self.infoset[nodes[self.decision_mask[nodes]]]
+        dec = nodes[self.decision_mask[nodes]]
+        base_is = self.infoset[dec[np.argsort(self.preorder[dec])]]
         if not np.isin(base_is, self.col_isid[cols]).all():
             raise ValueError("decision node with no legal actions")
         base_is = base_is[np.sort(np.unique(base_is, return_index=True)[1])]
@@ -302,33 +303,32 @@ class TreeIndex:
         return out
 
     def edge_weights(self, sigma: np.ndarray, players=(0, 1),
-                     base=None) -> list:
-        """Per-level edge weights for ``reach`` and ``values``: ``base``
-        (by default each level's chance probabilities) times ``sigma``
-        on the edges of ``players``."""
-        out = []
-        for e, w in zip(self.edges, base or [e.prob for e in self.edges]):
-            w = w.copy()
-            for p in players:
-                w[e.own[p]] *= sigma[e.own_cols[p]]
-            out.append(w)
-        return out
+                     base=None) -> np.ndarray:
+        """Incoming edge weight of every node, for ``reach`` and
+        ``values``: ``base`` (by default ``in_prob``) times ``sigma`` on
+        the edges of ``players``."""
+        w = (self.in_prob if base is None else base).copy()
+        for p in players:
+            ids, cols = self.own_edges[p]
+            w[ids] *= sigma[cols]
+        return w
 
-    def reach(self, weights) -> np.ndarray:
-        """Forward pass: the product of ``weights`` along the path from
-        the root to every node (the root's reach is 1)."""
+    def reach(self, weights: np.ndarray) -> np.ndarray:
+        """Forward pass: the product of the incoming edge ``weights``
+        along the path from the root to every node (the root's reach is
+        1 and its weight is never read)."""
         r = np.ones(self.n_nodes)
-        for e, w in zip(self.edges, weights):
-            r[e.ids] = r[e.parents] * w
+        for sl in self.levels[1:]:
+            r[sl] = r[self.parent[sl]] * weights[sl]
         return r
 
-    def values(self, weights) -> np.ndarray:
+    def values(self, weights: np.ndarray) -> np.ndarray:
         """Backward pass, deepest level first: every node's player-0
         value, its terminal payoff or the ``weights``-weighted sum of
         its children's values."""
         v = self.payoff1.copy()
-        for e, w in zip(reversed(self.edges), reversed(weights)):
-            np.add.at(v, e.parents, w * v[e.ids])
+        for sl in reversed(self.levels[1:]):
+            np.add.at(v, self.parent[sl], weights[sl] * v[sl])
         return v
 
     # Plain properties over attributes set in __init__: caching into the
@@ -352,21 +352,17 @@ class TreeIndex:
         return self._col_action
 
     @property
-    def edges(self) -> list[Edges]:
-        """Incoming ``Edges`` of every level below the root."""
-        if self._edges is None:
-            self._edges = []
-            for ids in self.levels[1:]:
-                cols = self.in_col[ids]
-                own = tuple(np.flatnonzero(self.in_player[ids] == p)
-                            for p in (0, 1))
-                self._edges.append(Edges(ids, self.parent[ids],
-                                         self.in_prob[ids], cols, own,
-                                         tuple(cols[o] for o in own)))
-        return self._edges
+    def own_edges(self) -> tuple:
+        """Per player, the ids of the nodes whose incoming edge is that
+        player's, ascending, and those edges' columns."""
+        if self._own_edges is None:
+            self._own_edges = tuple(
+                (ids, self.in_col[ids]) for ids in
+                (np.flatnonzero(self.in_player == p) for p in (0, 1)))
+        return self._own_edges
 
     def children(self, u: int) -> np.ndarray:
-        return self.child_flat[self.child_off[u]:self.child_off[u + 1]]
+        return np.arange(self.child_off[u], self.child_off[u + 1])
 
     def infosets_of(self, player: int) -> np.ndarray:
         return np.flatnonzero(self.is_player == player)
@@ -386,7 +382,7 @@ class TreeIndex:
             slot_of[own] = np.arange(own.size)
             nodes = np.flatnonzero(self.decision_mask
                                    & (self.player == player))
-            kids = np.flatnonzero(self.in_player == player)
+            kids = self.own_edges[player][0]
             node_depth = self.is_own_depth[self.infoset[nodes]]
             kid_depth = self.is_own_depth[self.infoset[self.parent[kids]]]
             stages = []

@@ -249,6 +249,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     XDO_RUN + ["--param", "term_eps=true"],
     CFR_RUN + ["--seeds", "a"],
     CFR_RUN + ["--seeds", "1-a"],
+    CFR_RUN + ["--seeds", "0,0"],
+    CFR_RUN + ["--seeds", "0-2,5-4"],
     ["run", "--game", "kuhn", "--algo", "mccfr_es", "--max-iters", "2",
      "--seeds", "-3"],
     PSRO_RUN + ["--param", "init=random", "--seeds", "-3"],
@@ -275,7 +277,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "psro-hist-horizon", "xdo-eps0", "xdo-lp-cap", "psro-eps",
         "psro-games-per-pair", "cfr-alternating", "xdo-max-inner",
         "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool",
-        "seeds-text", "seeds-range-text", "mccfr-es-negative-seed",
+        "seeds-text", "seeds-range-text", "seeds-duplicate",
+        "seeds-reversed-range", "mccfr-es-negative-seed",
         "psro-random-negative-seed", "perturbed-negative-seed",
         "max-iters-0", "node-budget-0", "node-budget-negative",
         "max-wall-s-negative", "max-wall-s-nan", "xdo-max-iters-0",
@@ -316,10 +319,11 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2.5", "max_iters: 2\nwall_clock: maybe",
     "max_iters: 2\nparams: [1, 2]", "max_iters: 2\ngame: 5",
     "max_iters: 2\nout_dir: 5", "max_iters: 2\nparams: {1: 2, foo: 3}",
+    "max_iters: 2\nseeds: [0, 0]",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
         "wall-clock-text", "params-list", "game-number", "out-dir-number",
-        "params-mixed-keys"])
+        "params-mixed-keys", "seeds-duplicate"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

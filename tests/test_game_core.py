@@ -127,7 +127,8 @@ def test_tree_index_structure(kuhn_tree):
     t = kuhn_tree
     assert t.parent[0] == -1 and t.depth[0] == 0
     # Levels partition the nodes by depth.
-    assert sorted(i for lvl in t.levels for i in lvl) == list(range(t.n_nodes))
+    assert sorted(i for lvl in t.levels
+                  for i in range(t.n_nodes)[lvl]) == list(range(t.n_nodes))
     for d, lvl in enumerate(t.levels):
         assert (t.depth[lvl] == d).all()
     # Every child points back at its parent.

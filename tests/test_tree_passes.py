@@ -1,11 +1,14 @@
-"""The tree's forward and backward passes against per-node recursions.
+"""The tree's level-by-level layout, and its forward and backward
+passes against per-node recursions.
 
 ``TreeIndex.reach`` and ``TreeIndex.values`` are the only sweeps over
 the depth levels; every expected value, best response and CFR iteration
 goes through them, with weights from ``TreeIndex.edge_weights``.  Each
 is checked bit for bit against a recursion over the children lists, on
 random profiles and random weights, for trees with and without chance
-nodes and for a tree derived by ``restrict``.
+nodes and for a tree derived by ``restrict``.  The layout they rely on
+(each level one slice of ids, each node's children one run of ids in
+walk order) is checked on the same trees.
 """
 
 from functools import lru_cache
@@ -52,12 +55,9 @@ def test_profile_passes_match_the_recursion(name, players):
     w = tree.in_prob.copy()
     own = np.isin(tree.in_player, players)
     w[own] *= sigma[tree.in_col[own]]
-    weights = tree.edge_weights(sigma, players)
-    assert len(weights) == len(tree.levels) - 1
-    for e, level in zip(tree.edges, weights):
-        assert np.array_equal(level, w[e.ids])
-    assert np.array_equal(tree.reach(weights), reference_reach(tree, w))
-    assert np.array_equal(tree.values(weights), reference_values(tree, w))
+    assert np.array_equal(tree.edge_weights(sigma, players), w)
+    assert np.array_equal(tree.reach(w), reference_reach(tree, w))
+    assert np.array_equal(tree.values(w), reference_values(tree, w))
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -65,30 +65,60 @@ def test_arbitrary_weights_and_base_match_the_recursion(name):
     tree = tree_of(name)
     rng = np.random.default_rng(7)
     w = rng.random(tree.n_nodes)
-    weights = [w[e.ids] for e in tree.edges]
-    assert np.array_equal(tree.reach(weights), reference_reach(tree, w))
-    assert np.array_equal(tree.values(weights), reference_values(tree, w))
+    assert np.array_equal(tree.reach(w), reference_reach(tree, w))
+    assert np.array_equal(tree.values(w), reference_values(tree, w))
     # A base replaces the chance probabilities and is left as it was.
     sigma = rng.random(tree.n_cols)
-    scaled = tree.edge_weights(sigma, (1,), weights)
+    base = w.copy()
+    scaled = tree.edge_weights(sigma, (1,), base)
     own = tree.in_player == 1
     w_scaled = w.copy()
     w_scaled[own] *= sigma[tree.in_col[own]]
-    for e, level, base in zip(tree.edges, scaled, weights):
-        assert np.array_equal(level, w_scaled[e.ids])
-        assert np.array_equal(base, w[e.ids])
+    assert np.array_equal(scaled, w_scaled)
+    assert np.array_equal(base, w)
 
 
 @pytest.mark.parametrize("name", GAMES)
-def test_edge_table_matches_the_node_arrays(name):
+def test_nodes_are_numbered_level_by_level(name):
     tree = tree_of(name)
-    assert len(tree.edges) == len(tree.levels) - 1
-    for e, ids in zip(tree.edges, tree.levels[1:]):
-        assert e.ids is ids
-        assert np.array_equal(e.parents, tree.parent[ids])
-        assert np.array_equal(e.prob, tree.in_prob[ids])
-        assert np.array_equal(e.cols, tree.in_col[ids])
-        for p in (0, 1):
-            assert np.array_equal(e.own[p],
-                                  np.flatnonzero(tree.in_player[ids] == p))
-            assert np.array_equal(e.own_cols[p], e.cols[e.own[p]])
+    n = tree.n_nodes
+    # The levels are consecutive slices, in depth order, covering 0..n.
+    assert tree.levels[0] == slice(0, 1)
+    end = 0
+    for d, sl in enumerate(tree.levels):
+        assert sl.start == end < sl.stop and sl.step is None
+        assert (tree.depth[sl] == d).all()
+        # Within a level, nodes keep the walk's order.
+        assert (np.diff(tree.preorder[sl]) > 0).all()
+        end = sl.stop
+    assert end == n
+    # Each node's children are one run of ids; the runs follow one
+    # another in id order and cover every node but the root.
+    kids = [tree.children(u) for u in range(n)]
+    assert np.array_equal(np.concatenate(kids), np.arange(1, n))
+    for u, ids in enumerate(kids):
+        assert (tree.parent[ids] == u).all()
+        assert (np.diff(tree.preorder[ids]) > 0).all()
+        if tree.decision_mask[u]:
+            # Siblings in action order.
+            sl = tree.col_slice(int(tree.infoset[u]))
+            assert np.array_equal(tree.in_col[ids],
+                                  np.arange(sl.start, sl.stop))
+    # ``preorder`` ranks the nodes as a depth-first recursion over the
+    # children visits them; a restricted tree keeps its base tree's
+    # ranks, so there it is compared by order.
+    walk = []
+
+    def visit(u):
+        walk.append(u)
+        for c in kids[u].tolist():
+            visit(c)
+
+    visit(0)
+    assert np.array_equal(np.argsort(tree.preorder), walk)
+    if name != "leduc+restricted":
+        assert np.array_equal(np.sort(tree.preorder), np.arange(n))
+    for p in (0, 1):
+        ids, cols = tree.own_edges[p]
+        assert np.array_equal(ids, np.flatnonzero(tree.in_player == p))
+        assert np.array_equal(cols, tree.in_col[ids])
