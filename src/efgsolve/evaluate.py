@@ -1,25 +1,27 @@
 """Exact evaluation: expected value, best response, exploitability.
 
-All functions take a ``TreeIndex`` and flat or tabular policies, and
-sweep the tree only through its ``reach`` and ``values`` passes.  An
-expected value is one ``values`` pass.  A best response is built stage
-by stage over the responder's own decision depth, deepest stage first.
-One ``values`` pass per stage, with the responder's edges weighted by
-the choices already made below it, values every column of the stage,
-and a segment max (``np.maximum.reduceat`` over the infostates' column
-slices) gives each infostate's best value.  Ties between equally good
-actions are then broken in order: a caller-preferred action set first
-(``prefer``, a dict of key -> action ids or a bool column mask; used to
-keep responses inside a restricted game's action set when possible; an
-infostate with no preferred maximizer keeps all of them), then the
-lowest action id.  Passing a generator replaces the last
-rule with one uniform draw per infostate that still has several
-maximizers, which matters only for which exact maximizer gets reported.
-Infostates the opponent/chance never reach still get an action, chosen
-by the same rules with all histories weighted equally, so every
-infostate gets a choice.  The response comes back as the responder's
-choice array (see ``TreeIndex``): one picked column per infostate, in
-ascending infostate order.
+All functions take a ``TreeIndex`` and flat or tabular policies.  An
+expected value is one ``values`` pass.  A best response is one ``reach``
+pass and one backward sweep, deepest level first (Johanson et al.,
+IJCAI 2011), which relies on every infostate's decision nodes lying at
+one depth (``TreeIndex`` checks this at build).  Before level k is
+summed into its parents its values are final, so they value the columns
+of the responder's infostates at depth k - 1; a segment max
+(``np.maximum.reduceat`` over the infostates' column slices) gives each
+infostate's best value, and the edges into level k then weigh 1 for the
+picked columns and 0 for the rest.  Ties between equally good actions
+are broken in order: a caller-preferred action set first (``prefer``, a
+dict of key -> action ids or a bool column mask; used to keep responses
+inside a restricted game's action set when possible; an infostate with
+no preferred maximizer keeps all of them), then the lowest action id.
+Passing a generator replaces the last rule with one uniform draw per
+infostate that still has several maximizers, deepest level first and by
+ascending infostate id within a level; only which maximizer gets
+reported changes.  Infostates the opponent/chance never reach still get
+an action, chosen by the same rules with all histories weighted
+equally.  The response comes back as the responder's choice array (see
+``TreeIndex``): one picked column per infostate, in ascending infostate
+order.
 """
 
 from __future__ import annotations
@@ -69,24 +71,6 @@ def _prefer_mask(tree: TreeIndex, prefer) -> np.ndarray:
     return mask
 
 
-def _stage_rows(tree: TreeIndex, v: np.ndarray, player: int,
-                reach: np.ndarray, st) -> np.ndarray:
-    """Responder's value of each column of the own-depth stage ``st``:
-    summed over the infostate's histories weighted by their reach, or
-    unweighted where the opponent and chance never reach the
-    infostate."""
-    vp = v if player == 0 else -v
-    q = np.zeros(tree.n_cols)
-    q_unit = np.zeros(tree.n_cols)
-    kid_cols = tree.in_col[st.kids]
-    np.add.at(q, kid_cols, reach[tree.parent[st.kids]] * vp[st.kids])
-    np.add.at(q_unit, kid_cols, vp[st.kids])
-    is_reach = np.zeros(tree.n_infosets)
-    np.add.at(is_reach, tree.infoset[st.nodes], reach[st.nodes])
-    return np.where(np.repeat(is_reach[st.isids] > 0.0, st.nact),
-                    q[st.cols], q_unit[st.cols])
-
-
 def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
           preferred: np.ndarray | None, rng) -> np.ndarray:
     """Position of the chosen maximizer in each segment of ``row``."""
@@ -131,22 +115,38 @@ def best_response(tree: TreeIndex, opponent, player: int,
         counter.add(tree.n_nodes)
     pmask = None if prefer is None else _prefer_mask(tree, prefer)
 
-    base = tree.edge_weights(sigma, (1 - player,))
-    reach = tree.reach(base)  # chance-and-opponent reach
-    # One-hot choices of the stages decided so far: the responder's edges
-    # out of undecided stages weigh 0, and their values are never read.
+    # The responder's edges weigh 1 until their level's picks are made.
+    w = tree.edge_weights(sigma, (1 - player,))
+    reach = tree.reach(w)  # chance-and-opponent reach
+    q = np.zeros(tree.n_cols)
+    q_unit = np.zeros(tree.n_cols)
+    reached = np.zeros(tree.n_cols, dtype=bool)
     chosen = np.zeros(tree.n_cols)
-
     choice = np.empty(tree.infosets_of(player).size, dtype=np.int64)
-    for st in reversed(tree.own_stages(player)):
-        v = tree.values(tree.edge_weights(chosen, (player,), base))
-        row = _stage_rows(tree, v, player, reach, st)
-        pick = st.cols[_pick(row, st.starts, st.nact,
-                             None if pmask is None else pmask[st.cols], rng)]
-        chosen[pick] = 1.0
-        choice[st.slots] = pick
+    groups = tree.own_levels(player)
+    v = tree.payoff1.copy()
+    for k in range(len(tree.levels) - 1, 0, -1):
+        g = groups.get(k - 1)
+        if g is not None:
+            # A column's value sums its histories weighted by their
+            # reach, or unweighted where opponent and chance reach none
+            # of the infostate's histories.
+            kid_cols = tree.in_col[g.kids]
+            par_reach = reach[tree.parent[g.kids]]
+            vp = v[g.kids] if player == 0 else -v[g.kids]
+            np.add.at(q, kid_cols, par_reach * vp)
+            np.add.at(q_unit, kid_cols, vp)
+            reached[kid_cols[par_reach > 0.0]] = True
+            row = np.where(reached[g.cols], q[g.cols], q_unit[g.cols])
+            pick = g.cols[_pick(row, g.starts, g.nact,
+                                None if pmask is None else pmask[g.cols],
+                                rng)]
+            chosen[pick] = 1.0
+            choice[g.slots] = pick
+            w[g.kids] = chosen[kid_cols]
+        sl = tree.levels[k]
+        np.add.at(v, tree.parent[sl], w[sl] * v[sl])
 
-    v = tree.values(tree.edge_weights(chosen, (player,), base))
     value = float(v[0]) if player == 0 else -float(v[0])
     return BestResponse(value=value, choice=choice)
 

@@ -125,10 +125,10 @@ def own_reachable(tree: TreeIndex, choices: np.ndarray,
     row): whether the strategy's own earlier choices lead to each of
     the player's infostates."""
     alive = np.ones(choices.shape, dtype=bool)
-    for st in tree.own_stages(player)[1:]:
-        alive[..., st.slots] = (alive[..., st.parent_slots]
-                                & (choices[..., st.parent_slots]
-                                   == st.parent_cols))
+    for g in tree.own_levels(player).values():
+        alive[..., g.linked] = (alive[..., g.parent_slots]
+                                & (choices[..., g.parent_slots]
+                                   == g.parent_cols))
     return alive
 
 
@@ -155,12 +155,13 @@ def realize_mixture(tree: TreeIndex, choices, weights,
     np.add.at(half, choices[live],
               np.broadcast_to(weights[:, None], choices.shape)[live])
     total = np.empty(isids.size)
-    for st in tree.own_stages(player):
+    nact = tree.is_nact[isids]
+    for n in np.unique(nact).tolist():
         # Rows of one length laid out as a 2-D block sum exactly as each
         # row's own ``sum()`` does.
-        for slots, block in st.blocks:
-            total[slots] = half[block].sum(axis=1)
-    nact = tree.is_nact[isids]
+        rows = nact == n
+        total[rows] = half[tree.is_off[isids[rows], None]
+                           + np.arange(n)].sum(axis=1)
     cols = tree.is_player[tree.col_isid] == player
     half[cols] = np.divide(half[cols], np.repeat(total, nact),
                            out=np.repeat(1.0 / nact, nact),

@@ -26,11 +26,11 @@ class Xfp:
     def _own_reach(self, player: int, sigma: np.ndarray) -> np.ndarray:
         """Sequence probability of each of the player's infostates (in
         infostate order) under the flat profile ``sigma``: the product
-        of the player's own column weights on the way there, one
-        own-depth stage at a time."""
+        of the player's own column weights on the way there, one depth
+        at a time."""
         x = np.ones(self.tree.infosets_of(player).size)
-        for st in self.tree.own_stages(player)[1:]:
-            x[st.slots] = x[st.parent_slots] * sigma[st.parent_cols]
+        for g in self.tree.own_levels(player).values():
+            x[g.linked] = x[g.parent_slots] * sigma[g.parent_cols]
         return x
 
     def iterate(self, n: int = 1) -> None:

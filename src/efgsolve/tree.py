@@ -4,10 +4,10 @@ Every solver and evaluator in this package works on a ``TreeIndex``: a
 one-time depth-first enumeration of all histories into numpy arrays,
 numbered level by level, so each depth level is one contiguous slice of
 node ids and a full-width pass is one vectorized step per level.  The
-index holds the package's only two such sweeps: ``reach``, the forward
-product of edge weights from the root, and ``values``, the backward sum
-of weighted child values; both take one weight per node, which
-``edge_weights`` builds from a flat profile.
+index holds the general sweeps: ``reach``, the forward product of edge
+weights from the root, and ``values``, the backward sum of weighted
+child values; both take one weight per node, which ``edge_weights``
+builds from a flat profile.  The best response runs the only other one.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` as soon as it is about to index one history
@@ -68,29 +68,24 @@ _ROW_ARRAYS = (("parent", np.int64), ("kind", np.int8),
                ("in_col", np.int64), ("in_player", np.int8))
 _NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64), ("preorder", np.int64))
 _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
-                     ("is_parent_slot", np.int64),
-                     ("is_own_depth", np.int64))
+                     ("is_parent_slot", np.int64))
 
 
-class OwnStage(NamedTuple):
-    """One player's infostates at one own depth, in ascending id order:
-    their ids and slots in the player's choice arrays; the slot of each
-    one's parent infostate and the parent column that leads to it (both
-    -1 at depth 0); the player's decision nodes in them and the edges
-    leaving those nodes; their action counts, and their columns laid
-    end to end (``cols``, segments starting at ``starts``) and, per
-    action count n, as ``(slots, columns)`` with columns a (k, n)
-    block."""
-    isids: np.ndarray
+class OwnLevel(NamedTuple):
+    """One player's infostates at one depth, in ascending id order: their
+    slots in the player's choice arrays; the player's edges leaving
+    their decision nodes (a slice of ascending node ids); their action
+    counts and their columns laid end to end (``cols``, segments
+    starting at ``starts``); and for the slots ``linked`` to a parent
+    infostate, the parent's slot and the parent column leading there."""
     slots: np.ndarray
-    parent_slots: np.ndarray
-    parent_cols: np.ndarray
-    nodes: np.ndarray
     kids: np.ndarray
     nact: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
-    blocks: list
+    linked: np.ndarray
+    parent_slots: np.ndarray
+    parent_cols: np.ndarray
 
 
 def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
@@ -121,11 +116,13 @@ class TreeIndex:
     the walk: is_player, is_actions (ordered action ids), is_nact,
     is_off (start of the infostate's contiguous column range),
     is_parent / is_parent_slot (the player's previous decision infostate
-    and the row position taken there, -1 at the top), is_own_depth.
+    and the row position taken there, -1 at the top), is_depth (the one
+    depth of all its decision nodes; the build raises ``ValueError`` if
+    they lie at several).
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
-    ``own_stages`` groups the slots by own depth.
+    ``own_levels`` groups the slots by depth.
 
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
@@ -167,9 +164,7 @@ class TreeIndex:
             is_actions.append(actions)
             is_off.append(ncols)
             ncols += len(actions)
-            pisid, pslot = last
-            infos.append((key[0], pisid, pslot,
-                          0 if pisid < 0 else infos[pisid][3] + 1))
+            infos.append((key[0],) + last)
             return isid
 
         def visit(state, par, dep, iprob, icol, iply, last0, last1):
@@ -250,8 +245,16 @@ class TreeIndex:
 
         self.decision_mask = self.kind == DECISION
         self.terminal_mask = self.kind == TERMINAL
+        dec_is = self.infoset[self.decision_mask]
+        dec_depth = self.depth[self.decision_mask]
+        self.is_depth = np.zeros(self.n_infosets, dtype=np.int64)
+        self.is_depth[dec_is] = dec_depth
+        split = dec_is[self.is_depth[dec_is] != dec_depth]
+        if split.size:
+            raise ValueError(f"infostate {self.keys[split[0]]!r} has decision"
+                             " nodes at several depths")
         self._col_isid = self._col_action = self._own_edges = None
-        self._own_stages = {}
+        self._own_levels = {}
 
     def restrict(self, cols: np.ndarray, game) -> TreeIndex:
         """Index of the subgame that allows only the columns in the bool
@@ -371,36 +374,30 @@ class TreeIndex:
         off = int(self.is_off[isid])
         return slice(off, off + int(self.is_nact[isid]))
 
-    def own_stages(self, player: int) -> list[OwnStage]:
-        """The player's infostates grouped by own depth, shallowest
-        first; a parent always sits one stage above its children."""
-        stages = self._own_stages.get(player)
-        if stages is None:
+    def own_levels(self, player: int) -> dict[int, OwnLevel]:
+        """The player's infostates grouped by depth, keyed by it in
+        ascending order, so a parent's group comes before its
+        children's."""
+        groups = self._own_levels.get(player)
+        if groups is None:
             own = self.infosets_of(player)
-            depth = self.is_own_depth[own]
-            slot_of = np.full(self.n_infosets + 1, -1, dtype=np.int64)
-            slot_of[own] = np.arange(own.size)
-            nodes = np.flatnonzero(self.decision_mask
-                                   & (self.player == player))
             kids = self.own_edges[player][0]
-            node_depth = self.is_own_depth[self.infoset[nodes]]
-            kid_depth = self.is_own_depth[self.infoset[self.parent[kids]]]
-            stages = []
-            for d in range(int(depth.max(initial=-1)) + 1):
+            kid_at = np.searchsorted(kids, [sl.start for sl in self.levels]
+                                     + [self.n_nodes]).tolist()
+            depth = self.is_depth[own]
+            groups = {}
+            for d in np.unique(depth).tolist():
                 slots = np.flatnonzero(depth == d)
                 isids = own[slots]
-                par = self.is_parent[isids]
                 nact = self.is_nact[isids]
                 starts = np.cumsum(nact) - nact
-                blocks = [(slots[nact == n], self.is_off[isids[nact == n],
-                                                        None] + np.arange(n))
-                          for n in np.unique(nact).tolist()]
-                stages.append(OwnStage(
-                    isids, slots, slot_of[par],
-                    np.where(par < 0, -1, self.is_off[par]
-                             + self.is_parent_slot[isids]),
-                    nodes[node_depth == d], kids[kid_depth == d], nact,
+                linked = self.is_parent[isids] >= 0
+                par = self.is_parent[isids[linked]]
+                groups[d] = OwnLevel(
+                    slots, kids[kid_at[d + 1]:kid_at[d + 2]], nact,
                     np.repeat(self.is_off[isids] - starts, nact)
-                    + np.arange(int(nact.sum())), starts, blocks))
-            self._own_stages[player] = stages
-        return stages
+                    + np.arange(int(nact.sum())), starts, slots[linked],
+                    np.searchsorted(own, par), self.is_off[par]
+                    + self.is_parent_slot[isids[linked]])
+            self._own_levels[player] = groups
+        return groups

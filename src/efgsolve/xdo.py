@@ -95,11 +95,11 @@ def enumerate_reduced_pure(tree: TreeIndex, player: int,
     assignment over the infostates the player can reach given their own
     earlier choices, with the first action everywhere else."""
     own = tree.infosets_of(player)
-    stages = tree.own_stages(player)
-    kids: dict[int, list[int]] = {}  # parent column -> child slots
-    for st in stages[1:]:
-        for slot, col in zip(st.slots.tolist(), st.parent_cols.tolist()):
-            kids.setdefault(col, []).append(slot)
+    kids: dict[int, list[int]] = {}  # parent column (-1: none) -> slots
+    for slot, (par, par_slot) in enumerate(zip(
+            tree.is_parent[own].tolist(), tree.is_parent_slot[own].tolist())):
+        col = -1 if par < 0 else int(tree.is_off[par]) + par_slot
+        kids.setdefault(col, []).append(slot)
 
     def expand_set(slots) -> list[dict]:
         combos = [{}]
@@ -123,7 +123,7 @@ def enumerate_reduced_pure(tree: TreeIndex, player: int,
                 out.append(d)
         return out
 
-    combos = expand_set(stages[0].slots.tolist() if stages else ())
+    combos = expand_set(kids.get(-1, ()))
     rows = np.tile(tree.is_off[own], (len(combos), 1))
     for row, d in zip(rows, combos):
         row[list(d)] = list(d.values())

@@ -3,7 +3,7 @@
 Pure strategies used to travel as key -> action tables, and mixtures,
 reduced forms, population keys, random draws and the XFP step walked
 them one infostate at a time.  Those walks are kept here as references;
-the staged array versions must give the same bytes on every game below,
+the array versions must give the same bytes on every game below,
 with random populations, zero weights and infostates no surviving
 member reaches, and leave a generator in the same state.
 """

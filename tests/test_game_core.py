@@ -208,3 +208,53 @@ def test_make_game_rejects_bad_names():
         make_game("kgmp_2")  # missing a parameter
     with pytest.raises(ValueError):
         make_game("kuhn_3")  # kuhn takes no parameters
+
+
+class _SplitDepthState:
+    """Player 0 picks 0 or 1; after 0 player 1 moves at once, after 1 a
+    coin is flipped first.  Player 1 observes neither, so their one
+    infostate has decision nodes at depths 1 and 2."""
+
+    def __init__(self, seq=()):
+        self.seq = seq
+
+    def is_chance(self):
+        return self.seq == (1,)
+
+    def current_player(self):
+        return 0 if not self.seq else CHANCE if self.is_chance() else 1
+
+    def is_terminal(self):
+        return len(self.seq) == 2 + self.seq[:1].count(1)
+
+    def legal_actions(self):
+        return (0, 1)
+
+    def chance_outcomes(self):
+        return ((0, 0.5), (1, 0.5))
+
+    def apply(self, action):
+        return _SplitDepthState(self.seq + (action,))
+
+    def returns(self):
+        return (float(self.seq[-1]), -float(self.seq[-1]))
+
+    def infostate_key(self, player):
+        return (player,)
+
+
+class _SplitDepthGame:
+    name = "split_depth"
+
+    def root(self):
+        return _SplitDepthState()
+
+
+def test_tree_rejects_an_infostate_at_several_depths():
+    game = _SplitDepthGame()
+    assert {s.seq for s in walk(game) if not s.is_terminal()
+            and s.current_player() == 1} == {(0,), (1, 0), (1, 1)}
+    with pytest.raises(ValueError) as err:
+        TreeIndex(game)
+    assert str(err.value) == \
+        "infostate (1,) has decision nodes at several depths"

@@ -266,10 +266,17 @@ def reference_best_response(tree, sigma, player, prefer=None, rng=None):
     chosen = np.zeros(tree.n_cols)
     decided = np.zeros(tree.n_cols, dtype=bool)
     own = tree.infosets_of(player)
+    # Own depth: the number of the player's earlier infostates on the
+    # way; a parent infostate is numbered before its children.
+    own_depth = np.zeros(tree.n_infosets, dtype=np.int64)
+    for isid in own.tolist():
+        par = int(tree.is_parent[isid])
+        if par >= 0:
+            own_depth[isid] = own_depth[par] + 1
     node_stage = np.where(tree.decision_mask & (tree.player == player),
-                          tree.is_own_depth[tree.infoset], -1)
+                          own_depth[tree.infoset], -1)
     actions = {}
-    for stage in sorted(set(tree.is_own_depth[own].tolist()), reverse=True):
+    for stage in sorted(set(own_depth[own].tolist()), reverse=True):
         v = sweep(chosen, decided)
         vp = v if player == 0 else -v
         q = np.zeros(tree.n_cols)
@@ -282,7 +289,7 @@ def reference_best_response(tree, sigma, player, prefer=None, rng=None):
         is_reach = np.zeros(tree.n_infosets)
         nodes = np.flatnonzero(at_stage)
         np.add.at(is_reach, tree.infoset[nodes], reach[nodes])
-        for isid in own[tree.is_own_depth[own] == stage]:
+        for isid in own[own_depth[own] == stage]:
             sl = tree.col_slice(isid)
             row = q[sl] if is_reach[isid] > 0.0 else q_unit[sl]
             tol = 0.0 if rng is None else 1e-9
@@ -329,7 +336,9 @@ def prefer_cols(tree, prefer):
     return mask
 
 
-@pytest.mark.parametrize("name", ["leduc", "oshi_zumo_3_3_4"])
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "rps_choice",
+                                  "oshi_zumo_3_3_4", "kgmp_1_3",
+                                  "clone_gmp_2_4_3"])
 def test_best_response_kernel_matches_per_infostate_reference(name):
     tree = TreeIndex(make_game(name))
     rng = np.random.default_rng(7)

@@ -287,7 +287,7 @@ RESTRICT_GAMES = ["kuhn", "leduc", "oshi_zumo_3_3_4", "clone_gmp_2_4_3",
 TREE_ARRAYS = ["parent", "depth", "kind", "player", "infoset", "payoff1",
                "in_prob", "in_col", "in_player", "child_off",
                "is_player", "is_nact", "is_off", "is_parent",
-               "is_parent_slot", "is_own_depth", "decision_mask",
+               "is_parent_slot", "is_depth", "decision_mask",
                "terminal_mask", "col_isid", "col_action"]
 
 
