@@ -156,7 +156,7 @@ def realize_mixture(tree: TreeIndex, choices, weights,
               np.broadcast_to(weights[:, None], choices.shape)[live])
     total = np.empty(isids.size)
     nact = tree.is_nact[isids]
-    for n in np.unique(nact).tolist():
+    for n in np.flatnonzero(np.bincount(nact)).tolist():
         # Rows of one length laid out as a 2-D block sum exactly as each
         # row's own ``sum()`` does.
         rows = nact == n

@@ -386,7 +386,7 @@ class TreeIndex:
                                      + [self.n_nodes]).tolist()
             depth = self.is_depth[own]
             groups = {}
-            for d in np.unique(depth).tolist():
+            for d in np.flatnonzero(np.bincount(depth)).tolist():
                 slots = np.flatnonzero(depth == d)
                 isids = own[slots]
                 nact = self.is_nact[isids]
