@@ -334,14 +334,16 @@ def _csv_name(cfg: ExperimentConfig, seed: int) -> str:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed, write one CSV per seed plus a JSON summary, and
     return the summary.  Seeds are independent, so with jobs > 1 they
-    run in a process pool; files are written in seed order either way
-    and are byte-identical to a single-process run."""
+    run in a process pool of at most one worker per seed; files are
+    written in seed order either way and are byte-identical to a
+    single-process run."""
     validate_config(cfg)
     out = _out_dir(cfg.out_dir)
 
     seeds = list(cfg.seeds)
     if cfg.jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        workers = min(cfg.jobs, len(seeds))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, [cfg] * len(seeds), seeds))
     else:
         results = [run_seed(cfg, s) for s in seeds]
@@ -397,7 +399,7 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
         per = (trials + jobs - 1) // jobs
         chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
                   for lo in range(0, trials, per)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             records = [r for part in pool.map(_hist_chunk, chunks)
                        for r in part]
     else:

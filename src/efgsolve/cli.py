@@ -87,7 +87,7 @@ def _run_config(args) -> ExperimentConfig:
         data["seeds"] = _parse_seeds(str(seeds))
     overrides = dict(
         game=args.game, algo=args.algo,
-        seeds=_parse_seeds(args.seeds) if args.seeds else None,
+        seeds=_parse_seeds(args.seeds) if args.seeds is not None else None,
         node_budget=args.node_budget, max_iters=args.max_iters,
         max_wall_s=args.max_wall_s, out_dir=args.out,
         eval_start=args.eval_cadence, eval_factor=args.eval_factor,

@@ -47,7 +47,7 @@ def expected_value(tree: TreeIndex, pol0, pol1=None,
     sigma = _as_sigma(tree, pol0, pol1)
     if counter is not None:
         counter.add(tree.n_nodes)
-    return float(tree.values(tree.edge_weights(sigma))[0])
+    return float(tree.values(tree.in_prob * tree.edge_sigma(sigma))[0])
 
 
 class BestResponse(NamedTuple):
@@ -116,7 +116,8 @@ def best_response(tree: TreeIndex, opponent, player: int,
     pmask = None if prefer is None else _prefer_mask(tree, prefer)
 
     # The responder's edges weigh 1 until their level's picks are made.
-    w = tree.edge_weights(sigma, (1 - player,))
+    w = tree.in_prob * tree.edge_sigma(sigma)
+    w[tree.in_player == player] = 1.0
     reach = tree.reach(w)  # chance-and-opponent reach
     q = np.zeros(tree.n_cols)
     q_unit = np.zeros(tree.n_cols)

@@ -1,15 +1,18 @@
 """Counterfactual regret minimization over a TreeIndex.
 
 Each iteration is one sweep of the full tree with simultaneous regret
-updates for both players (one history visit per node per iteration):
-two ``TreeIndex.reach`` passes give each player's own reach, one
+updates for both players (one history visit per node per iteration).
+A sweep gathers the current profile onto the edges once
+(``TreeIndex.edge_sigma``); each player's own-reach weights and the
+value weights are selections from that gather and ``in_prob``.  Two
+``TreeIndex.reach`` passes give each player's own reach, one
 ``TreeIndex.values`` pass the player-0 values, and the chance reach, a
 constant of the tree, is computed once.  ``plus=True`` gives CFR+:
 regrets are clamped at zero after every update, the average strategy
 is weighted linearly by iteration number, and updates alternate
 between players with values recomputed in between (two sweeps per
-iteration), which is what makes CFR+ fast; pass ``alternating``
-explicitly to override.
+iteration, each updating one player), which is what makes CFR+ fast;
+pass ``alternating`` explicitly to override.
 """
 
 from __future__ import annotations
@@ -46,23 +49,18 @@ class Cfr:
             for p in (0, 1)
         ]
         self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
-        self._ones = np.ones(tree.n_nodes)
+        self._own = [tree.in_player == p for p in (0, 1)]
+        self._kids = [np.flatnonzero(own) for own in self._own]
+        self._kid_cols = [tree.in_col[kids] for kids in self._kids]
         self._rc = tree.reach(tree.in_prob)
 
     def current(self) -> np.ndarray:
         return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
                               self._uniform)
 
-    def _passes(self, sigma):
-        """Each player's own reach and the player-0 values under
-        ``sigma``."""
-        tree = self.tree
-        return ([tree.reach(tree.edge_weights(sigma, (p,), self._ones))
-                 for p in (0, 1)], tree.values(tree.edge_weights(sigma)))
-
     def _update(self, sigma, reach, v, player):
         tree = self.tree
-        kids, kid_cols = tree.own_edges[player]
+        kids, kid_cols = self._kids[player], self._kid_cols[player]
         par = tree.parent[kids]
         vp = v[kids] if player == 0 else -v[kids]
         q = np.zeros(tree.n_cols)
@@ -80,23 +78,25 @@ class Cfr:
         w = float(self.t) if self.plus else 1.0
         self.ssum[cols] += w * ow[tree.col_isid[cols]] * sigma[cols]
 
+    def _sweep(self, players) -> None:
+        """One sweep under the current profile: each player's own reach
+        and the player-0 values, then the updates of ``players``."""
+        tree = self.tree
+        sigma = self.current()
+        g = tree.edge_sigma(sigma)
+        reach = [tree.reach(np.where(own, g, 1.0)) for own in self._own]
+        v = tree.values(tree.in_prob * g)
+        for p in players:
+            self._update(sigma, reach, v, p)
+        if self.counter is not None:
+            self.counter.add(tree.n_nodes)
+
     def iterate(self, n: int = 1) -> None:
+        sweeps = ((0,), (1,)) if self.alternating else ((0, 1),)
         for _ in range(n):
             self.t += 1
-            if self.alternating:
-                for p in (0, 1):
-                    sigma = self.current()
-                    passes = self._passes(sigma)
-                    self._update(sigma, *passes, p)
-                    if self.counter is not None:
-                        self.counter.add(self.tree.n_nodes)
-            else:
-                sigma = self.current()
-                passes = self._passes(sigma)
-                for p in (0, 1):
-                    self._update(sigma, *passes, p)
-                if self.counter is not None:
-                    self.counter.add(self.tree.n_nodes)
+            for players in sweeps:
+                self._sweep(players)
 
     def average_flat(self) -> np.ndarray:
         return normalise_rows(self.tree, self.ssum, self._uniform)

@@ -6,8 +6,9 @@ numbered level by level, so each depth level is one contiguous slice of
 node ids and a full-width pass is one vectorized step per level.  The
 index holds the general sweeps: ``reach``, the forward product of edge
 weights from the root, and ``values``, the backward sum of weighted
-child values; both take one weight per node, which ``edge_weights``
-builds from a flat profile.  The best response runs the only other one.
+child values; both take one weight per node.  Every weight array a
+caller needs is a selection from ``in_prob`` and one gather of a flat
+profile, ``edge_sigma``.  The best response runs the only other sweep.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` as soon as it is about to index one history
@@ -127,10 +128,14 @@ class TreeIndex:
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
-    and action id, and ``own_edges`` gives each player's edges and their
-    columns.  These are built on first use, so indexing a tree costs
-    only its enumeration.  An index derived by ``restrict`` also holds
-    ``base_col``, the column of the parent index behind each column.
+    and action id; they are built on first use, so indexing a tree
+    costs only its enumeration.  ``edge_sigma`` gathers a profile onto
+    the edges: ``in_prob`` is exactly 1.0 on decision edges, so
+    ``in_prob * edge_sigma(sigma)`` weighs every edge by its chance or
+    policy probability, and a mask over ``in_player`` picks one
+    player's edges out of it.  An index derived by ``restrict`` also
+    holds ``base_col``, the column of the parent index behind each
+    column.
 
     ``max_histories`` caps the walk: reaching history number
     ``max_histories + 1`` raises ``EnumerationOverflow`` from inside the
@@ -253,7 +258,7 @@ class TreeIndex:
         if split.size:
             raise ValueError(f"infostate {self.keys[split[0]]!r} has decision"
                              " nodes at several depths")
-        self._col_isid = self._col_action = self._own_edges = None
+        self._col_isid = self._col_action = None
         self._own_levels = {}
 
     def restrict(self, cols: np.ndarray, game) -> TreeIndex:
@@ -266,8 +271,7 @@ class TreeIndex:
         decision node in walk order.  ``base_col`` maps restricted
         columns to columns here; ``preorder`` keeps this tree's ranks.
         """
-        edge_ok = np.append(cols, True)  # column -1: no column
-        nodes = np.flatnonzero(self.reach(edge_ok[self.in_col]))
+        nodes = np.flatnonzero(self.reach(self.edge_sigma(cols)))
 
         dec = nodes[self.decision_mask[nodes]]
         base_is = self.infoset[dec[np.argsort(self.preorder[dec])]]
@@ -305,16 +309,10 @@ class TreeIndex:
         out._finish()
         return out
 
-    def edge_weights(self, sigma: np.ndarray, players=(0, 1),
-                     base=None) -> np.ndarray:
-        """Incoming edge weight of every node, for ``reach`` and
-        ``values``: ``base`` (by default ``in_prob``) times ``sigma`` on
-        the edges of ``players``."""
-        w = (self.in_prob if base is None else base).copy()
-        for p in players:
-            ids, cols = self.own_edges[p]
-            w[ids] *= sigma[cols]
-        return w
+    def edge_sigma(self, sigma: np.ndarray) -> np.ndarray:
+        """``sigma`` on every node's incoming decision edge, and 1.0 on
+        chance edges and at the root (``in_col`` -1)."""
+        return np.concatenate((sigma, [1.0]))[self.in_col]
 
     def reach(self, weights: np.ndarray) -> np.ndarray:
         """Forward pass: the product of the incoming edge ``weights``
@@ -354,16 +352,6 @@ class TreeIndex:
                 count=self.n_cols)
         return self._col_action
 
-    @property
-    def own_edges(self) -> tuple:
-        """Per player, the ids of the nodes whose incoming edge is that
-        player's, ascending, and those edges' columns."""
-        if self._own_edges is None:
-            self._own_edges = tuple(
-                (ids, self.in_col[ids]) for ids in
-                (np.flatnonzero(self.in_player == p) for p in (0, 1)))
-        return self._own_edges
-
     def children(self, u: int) -> np.ndarray:
         return np.arange(self.child_off[u], self.child_off[u + 1])
 
@@ -381,7 +369,7 @@ class TreeIndex:
         groups = self._own_levels.get(player)
         if groups is None:
             own = self.infosets_of(player)
-            kids = self.own_edges[player][0]
+            kids = np.flatnonzero(self.in_player == player)
             kid_at = np.searchsorted(kids, [sl.start for sl in self.levels]
                                      + [self.n_nodes]).tolist()
             depth = self.is_depth[own]

@@ -122,6 +122,32 @@ def test_process_pool_matches_serial_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_pools_start_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # A stand-in records the pool size asked for and maps in this
+    # process, so a large --jobs starts no worker at all.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    run_experiment(small_cfg(out_dir=str(tmp_path / "run"), seeds=(0, 1),
+                             max_iters=5, jobs=64))
+    run_psro_hist(trials=3, horizon=6, out_dir=str(tmp_path / "hist"),
+                  jobs=64)
+    assert sizes == [2, 3]
+
+
 def test_wall_clock_column_is_zero_unless_requested(tmp_path):
     cfg = small_cfg(out_dir=str(tmp_path))
     run_experiment(cfg)
@@ -439,6 +465,14 @@ def test_cli_seed_ranges(tmp_path):
     for seed in (0, 2, 3):
         assert (tmp_path / f"xfp_kuhn_seed{seed}.csv").exists()
     assert not (tmp_path / "xfp_kuhn_seed1.csv").exists()
+
+
+def test_cli_empty_seeds_exits_2(tmp_path, capsys):
+    code = main(["run", "--game", "kuhn", "--algo", "cfr", "--seeds", "",
+                 "--max-iters", "2", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no seeds in ''\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_list_games(capsys):

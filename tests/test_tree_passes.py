@@ -3,12 +3,13 @@ passes against per-node recursions.
 
 ``TreeIndex.reach`` and ``TreeIndex.values`` are the only sweeps over
 the depth levels; every expected value, best response and CFR iteration
-goes through them, with weights from ``TreeIndex.edge_weights``.  Each
-is checked bit for bit against a recursion over the children lists, on
-random profiles and random weights, for trees with and without chance
-nodes and for a tree derived by ``restrict``.  The layout they rely on
-(each level one slice of ids, each node's children one run of ids in
-walk order) is checked on the same trees.
+goes through them, with weights selected from ``in_prob`` and one
+gather of the profile, ``TreeIndex.edge_sigma``.  Each is checked bit
+for bit against a recursion over the children lists, on random profiles
+and random weights, for trees with and without chance nodes and for a
+tree derived by ``restrict``.  The layout they rely on (each level one
+slice of ids, each node's children one run of ids in walk order, the
+gather's 1.0 off the decision edges) is checked on the same trees.
 """
 
 from functools import lru_cache
@@ -55,7 +56,8 @@ def test_profile_passes_match_the_recursion(name, players):
     w = tree.in_prob.copy()
     own = np.isin(tree.in_player, players)
     w[own] *= sigma[tree.in_col[own]]
-    assert np.array_equal(tree.edge_weights(sigma, players), w)
+    gathered = tree.in_prob * tree.edge_sigma(sigma)
+    assert np.array_equal(np.where(own, gathered, tree.in_prob), w)
     assert np.array_equal(tree.reach(w), reference_reach(tree, w))
     assert np.array_equal(tree.values(w), reference_values(tree, w))
 
@@ -67,15 +69,6 @@ def test_arbitrary_weights_and_base_match_the_recursion(name):
     w = rng.random(tree.n_nodes)
     assert np.array_equal(tree.reach(w), reference_reach(tree, w))
     assert np.array_equal(tree.values(w), reference_values(tree, w))
-    # A base replaces the chance probabilities and is left as it was.
-    sigma = rng.random(tree.n_cols)
-    base = w.copy()
-    scaled = tree.edge_weights(sigma, (1,), base)
-    own = tree.in_player == 1
-    w_scaled = w.copy()
-    w_scaled[own] *= sigma[tree.in_col[own]]
-    assert np.array_equal(scaled, w_scaled)
-    assert np.array_equal(base, w)
 
 
 @pytest.mark.parametrize("name", GAMES)
@@ -118,7 +111,13 @@ def test_nodes_are_numbered_level_by_level(name):
     assert np.array_equal(np.argsort(tree.preorder), walk)
     if name != "leduc+restricted":
         assert np.array_equal(np.sort(tree.preorder), np.arange(n))
-    for p in (0, 1):
-        ids, cols = tree.own_edges[p]
-        assert np.array_equal(ids, np.flatnonzero(tree.in_player == p))
-        assert np.array_equal(cols, tree.in_col[ids])
+    # The edges with a column are the decision edges, and their chance
+    # probability is exactly 1.0; ``edge_sigma`` puts sigma there and
+    # 1.0 on chance edges and at the root.
+    dec = tree.in_col >= 0
+    assert np.array_equal(dec, tree.in_player >= 0)
+    assert (tree.in_prob[dec] == 1.0).all()
+    sigma = random_profile(tree, np.random.default_rng(5))
+    g = tree.edge_sigma(sigma)
+    assert np.array_equal(g[dec], sigma[tree.in_col[dec]])
+    assert (g[~dec] == 1.0).all()
