@@ -26,6 +26,7 @@ the ``max_states`` cap on histories: a game past it raises
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -97,15 +98,15 @@ _CHECKS = {
 }
 
 # ExperimentConfig field checks, in the same form.  NaN fails every
-# comparison, so it is no real number > 0; a max_states <= 0 means no
-# cap on the histories a run enumerates.
+# comparison, so it is no finite real number > 0; a max_states <= 0
+# means no cap on the histories a run enumerates.
 _FIELD_CHECKS = {
     "game": (lambda v: isinstance(v, str), "a game name"),
     "out_dir": (lambda v: isinstance(v, (str, Path)), "a path"),
     **dict.fromkeys(("node_budget", "max_iters"),
                     (lambda v: v is None or _count(v), "an integer >= 1")),
-    "max_wall_s": (lambda v: v is None or (_real(v) and v > 0),
-                   "a real number > 0"),
+    "max_wall_s": (lambda v: v is None or (_real(v) and 0 < v < math.inf),
+                   "a finite real number > 0"),
     "seeds": (lambda v: all(map(_seed, v)) and len(set(v)) == len(v),
               "distinct integers >= 0"),
     **dict.fromkeys(("eval_start", "jobs"), (_count, "an integer >= 1")),
@@ -212,24 +213,6 @@ def _out_dir(path) -> Path:
     return out
 
 
-class _RunCounter(NodeCounter):
-    """Visit counter whose budget can also expire on the wall clock, so
-    solvers that poll ``exhausted`` honor wall-time budgets unchanged."""
-
-    __slots__ = ("deadline",)
-
-    def __init__(self, budget: int | None, deadline: float | None):
-        super().__init__(budget)
-        self.deadline = deadline
-
-    @property
-    def exhausted(self) -> bool:
-        if self.budget is not None and self.count >= self.budget:
-            return True
-        return (self.deadline is not None
-                and time.perf_counter() >= self.deadline)
-
-
 def _row(cfg: ExperimentConfig, seed: int, outer, inner, nodes, e,
          pops=(0, 0), restricted=None, wall_ms=0) -> dict:
     return dict(algo=cfg.algo, game=cfg.game, seed=seed, outer_iter=outer,
@@ -239,7 +222,7 @@ def _row(cfg: ExperimentConfig, seed: int, outer, inner, nodes, e,
 
 
 def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
-                   counter: _RunCounter) -> tuple[list[dict], dict]:
+                   counter: NodeCounter) -> tuple[list[dict], dict]:
     t0 = time.perf_counter()
     if cfg.algo in ("cfr", "cfr_plus"):
         solver = Cfr(tree, plus=(cfg.algo == "cfr_plus"),
@@ -274,7 +257,7 @@ def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 
 
 def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
-             counter: _RunCounter) -> tuple[list[dict], dict]:
+             counter: NodeCounter) -> tuple[list[dict], dict]:
     keys = _PARAM_KEYS["xdo"] & set(cfg.params)
     xcfg = XdoConfig(max_outer=cfg.max_iters,
                      **{k: cfg.params[k] for k in keys})
@@ -294,7 +277,7 @@ def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 
 
 def _run_psro(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
-              counter: _RunCounter) -> tuple[list[dict], dict]:
+              counter: NodeCounter) -> tuple[list[dict], dict]:
     keys = _PARAM_KEYS["psro"] & set(cfg.params)
     pcfg = PsroConfig(seed=seed, max_iters=cfg.max_iters,
                       **{k: cfg.params[k] for k in keys})
@@ -319,7 +302,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
                 if cfg.max_wall_s is not None else None)
     tree = TreeIndex(make_game(cfg.game, seed=seed),
                      max_histories=cfg.max_states)
-    counter = _RunCounter(cfg.node_budget, deadline)
+    counter = NodeCounter(cfg.node_budget, deadline)
     if cfg.algo == "xdo":
         return _run_xdo(tree, cfg, seed, counter)
     if cfg.algo == "psro":

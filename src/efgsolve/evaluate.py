@@ -1,19 +1,21 @@
 """Exact evaluation: expected value, best response, exploitability.
 
-All functions take a ``TreeIndex`` and flat or tabular policies.  An
-expected value is one ``values`` pass.  A best response is one ``reach``
-pass and one backward sweep, deepest level first (Johanson et al.,
-IJCAI 2011), which relies on every infostate's decision nodes lying at
-one depth (``TreeIndex`` checks this at build).  Before level k is
+All functions take a ``TreeIndex`` and a flat profile over its columns
+(``sigma``, both players' rows side by side); dict-keyed policies are
+flattened first with ``policy.profile_array``.  An expected value is
+one ``values`` pass.  A best response is one ``reach`` pass and one
+backward sweep, deepest level first (Johanson et al., IJCAI 2011),
+which relies on every infostate's decision nodes lying at one depth
+(``TreeIndex`` checks this at build).  Before level k is
 summed into its parents its values are final, so they value the columns
 of the responder's infostates at depth k - 1; a segment max
 (``np.maximum.reduceat`` over the infostates' column slices) gives each
 infostate's best value, and the edges into level k then weigh 1 for the
 picked columns and 0 for the rest.  Ties between equally good actions
 are broken in order: a caller-preferred action set first (``prefer``, a
-dict of key -> action ids or a bool column mask; used to keep responses
-inside a restricted game's action set when possible; an infostate with
-no preferred maximizer keeps all of them), then the lowest action id.
+bool column mask; used to keep responses inside a restricted game's
+action set when possible; an infostate with no preferred maximizer
+keeps all of them), then the lowest action id.
 Passing a generator replaces the last rule with one uniform draw per
 infostate that still has several maximizers, deepest level first and by
 ascending infostate id within a level; only which maximizer gets
@@ -30,21 +32,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+# profile_array is not called here; the benchmark's tracer wraps it
+# under this module's name.
 from .policy import profile_array
 from .tree import TreeIndex, NodeCounter
 
 
-def _as_sigma(tree, pol0, pol1=None):
-    if isinstance(pol0, np.ndarray):
-        return pol0
-    return profile_array(tree, pol0, pol1)
-
-
-def expected_value(tree: TreeIndex, pol0, pol1=None,
+def expected_value(tree: TreeIndex, sigma: np.ndarray,
                    counter: NodeCounter | None = None) -> float:
-    """Player 0's expected utility under the profile (player 1 gets the
-    negation)."""
-    sigma = _as_sigma(tree, pol0, pol1)
+    """Player 0's expected utility under the flat profile ``sigma``
+    (player 1 gets the negation)."""
     if counter is not None:
         counter.add(tree.n_nodes)
     return float(tree.values(tree.in_prob * tree.edge_sigma(sigma))[0])
@@ -53,22 +50,6 @@ def expected_value(tree: TreeIndex, pol0, pol1=None,
 class BestResponse(NamedTuple):
     value: float
     choice: np.ndarray
-
-
-def _prefer_mask(tree: TreeIndex, prefer) -> np.ndarray:
-    """Bool column mask of a ``prefer`` argument: a mask passes through,
-    a dict ``key -> allowed action ids`` marks those ids' columns."""
-    if isinstance(prefer, np.ndarray):
-        return prefer
-    mask = np.zeros(tree.n_cols, dtype=bool)
-    for key, allowed in prefer.items():
-        isid = tree.key_to_isid.get(key)
-        if isid is None:
-            continue
-        off = int(tree.is_off[isid])
-        for slot, a in enumerate(tree.is_actions[isid]):
-            mask[off + slot] = a in allowed
-    return mask
 
 
 def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
@@ -96,24 +77,21 @@ def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
     return pick
 
 
-def best_response(tree: TreeIndex, opponent, player: int,
+def best_response(tree: TreeIndex, sigma: np.ndarray, player: int,
                   counter: NodeCounter | None = None,
-                  prefer=None, rng=None) -> BestResponse:
-    """Exact pure best response for ``player`` against the opponent side
-    of a profile (``opponent`` may be a flat profile array or a policy
-    for the other player).
+                  prefer: np.ndarray | None = None,
+                  rng=None) -> BestResponse:
+    """Exact pure best response for ``player`` against the other
+    player's rows of the flat profile ``sigma`` (the responder's own
+    rows are ignored).
 
-    ``prefer`` is a dict ``infostate key -> action ids`` or a bool mask
-    over the tree's columns.  With ``rng`` given, exact ties (after the
-    ``prefer`` filter) are resolved by a uniform draw instead of the
-    lowest action id.  The returned value is unaffected; only which
-    maximizer is reported changes.
+    ``prefer`` is a bool mask over the tree's columns.  With ``rng``
+    given, exact ties (after the ``prefer`` filter) are resolved by a
+    uniform draw instead of the lowest action id.  The returned value is
+    unaffected; only which maximizer is reported changes.
     """
-    sigma = opponent if isinstance(opponent, np.ndarray) else profile_array(
-        tree, *((opponent, None) if player else (None, opponent)))
     if counter is not None:
         counter.add(tree.n_nodes)
-    pmask = None if prefer is None else _prefer_mask(tree, prefer)
 
     # The responder's edges weigh 1 until their level's picks are made.
     w = tree.in_prob * tree.edge_sigma(sigma)
@@ -140,7 +118,7 @@ def best_response(tree: TreeIndex, opponent, player: int,
             reached[kid_cols[par_reach > 0.0]] = True
             row = np.where(reached[g.cols], q[g.cols], q_unit[g.cols])
             pick = g.cols[_pick(row, g.starts, g.nact,
-                                None if pmask is None else pmask[g.cols],
+                                None if prefer is None else prefer[g.cols],
                                 rng)]
             chosen[pick] = 1.0
             choice[g.slots] = pick
@@ -152,11 +130,10 @@ def best_response(tree: TreeIndex, opponent, player: int,
     return BestResponse(value=value, choice=choice)
 
 
-def exploitability(tree: TreeIndex, pol0, pol1,
+def exploitability(tree: TreeIndex, sigma: np.ndarray,
                    counter: NodeCounter | None = None) -> float:
-    """Sum of both players' best-response gains; 0 exactly at a Nash
-    equilibrium."""
-    sigma = _as_sigma(tree, pol0, pol1)
+    """Sum of both players' best-response gains against the flat profile
+    ``sigma``; 0 exactly at a Nash equilibrium."""
     br0 = best_response(tree, sigma, 0, counter)
     br1 = best_response(tree, sigma, 1, counter)
     return br0.value + br1.value

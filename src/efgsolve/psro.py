@@ -39,7 +39,6 @@ class PsroConfig:
     init: str = "default"         # default | random
     seed: int = 0
     max_iters: int | None = None
-    node_budget: int | None = None
 
 
 @dataclass
@@ -123,7 +122,7 @@ def psro_solve(game, config: PsroConfig | None = None,
                base_tree: TreeIndex | None = None) -> PsroResult:
     cfg = config or PsroConfig()
     if counter is None:
-        counter = NodeCounter(cfg.node_budget)
+        counter = NodeCounter()
     tree = base_tree if base_tree is not None else TreeIndex(game)
     rng = np.random.default_rng(cfg.seed)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, islice
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -43,20 +44,26 @@ class EnumerationOverflow(RuntimeError):
 
 
 class NodeCounter:
-    """Visit counter with an optional budget, shared across a run."""
+    """Visit counter shared across a run, with an optional budget and an
+    optional ``perf_counter`` deadline; solvers that poll ``exhausted``
+    honor both."""
 
-    __slots__ = ("count", "budget")
+    __slots__ = ("count", "budget", "deadline")
 
-    def __init__(self, budget: int | None = None):
+    def __init__(self, budget: int | None = None,
+                 deadline: float | None = None):
         self.count = 0
         self.budget = budget
+        self.deadline = deadline
 
     def add(self, n: int) -> None:
         self.count += int(n)
 
     @property
     def exhausted(self) -> bool:
-        return self.budget is not None and self.count >= self.budget
+        if self.budget is not None and self.count >= self.budget:
+            return True
+        return self.deadline is not None and perf_counter() >= self.deadline
 
 
 # Node and infostate arrays of a TreeIndex with their dtypes, in the

@@ -140,7 +140,6 @@ class XdoConfig:
     check_period: int = 10
     max_outer: int | None = None
     max_inner: int | None = None
-    node_budget: int | None = None
     lp_cap: int = 100_000
 
 
@@ -189,7 +188,7 @@ def xdo_solve(game, config: XdoConfig | None = None,
               populations=None) -> XdoResult:
     cfg = config or XdoConfig()
     if counter is None:
-        counter = NodeCounter(cfg.node_budget)
+        counter = NodeCounter()
     if base_tree is None:
         base_tree = TreeIndex(game)
     if populations is None:

@@ -21,7 +21,7 @@ import pytest
 
 from efgsolve import (TabularPolicy, TreeIndex, best_response,
                       exploitability, expected_value, make_game,
-                      uniform_policy)
+                      profile_array, uniform_policy)
 from efgsolve.bench import ExperimentConfig, run_experiment, run_seed
 from efgsolve.metrics import read_rows_csv
 from efgsolve.policy import pure_profile
@@ -181,9 +181,10 @@ def test_c01b_best_response_equals_brute_force():
                 for choice in enumerate_reduced_pure(tree, player):
                     pure = as_policy(tree, choice, player)
                     pair = (pure, opp) if player == 0 else (opp, pure)
-                    v = expected_value(tree, *pair)
+                    v = expected_value(tree, profile_array(tree, *pair))
                     best = max(best, v if player == 0 else -v)
-                br = best_response(tree, opp, player)
+                sides = (None, opp) if player == 0 else (opp, None)
+                br = best_response(tree, profile_array(tree, *sides), player)
                 assert br.value == pytest.approx(best, abs=1e-12)
 
 
@@ -192,8 +193,8 @@ def test_c01c_uniform_profile_is_exact_on_matching_pennies_family():
              + ["clone_gmp_2_4_3", "clone_gmp_1_2_3", "clone_gmp_3_2_2"])
     for name in games:
         tree = TreeIndex(make_game(name))
-        e = exploitability(tree, uniform_policy(tree, 0),
-                           uniform_policy(tree, 1))
+        e = exploitability(tree, profile_array(tree, uniform_policy(tree, 0),
+                                               uniform_policy(tree, 1)))
         assert e <= 1e-9, name
 
 

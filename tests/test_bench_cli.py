@@ -287,6 +287,7 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     CFR_RUN + ["--node-budget", "-5"],
     CFR_RUN + ["--max-wall-s", "-1"],
     CFR_RUN + ["--max-wall-s", "nan"],
+    CFR_RUN + ["--max-wall-s", "inf"],
     ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "0"],
     ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "-1"],
     CFR_RUN + ["--jobs", "0"],
@@ -307,7 +308,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "seeds-reversed-range", "mccfr-es-negative-seed",
         "psro-random-negative-seed", "perturbed-negative-seed",
         "max-iters-0", "node-budget-0", "node-budget-negative",
-        "max-wall-s-negative", "max-wall-s-nan", "xdo-max-iters-0",
+        "max-wall-s-negative", "max-wall-s-nan", "max-wall-s-inf",
+        "xdo-max-iters-0",
         "psro-max-iters-negative", "jobs-0", "eval-cadence-0",
         "eval-factor-1", "size-report-max-iters-0",
         "size-report-node-budget-negative", "psro-hist-seed0-negative",
@@ -345,11 +347,11 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2.5", "max_iters: 2\nwall_clock: maybe",
     "max_iters: 2\nparams: [1, 2]", "max_iters: 2\ngame: 5",
     "max_iters: 2\nout_dir: 5", "max_iters: 2\nparams: {1: 2, foo: 3}",
-    "max_iters: 2\nseeds: [0, 0]",
+    "max_iters: 2\nseeds: [0, 0]", "max_iters: 2\nmax_wall_s: .inf",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
         "wall-clock-text", "params-list", "game-number", "out-dir-number",
-        "params-mixed-keys", "seeds-duplicate"])
+        "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

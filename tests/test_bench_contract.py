@@ -26,3 +26,10 @@ def test_traced_function_resolves(module, attr):
     in tracing.TRACED_METHODS])
 def test_traced_method_resolves(module, cls, attr):
     assert attr in vars(getattr(importlib.import_module(module), cls))
+
+
+def test_restricted_game_class_resolves():
+    # Spans on trees and solvers read it at call time to tell restricted
+    # games from full ones.
+    assert isinstance(importlib.import_module("efgsolve.xdo").RestrictedGame,
+                      type)

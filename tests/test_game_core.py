@@ -3,6 +3,8 @@ exhaustive enumeration: zero-sum payoffs, proper chance distributions,
 infostates that pin down the acting player and legal actions, and
 perfect recall (a player's key determines their own last decision)."""
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,16 @@ def test_node_counter_budget():
     c.add(1)
     assert c.exhausted
     assert NodeCounter().exhausted is False
+
+
+def test_node_counter_deadline():
+    now = perf_counter()
+    assert NodeCounter(deadline=now - 1.0).exhausted
+    assert not NodeCounter(deadline=now + 3600.0).exhausted
+    # With a future deadline the budget alone ends the run.
+    late = NodeCounter(10, deadline=now + 3600.0)
+    late.add(10)
+    assert late.exhausted
 
 
 def test_infostate_predecessors_match_tree(kuhn_tree):

@@ -5,7 +5,7 @@ bidding rules of the coin game."""
 import numpy as np
 import pytest
 
-from efgsolve import TreeIndex, make_game, uniform_policy
+from efgsolve import TreeIndex, make_game, profile_array, uniform_policy
 from efgsolve.evaluate import exploitability, expected_value
 from efgsolve.games import clone_gmp, gmp_matrix, kgmp, perturbed_kgmp
 from efgsolve.games.kuhn import BET, PASS
@@ -104,11 +104,10 @@ def test_uniform_is_equilibrium_of_gmp_family():
     for name in ("kgmp_1_2", "kgmp_1_3", "kgmp_2_3", "kgmp_3_4",
                  "clone_gmp_2_4_3"):
         tree = TreeIndex(make_game(name))
-        e = exploitability(tree, uniform_policy(tree, 0),
-                           uniform_policy(tree, 1))
-        assert e <= 1e-9, name
-        assert expected_value(tree, uniform_policy(tree, 0),
-                              uniform_policy(tree, 1)) == pytest.approx(0.0)
+        sigma = profile_array(tree, uniform_policy(tree, 0),
+                              uniform_policy(tree, 1))
+        assert exploitability(tree, sigma) <= 1e-9, name
+        assert expected_value(tree, sigma) == pytest.approx(0.0)
 
 
 def test_perturbed_kgmp_is_seeded_and_nonuniform():
@@ -118,8 +117,8 @@ def test_perturbed_kgmp_is_seeded_and_nonuniform():
     assert all((a == b).all() for a, b in zip(g0.matrices, g0b.matrices))
     assert any((a != b).any() for a, b in zip(g0.matrices, g1.matrices))
     tree = TreeIndex(g0)
-    e = exploitability(tree, uniform_policy(tree, 0),
-                       uniform_policy(tree, 1))
+    e = exploitability(tree, profile_array(tree, uniform_policy(tree, 0),
+                                           uniform_policy(tree, 1)))
     assert e > 1e-3, "perturbation should break the uniform equilibrium"
 
 

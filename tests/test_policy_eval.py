@@ -36,7 +36,7 @@ def brute_force_br_value(tree, opponent, player):
     for choice in enumerate_reduced_pure(tree, player):
         pure = as_policy(tree, choice, player)
         pair = (pure, opponent) if player == 0 else (opponent, pure)
-        v = expected_value(tree, *pair)
+        v = expected_value(tree, profile_array(tree, *pair))
         best = max(best, v if player == 0 else -v)
     return best
 
@@ -50,34 +50,37 @@ def test_best_response_matches_brute_force(name):
                      random_behavioral(tree, 1 - player, rng),
                      random_behavioral(tree, 1 - player, rng)]
         for opp in opponents:
-            br = best_response(tree, opp, player)
+            sides = (None, opp) if player == 0 else (opp, None)
+            br = best_response(tree, profile_array(tree, *sides), player)
             assert br.value == pytest.approx(
                 brute_force_br_value(tree, opp, player), abs=1e-12)
             # The reported pure strategy actually achieves the value.
             pure = as_policy(tree, br.choice, player)
             pair = (pure, opp) if player == 0 else (opp, pure)
-            achieved = expected_value(tree, *pair)
+            achieved = expected_value(tree, profile_array(tree, *pair))
             achieved = achieved if player == 0 else -achieved
             assert achieved == pytest.approx(br.value, abs=1e-12)
 
 
 def test_best_response_tie_breaking_is_lowest_action(kgmp13_tree):
     # Against uniform every action of GMP ties at value 0.
-    br = best_response(kgmp13_tree, uniform_policy(kgmp13_tree, 1), 0)
+    br = best_response(kgmp13_tree, profile_array(
+        kgmp13_tree, None, uniform_policy(kgmp13_tree, 1)), 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
     assert actions_of(kgmp13_tree, 0, br.choice)[key] == 0
 
 
 def test_best_response_prefer_filter_breaks_ties(kgmp13_tree):
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
-    br = best_response(kgmp13_tree, uniform_policy(kgmp13_tree, 1), 0,
-                       prefer={key: (2,)})
+    br = best_response(kgmp13_tree, profile_array(
+        kgmp13_tree, None, uniform_policy(kgmp13_tree, 1)), 0,
+        prefer=prefer_cols(kgmp13_tree, {key: (2,)}))
     assert actions_of(kgmp13_tree, 0, br.choice)[key] == 2
 
 
 def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
     rng = np.random.default_rng(0)
-    opp = uniform_policy(kgmp13_tree, 1)
+    opp = profile_array(kgmp13_tree, None, uniform_policy(kgmp13_tree, 1))
     det = best_response(kgmp13_tree, opp, 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
     picks = {actions_of(kgmp13_tree, 0, best_response(
@@ -90,27 +93,27 @@ def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
 
 def test_best_response_counts_one_visit_per_history(kuhn_tree):
     counter = NodeCounter()
-    best_response(kuhn_tree, uniform_policy(kuhn_tree, 1), 0, counter)
+    opp = profile_array(kuhn_tree, None, uniform_policy(kuhn_tree, 1))
+    best_response(kuhn_tree, opp, 0, counter)
     assert counter.count == kuhn_tree.n_nodes
     # Reporting mode is free.
     before = counter.count
-    best_response(kuhn_tree, uniform_policy(kuhn_tree, 1), 0)
+    best_response(kuhn_tree, opp, 0)
     assert counter.count == before
 
 
 def test_expected_value_counting(kuhn_tree):
     counter = NodeCounter()
-    u0, u1 = uniform_policy(kuhn_tree, 0), uniform_policy(kuhn_tree, 1)
-    expected_value(kuhn_tree, u0, u1, counter)
+    expected_value(kuhn_tree, profile_array(
+        kuhn_tree, uniform_policy(kuhn_tree, 0), uniform_policy(kuhn_tree, 1)),
+        counter)
     assert counter.count == kuhn_tree.n_nodes
-    assert expected_value(kuhn_tree, u0, u1) == pytest.approx(
-        expected_value(kuhn_tree, profile_array(kuhn_tree, u0, u1)))
 
 
 def test_exploitability_zero_exactly_at_equilibrium():
     tree = TreeIndex(make_game("kgmp_2_3"))
-    assert exploitability(tree, uniform_policy(tree, 0),
-                          uniform_policy(tree, 1)) <= 1e-9
+    assert exploitability(tree, profile_array(
+        tree, uniform_policy(tree, 0), uniform_policy(tree, 1))) <= 1e-9
 
 
 def test_realized_mixture_obeys_kuhns_theorem(kuhn_tree):
@@ -123,9 +126,10 @@ def test_realized_mixture_obeys_kuhns_theorem(kuhn_tree):
         mix = realize_mixture(kuhn_tree, pures, w, 0)
         direct = expected_value(kuhn_tree, mix + profile_array(
             kuhn_tree, None, opp))
-        by_parts = sum(wi * expected_value(kuhn_tree,
-                                           as_policy(kuhn_tree, pi, 0), opp)
-                       for wi, pi in zip(w, pures))
+        by_parts = sum(
+            wi * expected_value(kuhn_tree, profile_array(
+                kuhn_tree, as_policy(kuhn_tree, pi, 0), opp))
+            for wi, pi in zip(w, pures))
         assert direct == pytest.approx(by_parts, abs=1e-12)
 
 
@@ -346,7 +350,7 @@ def test_best_response_kernel_matches_per_infostate_reference(name):
         sigma = tie_heavy_profile(tree, seed)
         for player in (0, 1):
             prefer = random_prefer(tree, player, rng)
-            for pref in (None, prefer, prefer_cols(tree, prefer)):
+            for pref in (None, prefer_cols(tree, prefer)):
                 want = reference_best_response(
                     tree, sigma, player,
                     None if pref is None else prefer)

@@ -1,15 +1,18 @@
 """The tree's level-by-level layout, and its forward and backward
 passes against per-node recursions.
 
-``TreeIndex.reach`` and ``TreeIndex.values`` are the only sweeps over
-the depth levels; every expected value, best response and CFR iteration
-goes through them, with weights selected from ``in_prob`` and one
-gather of the profile, ``TreeIndex.edge_sigma``.  Each is checked bit
-for bit against a recursion over the children lists, on random profiles
-and random weights, for trees with and without chance nodes and for a
-tree derived by ``restrict``.  The layout they rely on (each level one
-slice of ids, each node's children one run of ids in walk order, the
-gather's 1.0 off the decision edges) is checked on the same trees.
+``TreeIndex.reach`` and ``TreeIndex.values`` are the tree's general
+sweeps over the depth levels, taking weights selected from ``in_prob``
+and one gather of the profile, ``TreeIndex.edge_sigma``.  Every
+expected value and CFR iteration goes through them; a best response
+takes its reach from ``reach`` but runs its own backward sweep, which
+``test_policy_eval`` checks against a per-infostate reference.  Each
+sweep is checked bit for bit against a recursion over the children
+lists, on random profiles and random weights, for trees with and
+without chance nodes and for a tree derived by ``restrict``.  The
+layout they rely on (each level one slice of ids, each node's children
+one run of ids in walk order, the gather's 1.0 off the decision edges)
+is checked on the same trees.
 """
 
 from functools import lru_cache
@@ -63,7 +66,7 @@ def test_profile_passes_match_the_recursion(name, players):
 
 
 @pytest.mark.parametrize("name", GAMES)
-def test_arbitrary_weights_and_base_match_the_recursion(name):
+def test_arbitrary_weights_match_the_recursion(name):
     tree = tree_of(name)
     rng = np.random.default_rng(7)
     w = rng.random(tree.n_nodes)

@@ -119,7 +119,8 @@ def test_lp_inner_terminates_exactly_on_kuhn(kuhn_lp_result, kuhn_tree):
     assert all(len(p) <= res.outer_iters for p in res.populations)
     assert res.restricted_nodes < kuhn_tree.n_nodes
     # Reported profile really has the reported exploitability.
-    assert exploitability(kuhn_tree, res.policy0, res.policy1) \
+    assert exploitability(kuhn_tree, profile_array(
+        kuhn_tree, res.policy0, res.policy1)) \
         == pytest.approx(res.exploitability, abs=1e-12)
 
 
