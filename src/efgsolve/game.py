@@ -4,7 +4,11 @@ Conventions shared by every game in this package:
 
 - Decision players are ``0`` and ``1``; ``CHANCE`` (``-1``) marks chance
   nodes.  Terminal states have no acting player.
-- States are immutable: ``apply`` returns a new state and never mutates.
+- ``apply`` returns a new state and never mutates the one it is called
+  on.  The shipped states are plain slotted dataclasses, not frozen
+  ones, because a frozen ``__init__`` or ``dataclasses.replace`` costs
+  several times a positional constructor call on every edge of the
+  walk; ``tests/test_game_core.py`` checks the contract instead.
 - An action is a small integer indexing the ordered legal-action list of
   the current node.  All histories in one infostate expose the same
   legal list, so action ids are meaningful per infostate.

@@ -23,7 +23,7 @@ _TERMINAL = {
 }
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class KuhnState:
     cards: tuple | None
     seq: tuple
@@ -47,8 +47,8 @@ class KuhnState:
 
     def apply(self, action: int) -> "KuhnState":
         if self.cards is None:
-            return KuhnState(cards=_DEALS[action], seq=())
-        return KuhnState(cards=self.cards, seq=self.seq + (action,))
+            return KuhnState(_DEALS[action], ())
+        return KuhnState(self.cards, self.seq + (action,))
 
     def returns(self) -> tuple[float, float]:
         kind, amount = _TERMINAL[self.seq]

@@ -13,7 +13,7 @@ ordered base-major: slots [b*m, (b+1)*m) are the clones of base b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..game import CHANCE
 
@@ -28,6 +28,9 @@ _NUM_CARDS = 6
 _DEALS = tuple(
     (a, b) for a in range(_NUM_CARDS) for b in range(_NUM_CARDS) if a != b
 )
+# The cards left in the deck after each private deal, in card order.
+_REMAINING = {d: tuple(c for c in range(_NUM_CARDS) if c not in d)
+              for d in _DEALS}
 
 # Stages: private deal, round-1 betting, public deal, round-2 betting.
 _DEAL, _BET1, _PUBLIC, _BET2, _DONE = range(5)
@@ -37,7 +40,7 @@ def _rank(card: int) -> int:
     return card >> 1
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class LeducState:
     clones: int
     stage: int
@@ -64,61 +67,63 @@ class LeducState:
     def _outstanding(self) -> int:
         return self.contrib[1 - self.to_act] - self.contrib[self.to_act]
 
-    def _base_actions(self) -> tuple[int, ...]:
-        if self._outstanding() == 0:
+    def _base_actions(self, owed: int) -> tuple[int, ...]:
+        if owed == 0:
             return (CALL, RAISE)
         if self.raises < _MAX_RAISES:
             return (CALL, RAISE, FOLD)
         return (CALL, FOLD)
 
     def legal_actions(self) -> tuple[int, ...]:
-        return tuple(range(len(self._base_actions()) * self.clones))
-
-    def _remaining(self) -> tuple[int, ...]:
-        used = set(self.cards)
-        return tuple(c for c in range(_NUM_CARDS) if c not in used)
+        owed = self._outstanding()
+        return tuple(range(len(self._base_actions(owed)) * self.clones))
 
     def chance_outcomes(self) -> tuple[tuple[int, float], ...]:
         if self.stage == _DEAL:
             p = 1.0 / len(_DEALS)
             return tuple((i, p) for i in range(len(_DEALS)))
-        rem = self._remaining()
+        rem = _REMAINING[self.cards]
         return tuple((i, 1.0 / len(rem)) for i in range(len(rem)))
 
-    def _observe_all(self, token: int) -> tuple:
-        return (self.obs[0] + (token,), self.obs[1] + (token,))
-
     def apply(self, action: int) -> "LeducState":
-        if self.stage == _DEAL:
+        stage = self.stage
+        obs0, obs1 = self.obs
+        if stage == _DEAL:
             c = _DEALS[action]
-            return replace(self, stage=_BET1, cards=c,
-                           obs=(self.obs[0] + (c[0],), self.obs[1] + (c[1],)))
-        if self.stage == _PUBLIC:
-            card = self._remaining()[action]
-            return replace(self, stage=_BET2, public=card, to_act=0,
-                           acted=0, raises=0,
-                           obs=self._observe_all(100 + card))
+            return LeducState(self.clones, _BET1, c, self.public, self.to_act,
+                              self.acted, self.raises, self.contrib,
+                              self.folded, (obs0 + (c[0],), obs1 + (c[1],)))
+        if stage == _PUBLIC:
+            card = _REMAINING[self.cards][action]
+            tok = (100 + card,)
+            return LeducState(self.clones, _BET2, self.cards, card, 0, 0, 0,
+                              self.contrib, self.folded,
+                              (obs0 + tok, obs1 + tok))
 
-        base = self._base_actions()[action // self.clones]
-        obs = self._observe_all(10 + action)
+        # The acting player puts in what they owe, plus the raise size
+        # when raising.
         p = self.to_act
-        contrib = list(self.contrib)
+        c0, c1 = self.contrib
+        put = c1 - c0 if p == 0 else c0 - c1
+        base = self._base_actions(put)[action // self.clones]
+        tok = (10 + action,)
+        obs = (obs0 + tok, obs1 + tok)
         if base == FOLD:
-            return replace(self, stage=_DONE, folded=p, obs=obs)
-        if base == CALL:
-            contrib[p] += self._outstanding()
-            if self.acted >= 1:
-                # Check-check or a call closes the round.
-                stage = _PUBLIC if self.stage == _BET1 else _DONE
-                return replace(self, stage=stage, contrib=tuple(contrib),
-                               obs=obs)
-            return replace(self, to_act=1 - p, acted=self.acted + 1,
-                           contrib=tuple(contrib), obs=obs)
-        size = _RAISE_SIZE[0] if self.stage == _BET1 else _RAISE_SIZE[1]
-        contrib[p] += self._outstanding() + size
-        return replace(self, to_act=1 - p, acted=self.acted + 1,
-                       raises=self.raises + 1, contrib=tuple(contrib),
-                       obs=obs)
+            return LeducState(self.clones, _DONE, self.cards, self.public, p,
+                              self.acted, self.raises, self.contrib, p, obs)
+        raises = self.raises
+        if base == RAISE:
+            put += _RAISE_SIZE[0] if stage == _BET1 else _RAISE_SIZE[1]
+            raises += 1
+        contrib = (c0 + put, c1) if p == 0 else (c0, c1 + put)
+        if base == CALL and self.acted >= 1:
+            # Check-check or a call closes the round.
+            return LeducState(self.clones,
+                              _PUBLIC if stage == _BET1 else _DONE,
+                              self.cards, self.public, p, self.acted,
+                              self.raises, contrib, self.folded, obs)
+        return LeducState(self.clones, stage, self.cards, self.public, 1 - p,
+                          self.acted + 1, raises, contrib, self.folded, obs)
 
     def returns(self) -> tuple[float, float]:
         if self.folded is not None:

@@ -11,7 +11,7 @@ makes the uniform profile an exact equilibrium of value 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ _CHANCE_ROOT = "chance"
 _CHOICE_ROOT = "p1_choice"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class StageState:
     game: "ParallelStageGame"
     stage: int | None
@@ -52,10 +52,10 @@ class StageState:
 
     def apply(self, action: int) -> "StageState":
         if self.stage is None:
-            return replace(self, stage=action)
+            return StageState(self.game, action, None, None)
         if self.a1 is None:
-            return replace(self, a1=action)
-        return replace(self, a2=action)
+            return StageState(self.game, self.stage, action, None)
+        return StageState(self.game, self.stage, self.a1, action)
 
     def returns(self) -> tuple[float, float]:
         v = float(self.game.matrices[self.stage][self.a1, self.a2])

@@ -15,10 +15,10 @@ then the round resolves with no chance nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class OshiZumoState:
     board: int
     horizon: int
@@ -48,17 +48,18 @@ class OshiZumoState:
         return tuple(range(self.coins[self.current_player()] + 1))
 
     def apply(self, action: int) -> "OshiZumoState":
+        obs0, obs1 = self.obs
         if self.pending is None:
-            return replace(self, pending=action,
-                           obs=(self.obs[0] + (10 + action,), self.obs[1]))
+            return OshiZumoState(self.board, self.horizon, self.coins,
+                                 self.pos, self.t, action,
+                                 (obs0 + (10 + action,), obs1))
         b1, b2 = self.pending, action
         pos = self.pos + (1 if b1 > b2 else -1 if b2 > b1 else 0)
         coins = (self.coins[0] - b1, self.coins[1] - b2)
         reveal = 200 + (b1 << 8) + b2
-        return replace(self, coins=coins, pos=pos, t=self.t + 1,
-                       pending=None,
-                       obs=(self.obs[0] + (reveal,),
-                            self.obs[1] + (10 + action, reveal)))
+        obs = (obs0 + (reveal,), obs1 + (10 + action, reveal))
+        return OshiZumoState(self.board, self.horizon, coins, pos, self.t + 1,
+                             None, obs)
 
     def returns(self) -> tuple[float, float]:
         # Off the board counts as past that edge, so sign against the

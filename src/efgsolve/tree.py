@@ -11,8 +11,8 @@ caller needs is a selection from ``in_prob`` and one gather of a flat
 profile, ``edge_sigma``.  The best response runs the only other sweep.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
-``EnumerationOverflow`` as soon as it is about to index one history
-more than the cap.  The cap bounds histories, not memory.
+``EnumerationOverflow`` from inside the walk once it has indexed more
+histories than the cap.  The cap bounds histories, not memory.
 
 Node accounting contract: one full-width pass over a tree (a solver
 iteration, a best-response computation, a counted expected-value call)
@@ -26,6 +26,7 @@ cost nothing.
 from __future__ import annotations
 
 import sys
+from array import array
 from itertools import chain, islice
 from time import perf_counter
 from typing import NamedTuple
@@ -68,13 +69,14 @@ class NodeCounter:
 
 # Node and infostate arrays of a TreeIndex with their dtypes, in the
 # order of a walked node's or infostate's row; a node's row starts with
-# its parent's rank in the walk.  ``depth`` and ``preorder`` come from
-# the walk order.
-_ROW_ARRAYS = (("parent", np.int64), ("kind", np.int8),
-               ("player", np.int8), ("infoset", np.int64),
-               ("payoff1", np.float64), ("in_prob", np.float64),
-               ("in_col", np.int64), ("in_player", np.int8))
-_NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64), ("preorder", np.int64))
+# its own rank and its parent's rank in the walk.  ``depth`` comes from
+# the level a row was written to.
+_ROW_ARRAYS = (("preorder", np.int64), ("parent", np.int64),
+               ("kind", np.int8), ("player", np.int8),
+               ("infoset", np.int64), ("payoff1", np.float64),
+               ("in_prob", np.float64), ("in_col", np.int64),
+               ("in_player", np.int8))
+_NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64),)
 _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
                      ("is_parent_slot", np.int64))
 
@@ -144,94 +146,120 @@ class TreeIndex:
     holds ``base_col``, the column of the parent index behind each
     column.
 
-    ``max_histories`` caps the walk: reaching history number
-    ``max_histories + 1`` raises ``EnumerationOverflow`` from inside the
-    walk.  None or a cap <= 0 means no cap.
+    ``max_histories`` caps the walk: a game with more histories raises
+    ``EnumerationOverflow`` from inside the walk, at the first
+    non-terminal history past the cap (terminal children are counted
+    with their parent's loop) or at the end.  None or a cap <= 0 means
+    no cap.
     """
 
     def __init__(self, game, *, max_histories: int | None = None):
         self.game = game
         cap = max_histories if max_histories and max_histories > 0 \
             else sys.maxsize
-        levels: list[list[tuple]] = [[]]  # per depth, one row per node
-        walk_depth: list[int] = []  # each node's depth, in walk order
-        infos: list[tuple] = []  # one _INFOSTATE_ARRAYS row per infostate
+        # The walk writes one _ROW_ARRAYS row per node to the float64
+        # buffer of its depth (every int in a row is below 2**53, so it
+        # is held exactly), and one _INFOSTATE_ARRAYS row per infostate.
+        levels = [array("d")]
+        infos = array("q")
         keys: list[tuple] = []
         is_actions: list[tuple] = []
         is_off: list[int] = []
         key_to_isid: dict[tuple, int] = {}
+        find_isid = key_to_isid.get
         ncols = 0
-
-        def intern_infoset(key, actions, last):
-            isid = key_to_isid.get(key)
-            if isid is not None:
-                if is_actions[isid] != actions:
-                    raise ValueError(
-                        f"legal actions differ within infostate {key!r}")
-                return isid
-            nonlocal ncols
-            isid = len(keys)
-            key_to_isid[key] = isid
-            keys.append(key)
-            is_actions.append(actions)
-            is_off.append(ncols)
-            ncols += len(actions)
-            infos.append((key[0],) + last)
-            return isid
+        n = 0  # nodes indexed so far: the next node's rank in the walk
 
         def visit(state, par, dep, iprob, icol, iply, last0, last1):
-            u = len(walk_depth)  # this node's rank in the walk
+            # Index the non-terminal ``state`` and its subtree; terminal
+            # children are indexed in the loops here, without a call.
+            nonlocal n, ncols
+            u = n
             if u >= cap:
                 raise EnumerationOverflow(
                     f"{game.name} exceeds {cap} histories")
-            walk_depth.append(dep)
-            level = levels[dep]
-            if state.is_terminal():
-                level.append((par, TERMINAL, -1, -1, state.returns()[0],
-                              iprob, icol, iply))
-                return
-            if dep + 1 == len(levels):
-                levels.append([])
+            n += 1
+            here = levels[dep]
+            dep += 1
+            if dep == len(levels):
+                levels.append(array("d"))
+            kids = levels[dep]
             if state.is_chance():
-                level.append((par, CHANCE_NODE, CHANCE, -1, 0.0,
-                              iprob, icol, iply))
+                here.extend((u, par, CHANCE_NODE, CHANCE, -1, 0.0,
+                             iprob, icol, iply))
                 outcomes = state.chance_outcomes()
                 total = sum(p for _, p in outcomes)
                 if abs(total - 1.0) > 1e-9:
                     raise ValueError(
-                        f"chance outcomes sum to {total} in {self.game.name}")
+                        f"chance outcomes sum to {total} in {game.name}")
                 for a, p in outcomes:
-                    visit(state.apply(a), u, dep + 1, p, -1, -1,
-                          last0, last1)
+                    child = state.apply(a)
+                    if child.is_terminal():
+                        kids.extend((n, u, TERMINAL, -1, -1,
+                                     child.returns()[0], p, -1, -1))
+                        n += 1
+                    else:
+                        visit(child, u, dep, p, -1, -1, last0, last1)
                 return
             p = state.current_player()
             actions = tuple(state.legal_actions())
             if not actions:
                 raise ValueError("decision node with no legal actions")
             key = state.infostate_key(p)
-            last = last0 if p == 0 else last1
-            isid = intern_infoset(key, actions, last)
-            level.append((par, DECISION, p, isid, 0.0, iprob, icol, iply))
+            isid = find_isid(key)
+            if isid is None:
+                isid = len(keys)
+                key_to_isid[key] = isid
+                keys.append(key)
+                is_actions.append(actions)
+                is_off.append(ncols)
+                ncols += len(actions)
+                infos.append(p)
+                infos.extend(last0 if p == 0 else last1)
+            elif is_actions[isid] != actions:
+                raise ValueError(
+                    f"legal actions differ within infostate {key!r}")
+            here.extend((u, par, DECISION, p, isid, 0.0, iprob, icol, iply))
             off = is_off[isid]
-            for slot, a in enumerate(actions):
-                nxt = (isid, slot)
-                visit(state.apply(a), u, dep + 1, 1.0, off + slot, p,
-                      nxt if p == 0 else last0,
-                      nxt if p == 1 else last1)
+            for col, a in enumerate(actions, off):
+                child = state.apply(a)
+                if child.is_terminal():
+                    kids.extend((n, u, TERMINAL, -1, -1, child.returns()[0],
+                                 1.0, col, p))
+                    n += 1
+                elif p == 0:
+                    visit(child, u, dep, 1.0, col, 0, (isid, col - off), last1)
+                else:
+                    visit(child, u, dep, 1.0, col, 1, last0, (isid, col - off))
 
-        visit(game.root(), -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
+        root = game.root()
+        if root.is_terminal():
+            levels[0].extend((0, -1, TERMINAL, -1, -1, root.returns()[0],
+                              1.0, -1, -1))
+            n = 1
+        else:
+            visit(root, -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
+        if n > cap:
+            raise EnumerationOverflow(f"{game.name} exceeds {cap} histories")
+        # ``visit`` holds itself and the buffers through its closure.
+        # Unbinding it frees the buffers once they are copied out below,
+        # not at the next cyclic garbage collection, which can come after
+        # the next build and so add this build's rows to that one's peak.
+        del visit
 
-        for fields, rows in ((_ROW_ARRAYS, chain.from_iterable(levels)),
-                             (_INFOSTATE_ARRAYS, infos)):
-            columns = list(zip(*rows)) or [()] * len(fields)
-            for (name, dtype), column in zip(fields, columns):
-                setattr(self, name, np.asarray(column, dtype=dtype))
-        # The rows were laid out by depth, in walk order within a depth,
-        # which is the stable sort of the walk's depths.
-        walk_depth = np.array(walk_depth, dtype=np.int64)
-        self.preorder = np.argsort(walk_depth, kind="stable")
-        self.depth = walk_depth[self.preorder]
-        self.parent = _relabel(self.parent, self.preorder, self.preorder.size)
+        sizes = [len(b) // len(_ROW_ARRAYS) for b in levels]
+        tables = ((np.concatenate([np.frombuffer(b) for b in levels]),
+                   _ROW_ARRAYS),
+                  (np.frombuffer(infos, dtype=np.int64), _INFOSTATE_ARRAYS))
+        del levels, infos
+        for table, fields in tables:
+            table = table.reshape(-1, len(fields))
+            for (name, dtype), column in zip(fields, table.T):
+                setattr(self, name, column.astype(dtype))
+        del tables, table
+        # The rows were laid out by depth, in walk order within a depth.
+        self.depth = np.repeat(np.arange(len(sizes)), sizes)
+        self.parent = _relabel(self.parent, self.preorder, n)
         self.keys = keys
         self.key_to_isid = key_to_isid
         self.is_actions = is_actions

@@ -10,7 +10,7 @@ import pytest
 
 from efgsolve import CHANCE, TreeIndex, make_game
 from efgsolve.bench import guard_enumerable
-from efgsolve.tree import EnumerationOverflow, NodeCounter
+from efgsolve.tree import TERMINAL, EnumerationOverflow, NodeCounter
 
 from oracles import count_states, infostate_predecessors
 
@@ -96,6 +96,28 @@ def test_perfect_recall_keys(name):
     assert preds
 
 
+@pytest.mark.parametrize("name", INVARIANT_GAMES)
+def test_apply_never_mutates_the_parent(name):
+    # States are plain slotted dataclasses, not frozen ones, so this is
+    # what holds ``apply`` to the contract in ``game.py``.  Every field
+    # value is immutable, so a field-by-field snapshot sees any write.
+    stack = [make_game(name).root()]
+    while stack:
+        s = stack.pop()
+        assert not hasattr(s, "__dict__"), "every field is a slot"
+        if s.is_terminal():
+            continue
+        actions = ([a for a, _ in s.chance_outcomes()] if s.is_chance()
+                   else s.legal_actions())
+        fields = type(s).__slots__
+        for a in actions:
+            before = [getattr(s, f) for f in fields]
+            child = s.apply(a)
+            assert [getattr(s, f) for f in fields] == before
+            assert child is not s
+            stack.append(child)
+
+
 def test_state_counts_frozen_values():
     c = count_states(make_game("kuhn"))
     assert (c.histories, c.terminals) == (55, 30)
@@ -176,9 +198,10 @@ def test_tree_history_cap():
         assert vars(capped).keys() == vars(free).keys()
         for name, value in vars(free).items():
             assert _same(value, getattr(capped, name)), name
-    with pytest.raises(EnumerationOverflow) as err:
-        TreeIndex(game, max_histories=54)
-    assert str(err.value) == "kuhn exceeds 54 histories"
+    for cap in (1, 30, 54):
+        with pytest.raises(EnumerationOverflow) as err:
+            TreeIndex(game, max_histories=cap)
+        assert str(err.value) == f"kuhn exceeds {cap} histories"
     with pytest.raises(EnumerationOverflow) as guard_err:
         guard_enumerable(game, 54)
     assert str(guard_err.value) == str(err.value)
@@ -270,3 +293,13 @@ def test_tree_rejects_an_infostate_at_several_depths():
         TreeIndex(game)
     assert str(err.value) == \
         "infostate (1,) has decision nodes at several depths"
+
+
+def test_tree_of_a_game_whose_root_is_terminal():
+    game = _SplitDepthGame()
+    game.root = lambda: _SplitDepthState((0, 1))
+    tree = TreeIndex(game)
+    assert (tree.n_nodes, tree.n_infosets, tree.n_cols) == (1, 0, 0)
+    assert tree.kind.tolist() == [TERMINAL]
+    assert tree.payoff1.tolist() == [1.0]
+    assert tree.parent.tolist() == [-1] and tree.preorder.tolist() == [0]
