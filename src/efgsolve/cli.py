@@ -12,6 +12,7 @@ enumerate.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import yaml
@@ -19,6 +20,14 @@ import yaml
 from .bench import (ConfigError, EnumerationOverflow, ExperimentConfig,
                     list_games, run_experiment, run_psro_hist,
                     run_size_report)
+
+
+def _seed(text: str) -> int:
+    """One seed in ASCII digits; ``int`` alone would also take "1_0"
+    and other scripts' digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError
+    return int(text)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -29,12 +38,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         part = part.strip()
         try:
             if "-" in part.lstrip("-"):
-                lo, hi = map(int, part.split("-", 1))
+                lo, hi = map(_seed, part.split("-", 1))
                 if hi < lo:
                     raise ValueError
                 seeds.extend(range(lo, hi + 1))
             elif part:
-                seeds.append(int(part))
+                seeds.append(_seed(part))
         except ValueError:
             raise ConfigError(f"bad seed {part!r} in {text!r}") from None
     if not seeds:

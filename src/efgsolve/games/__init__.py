@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from .kuhn import Kuhn
 from .leduc import Leduc
 from .matrix import (ParallelStageGame, clone_gmp, gmp_matrix, kgmp,
@@ -26,6 +28,10 @@ GAME_PATTERNS = {
     "rps_choice": (),
 }
 
+# An integer parameter in ASCII digits; ``str.isdigit`` and ``int``
+# would also take other scripts' digits.
+_INT = re.compile(r"-?[0-9]+")
+
 
 def make_game(name: str, seed: int | None = None):
     """Build a game from a name like ``kgmp_2_3`` or ``clone_leduc_2``.
@@ -43,7 +49,7 @@ def make_game(name: str, seed: int | None = None):
         raise ValueError(f"unknown game {name!r}")
     params = GAME_PATTERNS[base]
     args = parts[split:]
-    if len(args) != len(params) or not all(a.lstrip("-").isdigit() for a in args):
+    if len(args) != len(params) or not all(map(_INT.fullmatch, args)):
         raise ValueError(
             f"game {base!r} takes parameters {params}, got {name!r}")
     vals = dict(zip(params, map(int, args)))

@@ -4,10 +4,14 @@ Each iteration is one sweep of the full tree with simultaneous regret
 updates for both players (one history visit per node per iteration).
 A sweep gathers the current profile onto the edges once
 (``TreeIndex.edge_sigma``); each player's own-reach weights and the
-value weights are selections from that gather and ``in_prob``.  Two
-``TreeIndex.reach`` passes give each player's own reach, one
-``TreeIndex.values`` pass the player-0 values, and the chance reach, a
-constant of the tree, is computed once.  ``plus=True`` gives CFR+:
+value weights are selections from that gather and ``in_prob``.  One
+``TreeIndex.values`` pass gives the player-0 values, and the chance
+reach, a constant of the tree, is computed once.  Each player's own
+reach is kept between sweeps and recomputed, by one ``TreeIndex.reach``
+pass into a buffer the solver owns, only after an update of that
+player's regrets: two passes per simultaneous sweep, one per
+alternating sweep.  The updates add to every column at once; the other
+player's columns receive exactly +0.0.  ``plus=True`` gives CFR+:
 regrets are clamped at zero after every update, the average strategy
 is weighted linearly by iteration number, and updates alternate
 between players with values recomputed in between (two sweeps per
@@ -42,52 +46,67 @@ class Cfr:
         self.regret = np.zeros(tree.n_cols)
         self.ssum = np.zeros(tree.n_cols)
 
-        self._col_player = tree.is_player[tree.col_isid]
-        self._uniform = 1.0 / tree.is_nact[tree.col_isid]
+        # Gathers that depend only on the tree, per player: the edges
+        # the player owns, their columns, their parents and the chance
+        # reach there; the player's decision nodes and their infostates.
+        self._col_isid = tree.col_isid.astype(np.int64)
+        self._uniform = 1.0 / tree.is_nact[self._col_isid]
+        self._own = [tree.in_player == p for p in (0, 1)]
+        self._kids = [np.flatnonzero(own) for own in self._own]
+        self._kid_cols = [tree.in_col[kids] for kids in self._kids]
+        self._par = [tree.parent[kids] for kids in self._kids]
+        rc = tree.reach(tree.in_prob)
+        self._rc_par = [rc[par] for par in self._par]
         self._dec_nodes = [
             np.flatnonzero(tree.decision_mask & (tree.player == p))
             for p in (0, 1)
         ]
-        self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
-        self._own = [tree.in_player == p for p in (0, 1)]
-        self._kids = [np.flatnonzero(own) for own in self._own]
-        self._kid_cols = [tree.in_col[kids] for kids in self._kids]
-        self._rc = tree.reach(tree.in_prob)
+        self._dec_isid = [tree.infoset[dec] for dec in self._dec_nodes]
+        # Each player's own reach under the current profile.  An update
+        # changes only its player's regrets, so only that player's reach
+        # goes stale: ``_stale`` lists the players to recompute.
+        self._reach = [np.empty(tree.n_nodes) for _ in (0, 1)]
+        self._stale: tuple[int, ...] = (0, 1)
 
     def current(self) -> np.ndarray:
         return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
                               self._uniform)
 
-    def _update(self, sigma, reach, v, player):
+    def _update(self, sigma, v, player):
+        """Player ``player``'s regret and strategy-sum update.  Every
+        other column receives exactly +0.0 and so keeps its value:
+        regrets and sums start at +0.0 and are never -0.0."""
         tree = self.tree
-        kids, kid_cols = self._kids[player], self._kid_cols[player]
-        par = tree.parent[kids]
+        reach = self._reach
+        kids = self._kids[player]
         vp = v[kids] if player == 0 else -v[kids]
-        q = np.zeros(tree.n_cols)
-        np.add.at(q, kid_cols, self._rc[par] * reach[1 - player][par] * vp)
+        q = np.bincount(
+            self._kid_cols[player],
+            self._rc_par[player] * reach[1 - player][self._par[player]] * vp,
+            minlength=tree.n_cols)
         node_val = np.add.reduceat(sigma * q, tree.is_off)
-        cols = self._pcols[player]
-        self.regret[cols] += q[cols] - node_val[tree.col_isid[cols]]
+        self.regret += q - node_val[self._col_isid]
         if self.plus:
-            np.maximum(self.regret, 0.0, out=self.regret,
-                       where=self._col_player == player)
+            np.maximum(self.regret, 0.0, out=self.regret)
 
-        dec = self._dec_nodes[player]
-        ow = np.zeros(tree.n_infosets)
-        np.add.at(ow, tree.infoset[dec], reach[player][dec])
+        ow = np.bincount(self._dec_isid[player],
+                         reach[player][self._dec_nodes[player]],
+                         minlength=tree.n_infosets)
         w = float(self.t) if self.plus else 1.0
-        self.ssum[cols] += w * ow[tree.col_isid[cols]] * sigma[cols]
+        self.ssum += w * ow[self._col_isid] * sigma
 
     def _sweep(self, players) -> None:
-        """One sweep under the current profile: each player's own reach
-        and the player-0 values, then the updates of ``players``."""
+        """One sweep under the current profile: the stale own reach and
+        the player-0 values, then the updates of ``players``."""
         tree = self.tree
         sigma = self.current()
         g = tree.edge_sigma(sigma)
-        reach = [tree.reach(np.where(own, g, 1.0)) for own in self._own]
+        for p in self._stale:
+            tree.reach(np.where(self._own[p], g, 1.0), out=self._reach[p])
         v = tree.values(tree.in_prob * g)
         for p in players:
-            self._update(sigma, reach, v, p)
+            self._update(sigma, v, p)
+        self._stale = players
         if self.counter is not None:
             self.counter.add(tree.n_nodes)
 

@@ -3,18 +3,23 @@
 Exhaustive game walks (state counts and own-action predecessors),
 per-node recursions standing in for ``TreeIndex.reach`` and
 ``TreeIndex.values``, the covering tally behind the double-oracle
-iteration bound, and helpers that turn choice arrays (see
-``TreeIndex``) into dict-keyed or tabular forms for assertions.
+iteration bound, helpers that turn choice arrays (see
+``TreeIndex``) into dict-keyed or tabular forms for assertions, and
+``tree_of``, the cached trees the sweep tests share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from efgsolve.policy import PurePolicy, canonical_pure, policy_from_flat
+from efgsolve import TreeIndex, make_game
+from efgsolve.policy import (PurePolicy, canonical_pure, policy_from_flat,
+                             random_pure_policy)
 from efgsolve.psro import reduced_canonical
+from efgsolve.xdo import RestrictedGame
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,24 @@ def infostate_predecessors(game) -> tuple[dict, dict]:
 
     visit(game.root(), None, None)
     return preds
+
+
+@lru_cache(maxsize=None)
+def tree_of(name):
+    """The tree of a registry game, or for "leduc+restricted" a Leduc
+    tree derived by ``restrict`` from three random pure strategies per
+    player."""
+    if name != "leduc+restricted":
+        return TreeIndex(make_game(name))
+    base = tree_of("leduc")
+    rng = np.random.default_rng(3)
+    mask = np.zeros(base.n_cols, dtype=bool)
+    for p in (0, 1):
+        for _ in range(3):
+            mask[random_pure_policy(base, p, rng)] = True
+    tree = base.restrict(mask, RestrictedGame(base.game, mask))
+    assert 0 < tree.n_nodes < base.n_nodes
+    return tree
 
 
 def reference_reach(tree, w: np.ndarray) -> np.ndarray:

@@ -245,6 +245,20 @@ def test_cli_rejects_empty_stage_games(game, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# Full-width 2, Arabic-Indic 3, and a doubled sign.
+@pytest.mark.parametrize("game", ["kgmp_1_\uff12", "kgmp_1_\u0663",
+                                  "kgmp_1_--2"])
+def test_cli_rejects_game_parameters_that_are_not_ascii_integers(
+        game, tmp_path, capsys):
+    code = main(["run", "--game", game, "--algo", "cfr",
+                 "--max-iters", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: game 'kgmp' takes parameters ('k', 'n'), "
+                   f"got {game!r}\n")
+    assert not any(tmp_path.iterdir())
+
+
 XDO_RUN = ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "2"]
 PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
 CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
@@ -277,6 +291,9 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     CFR_RUN + ["--seeds", "1-a"],
     CFR_RUN + ["--seeds", "0,0"],
     CFR_RUN + ["--seeds", "0-2,5-4"],
+    CFR_RUN + ["--seeds", "1_0"],
+    CFR_RUN + ["--seeds", "\uff12"],
+    CFR_RUN + ["--seeds", "0-1_0"],
     ["run", "--game", "kuhn", "--algo", "mccfr_es", "--max-iters", "2",
      "--seeds", "-3"],
     PSRO_RUN + ["--param", "init=random", "--seeds", "-3"],
@@ -305,7 +322,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "psro-games-per-pair", "cfr-alternating", "xdo-max-inner",
         "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool",
         "seeds-text", "seeds-range-text", "seeds-duplicate",
-        "seeds-reversed-range", "mccfr-es-negative-seed",
+        "seeds-reversed-range", "seeds-underscore", "seeds-fullwidth-digit",
+        "seeds-range-underscore", "mccfr-es-negative-seed",
         "psro-random-negative-seed", "perturbed-negative-seed",
         "max-iters-0", "node-budget-0", "node-budget-negative",
         "max-wall-s-negative", "max-wall-s-nan", "max-wall-s-inf",

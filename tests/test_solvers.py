@@ -5,9 +5,11 @@ code: every solver here is deterministic for a fixed seed, so the
 assertions are regression pins, not statistical hopes.  Node counts are
 checked against closed forms (full sweeps cost one visit per history)
 so a counting regression cannot hide inside a passing convergence test.
-MCCFR-ES's walk over Python tables is checked bit for bit against the
-numpy walk it replaced, kept here as the reference.
+MCCFR-ES's walk over Python tables, and CFR's sweep that reuses each
+player's unchanged reach, are checked bit for bit against the code they
+replaced, kept here as the references.
 """
+
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from efgsolve import (NodeCounter, TreeIndex, exploitability,
 from efgsolve.policy import sample_index
 from efgsolve.solvers import (Cfr, MccfrEs, Xfp, solve_matrix_fp,
                               solve_matrix_lp)
+from efgsolve.solvers.cfr import normalise_rows
 from efgsolve.tree import CHANCE_NODE, TERMINAL
+
+from oracles import tree_of
 
 KUHN_VALUE = -1.0 / 18.0
 
@@ -75,6 +80,102 @@ def test_cfr_budget_is_soft(kuhn_tree):
     solver.iterate(5)
     assert counter.exhausted
     assert counter.count == 5 * 2 * kuhn_tree.n_nodes
+
+
+class _ReferenceCfr:
+    """The CFR sweep before it kept each player's own reach between
+    sweeps: both reach passes every sweep, ``np.add.at`` sums and
+    updates over the updated player's columns only."""
+
+    def __init__(self, tree, plus=False, alternating=None, counter=None):
+        self.tree = tree
+        self.plus = plus
+        self.alternating = plus if alternating is None else alternating
+        self.counter = counter
+        self.t = 0
+        self.regret = np.zeros(tree.n_cols)
+        self.ssum = np.zeros(tree.n_cols)
+
+        self._col_player = tree.is_player[tree.col_isid]
+        self._uniform = 1.0 / tree.is_nact[tree.col_isid]
+        self._dec_nodes = [
+            np.flatnonzero(tree.decision_mask & (tree.player == p))
+            for p in (0, 1)
+        ]
+        self._pcols = [np.flatnonzero(self._col_player == p) for p in (0, 1)]
+        self._own = [tree.in_player == p for p in (0, 1)]
+        self._kids = [np.flatnonzero(own) for own in self._own]
+        self._kid_cols = [tree.in_col[kids] for kids in self._kids]
+        self._rc = tree.reach(tree.in_prob)
+
+    def current(self):
+        return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
+                              self._uniform)
+
+    def _update(self, sigma, reach, v, player):
+        tree = self.tree
+        kids, kid_cols = self._kids[player], self._kid_cols[player]
+        par = tree.parent[kids]
+        vp = v[kids] if player == 0 else -v[kids]
+        q = np.zeros(tree.n_cols)
+        np.add.at(q, kid_cols, self._rc[par] * reach[1 - player][par] * vp)
+        node_val = np.add.reduceat(sigma * q, tree.is_off)
+        cols = self._pcols[player]
+        self.regret[cols] += q[cols] - node_val[tree.col_isid[cols]]
+        if self.plus:
+            np.maximum(self.regret, 0.0, out=self.regret,
+                       where=self._col_player == player)
+
+        dec = self._dec_nodes[player]
+        ow = np.zeros(tree.n_infosets)
+        np.add.at(ow, tree.infoset[dec], reach[player][dec])
+        w = float(self.t) if self.plus else 1.0
+        self.ssum[cols] += w * ow[tree.col_isid[cols]] * sigma[cols]
+
+    def _sweep(self, players):
+        tree = self.tree
+        sigma = self.current()
+        g = tree.edge_sigma(sigma)
+        reach = [tree.reach(np.where(own, g, 1.0)) for own in self._own]
+        v = tree.values(tree.in_prob * g)
+        for p in players:
+            self._update(sigma, reach, v, p)
+        if self.counter is not None:
+            self.counter.add(tree.n_nodes)
+
+    def iterate(self, n=1):
+        sweeps = ((0,), (1,)) if self.alternating else ((0, 1),)
+        for _ in range(n):
+            self.t += 1
+            for players in sweeps:
+                self._sweep(players)
+
+    def average_flat(self):
+        return normalise_rows(self.tree, self.ssum, self._uniform)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("plus, alternating", [
+    (True, True), (True, False), (False, True), (False, False)])
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "oshi_zumo_3_3_4",
+                                  "rps_choice", "leduc+restricted"])
+def test_cfr_matches_the_reference_sweep(name, plus, alternating):
+    tree = tree_of(name)
+    ref = _ReferenceCfr(tree, plus, alternating, NodeCounter())
+    solver = Cfr(tree, plus, alternating, NodeCounter())
+    # Uneven calls with the average read in between, so the kept reach
+    # must carry across iterate calls and survive average_flat.
+    for n in (1, 3, 5):
+        ref.iterate(n)
+        solver.iterate(n)
+        assert _same_bits(solver.average_flat(), ref.average_flat())
+        assert solver.t == ref.t
+        assert solver.counter.count == ref.counter.count
+        assert _same_bits(solver.regret, ref.regret)
+        assert _same_bits(solver.ssum, ref.ssum)
 
 
 def test_xfp_converges_on_kuhn(kuhn_tree):
