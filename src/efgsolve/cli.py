@@ -12,7 +12,6 @@ enumerate.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 import yaml
@@ -20,30 +19,24 @@ import yaml
 from .bench import (ConfigError, EnumerationOverflow, ExperimentConfig,
                     list_games, run_experiment, run_psro_hist,
                     run_size_report)
-
-
-def _seed(text: str) -> int:
-    """One seed in ASCII digits; ``int`` alone would also take "1_0"
-    and other scripts' digits."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError
-    return int(text)
+from .games import ascii_int
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """"0,3,7" and "0-149" forms, mixable; a range must not run
-    backwards."""
+    backwards.  Each bound is ASCII ``-?[0-9]+`` after stripping
+    spaces."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
         try:
             if "-" in part.lstrip("-"):
-                lo, hi = map(_seed, part.split("-", 1))
+                lo, hi = (ascii_int(b.strip()) for b in part.split("-", 1))
                 if hi < lo:
                     raise ValueError
                 seeds.extend(range(lo, hi + 1))
             elif part:
-                seeds.append(_seed(part))
+                seeds.append(ascii_int(part))
         except ValueError:
             raise ConfigError(f"bad seed {part!r} in {text!r}") from None
     if not seeds:

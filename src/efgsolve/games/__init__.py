@@ -13,7 +13,7 @@ from .oshi_zumo import OshiZumo
 __all__ = [
     "Kuhn", "Leduc", "OshiZumo", "ParallelStageGame", "clone_gmp",
     "gmp_matrix", "kgmp", "perturbed_kgmp", "rps_choice", "make_game",
-    "GAME_PATTERNS",
+    "GAME_PATTERNS", "ascii_int",
 ]
 
 # Name pattern -> required integer parameters.
@@ -28,9 +28,16 @@ GAME_PATTERNS = {
     "rps_choice": (),
 }
 
-# An integer parameter in ASCII digits; ``str.isdigit`` and ``int``
-# would also take other scripts' digits.
 _INT = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """``text`` as an int if it is ASCII ``-?[0-9]+``, else ValueError.
+    ``int`` alone would also take "1_0", "+3", surrounding spaces and
+    other scripts' digits."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def make_game(name: str, seed: int | None = None):
@@ -48,11 +55,11 @@ def make_game(name: str, seed: int | None = None):
     else:
         raise ValueError(f"unknown game {name!r}")
     params = GAME_PATTERNS[base]
-    args = parts[split:]
-    if len(args) != len(params) or not all(map(_INT.fullmatch, args)):
+    try:
+        vals = dict(zip(params, map(ascii_int, parts[split:]), strict=True))
+    except ValueError:
         raise ValueError(
-            f"game {base!r} takes parameters {params}, got {name!r}")
-    vals = dict(zip(params, map(int, args)))
+            f"game {base!r} takes parameters {params}, got {name!r}") from None
     if base == "kuhn":
         return Kuhn()
     if base == "leduc":

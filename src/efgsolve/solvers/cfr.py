@@ -8,10 +8,10 @@ value weights are selections from that gather and ``in_prob``.  One
 ``TreeIndex.values`` pass gives the player-0 values, and the chance
 reach, a constant of the tree, is computed once.  Each player's own
 reach is kept between sweeps and recomputed, by one ``TreeIndex.reach``
-pass into a buffer the solver owns, only after an update of that
-player's regrets: two passes per simultaneous sweep, one per
-alternating sweep.  The updates add to every column at once; the other
-player's columns receive exactly +0.0.  ``plus=True`` gives CFR+:
+pass, only after an update of that player's regrets: two passes per
+simultaneous sweep, one per alternating sweep.  The updates add to
+every column at once; the other player's columns receive exactly +0.0.
+``plus=True`` gives CFR+:
 regrets are clamped at zero after every update, the average strategy
 is weighted linearly by iteration number, and updates alternate
 between players with values recomputed in between (two sweeps per
@@ -65,7 +65,7 @@ class Cfr:
         # Each player's own reach under the current profile.  An update
         # changes only its player's regrets, so only that player's reach
         # goes stale: ``_stale`` lists the players to recompute.
-        self._reach = [np.empty(tree.n_nodes) for _ in (0, 1)]
+        self._reach: list[np.ndarray | None] = [None, None]
         self._stale: tuple[int, ...] = (0, 1)
 
     def current(self) -> np.ndarray:
@@ -102,7 +102,7 @@ class Cfr:
         sigma = self.current()
         g = tree.edge_sigma(sigma)
         for p in self._stale:
-            tree.reach(np.where(self._own[p], g, 1.0), out=self._reach[p])
+            self._reach[p] = tree.reach(np.where(self._own[p], g, 1.0))
         v = tree.values(tree.in_prob * g)
         for p in players:
             self._update(sigma, v, p)

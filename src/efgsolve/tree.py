@@ -349,18 +349,11 @@ class TreeIndex:
         chance edges and at the root (``in_col`` -1)."""
         return np.concatenate((sigma, [1.0]))[self.in_col]
 
-    def reach(self, weights: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+    def reach(self, weights: np.ndarray) -> np.ndarray:
         """Forward pass: the product of the incoming edge ``weights``
         along the path from the root to every node (the root's reach is
-        1 and its weight is never read).  ``out``, a float array of
-        ``n_nodes`` entries, receives the result in place of a new
-        array; its old contents are never read."""
-        if out is None:
-            r = np.ones(self.n_nodes)
-        else:
-            r = out
-            r[0] = 1.0
+        1 and its weight is never read)."""
+        r = np.ones(self.n_nodes)
         for sl in self.levels[1:]:
             r[sl] = r[self.parent[sl]] * weights[sl]
         return r

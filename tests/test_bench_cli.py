@@ -15,7 +15,7 @@ from efgsolve.bench import (ConfigError, EnumerationOverflow,
                             ExperimentConfig, guard_enumerable, list_games,
                             run_experiment, run_psro_hist, run_seed,
                             run_size_report, validate_config)
-from efgsolve.cli import main
+from efgsolve.cli import _parse_seeds, main
 from efgsolve.games import make_game
 from efgsolve.metrics import (CSV_COLUMNS, cadence_thresholds, check_rows,
                               read_rows_csv, write_rows_csv)
@@ -259,6 +259,11 @@ def test_cli_rejects_game_parameters_that_are_not_ascii_integers(
     assert not any(tmp_path.iterdir())
 
 
+def test_seed_bounds_may_have_spaces_around_them():
+    assert _parse_seeds(" 0 - 2 , 5") == (0, 1, 2, 5)
+    assert _parse_seeds("7") == (7,)
+
+
 XDO_RUN = ["run", "--game", "kuhn", "--algo", "xdo", "--max-iters", "2"]
 PSRO_RUN = ["run", "--game", "kuhn", "--algo", "psro", "--max-iters", "2"]
 CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
@@ -294,6 +299,7 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     CFR_RUN + ["--seeds", "1_0"],
     CFR_RUN + ["--seeds", "\uff12"],
     CFR_RUN + ["--seeds", "0-1_0"],
+    CFR_RUN + ["--seeds", "+3"],
     ["run", "--game", "kuhn", "--algo", "mccfr_es", "--max-iters", "2",
      "--seeds", "-3"],
     PSRO_RUN + ["--param", "init=random", "--seeds", "-3"],
@@ -323,7 +329,7 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "psro-fp-iters", "xdo-eps-decay", "xdo-term-eps-bool",
         "seeds-text", "seeds-range-text", "seeds-duplicate",
         "seeds-reversed-range", "seeds-underscore", "seeds-fullwidth-digit",
-        "seeds-range-underscore", "mccfr-es-negative-seed",
+        "seeds-range-underscore", "seeds-plus-sign", "mccfr-es-negative-seed",
         "psro-random-negative-seed", "perturbed-negative-seed",
         "max-iters-0", "node-budget-0", "node-budget-negative",
         "max-wall-s-negative", "max-wall-s-nan", "max-wall-s-inf",

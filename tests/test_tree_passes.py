@@ -9,8 +9,7 @@ takes its reach from ``reach`` but runs its own backward sweep, which
 ``test_policy_eval`` checks against a per-infostate reference.  Each
 sweep is checked bit for bit against a recursion over the children
 lists, on random profiles and random weights, for trees with and
-without chance nodes and for a tree derived by ``restrict``, and
-``reach`` into a caller's buffer against a fresh pass.  The
+without chance nodes and for a tree derived by ``restrict``.  The
 layout they rely on (each level one slice of ids, each node's children
 one run of ids in walk order, the gather's 1.0 off the decision edges)
 is checked on the same trees.
@@ -52,19 +51,6 @@ def test_arbitrary_weights_match_the_recursion(name):
     w = rng.random(tree.n_nodes)
     assert np.array_equal(tree.reach(w), reference_reach(tree, w))
     assert np.array_equal(tree.values(w), reference_values(tree, w))
-
-
-@pytest.mark.parametrize("name", GAMES)
-def test_reach_into_a_dirty_buffer(name):
-    # ``out`` is written, never read: a buffer full of NaN gives the
-    # same bits as a fresh pass, root included, and is returned.
-    tree = tree_of(name)
-    w = np.random.default_rng(9).random(tree.n_nodes)
-    buf = np.full(tree.n_nodes, np.nan)
-    got = tree.reach(w, out=buf)
-    assert got is buf
-    assert buf[0] == 1.0
-    assert buf.tobytes() == tree.reach(w).tobytes()
 
 
 @pytest.mark.parametrize("name", GAMES)
