@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -49,16 +50,15 @@ class ConfigError(ValueError):
 
 ALGOS = ("cfr", "cfr_plus", "mccfr_es", "xfp", "xdo", "psro")
 
-# Per-algorithm keys accepted in ExperimentConfig.params.
+# Per-algorithm keys accepted in ExperimentConfig.params: XDO and PSRO
+# take their config's fields but the ones a run sets itself.
 _PARAM_KEYS = {
     "cfr": {"alternating"},
     "cfr_plus": {"alternating"},
     "mccfr_es": set(),
     "xfp": set(),
-    "xdo": {"inner", "eps0", "eps_decay", "eps_floor", "term_eps",
-            "check_period", "max_inner", "lp_cap"},
-    "psro": {"eps", "meta_solver", "fp_iters", "payoffs", "games_per_pair",
-             "init"},
+    "xdo": {f.name for f in fields(XdoConfig)} - {"max_outer"},
+    "psro": {f.name for f in fields(PsroConfig)} - {"seed", "max_iters"},
 }
 
 
@@ -258,9 +258,7 @@ def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 
 def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
              counter: NodeCounter) -> tuple[list[dict], dict]:
-    keys = _PARAM_KEYS["xdo"] & set(cfg.params)
-    xcfg = XdoConfig(max_outer=cfg.max_iters,
-                     **{k: cfg.params[k] for k in keys})
+    xcfg = XdoConfig(max_outer=cfg.max_iters, **cfg.params)
     res = xdo_solve(tree.game, xcfg, counter, base_tree=tree)
     rows = [_row(cfg, seed, t["outer"], t["inner"], t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
@@ -278,9 +276,7 @@ def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 
 def _run_psro(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
               counter: NodeCounter) -> tuple[list[dict], dict]:
-    keys = _PARAM_KEYS["psro"] & set(cfg.params)
-    pcfg = PsroConfig(seed=seed, max_iters=cfg.max_iters,
-                      **{k: cfg.params[k] for k in keys})
+    pcfg = PsroConfig(seed=seed, max_iters=cfg.max_iters, **cfg.params)
     res = psro_solve(tree.game, pcfg, counter, base_tree=tree)
     rows = [_row(cfg, seed, t["iter"], None, t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
@@ -314,22 +310,26 @@ def _csv_name(cfg: ExperimentConfig, seed: int) -> str:
     return f"{cfg.algo}_{cfg.game}_seed{seed}.csv"
 
 
+def _map(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]``, in a pool of ``min(jobs, len(items))``
+    processes when that is more than one."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed, write one CSV per seed plus a JSON summary, and
     return the summary.  Seeds are independent, so with jobs > 1 they
-    run in a process pool of at most one worker per seed; files are
-    written in seed order either way and are byte-identical to a
-    single-process run."""
+    run in a process pool; files are written in seed order either way
+    and are byte-identical to a single-process run."""
     validate_config(cfg)
     out = _out_dir(cfg.out_dir)
 
     seeds = list(cfg.seeds)
-    if cfg.jobs > 1 and len(seeds) > 1:
-        workers = min(cfg.jobs, len(seeds))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_seed, [cfg] * len(seeds), seeds))
-    else:
-        results = [run_seed(cfg, s) for s in seeds]
+    results = _map(partial(run_seed, cfg), seeds, cfg.jobs)
 
     per_seed = {}
     for seed, (rows, summary) in zip(seeds, results):
@@ -362,31 +362,27 @@ HIST_COLUMNS = ("seed", "expanded1", "expanded2", "eps_pass_iter", "iters",
                 "exploitability")
 
 
-def _hist_chunk(args) -> list[dict]:
-    trials, seed0, horizon, eps = args
-    return psro_histogram(rps_choice(), trials, seed0, horizon, eps)
+def _hist_chunk(chunk) -> list[dict]:
+    """``chunk`` is (trials, seed0, horizon, eps)."""
+    return psro_histogram(rps_choice(), *chunk)
 
 
 def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
-                  eps: float = 1e-3, out_dir: str = "runs",
+                  eps: float = PsroConfig.eps,
+                  out_dir: str = ExperimentConfig.out_dir,
                   jobs: int = 1) -> dict:
     """Strategy-expansion histogram over repeated double-oracle trials
     on the two-stage pick-a-game variant of rock paper scissors; writes
     per-trial records and the per-player aggregate histogram.  Trials
     are independent (seed of trial t is seed0 + t) so splitting them
-    across a pool changes nothing but the wall time."""
+    into one chunk per job changes nothing but the wall time."""
     _check(_HIST_CHECKS, dict(trials=trials, seed0=seed0, horizon=horizon,
                               eps=eps, jobs=jobs))
     out = _out_dir(out_dir)
-    if jobs > 1 and trials > 1:
-        per = (trials + jobs - 1) // jobs
-        chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
-                  for lo in range(0, trials, per)]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            records = [r for part in pool.map(_hist_chunk, chunks)
-                       for r in part]
-    else:
-        records = _hist_chunk((trials, seed0, horizon, eps))
+    per = -(-trials // jobs)
+    chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
+              for lo in range(0, trials, per)]
+    records = [r for part in _map(_hist_chunk, chunks, jobs) for r in part]
     records.sort(key=lambda r: r["seed"])
 
     lines = [",".join(HIST_COLUMNS)]
@@ -417,31 +413,16 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     return summary
 
 
-def size_report(game, result, base: TreeIndex) -> dict:
-    """Restricted-game size at the end of a double-oracle run: history
-    count ratio and per-player decision-infostate coverage."""
-    full_is = (len(base.infosets_of(0)), len(base.infosets_of(1)))
-    r_is = result.restricted_infostates
-    return dict(
-        game=game.name,
-        full_histories=base.n_nodes,
-        restricted_histories=result.restricted_nodes,
-        history_ratio=result.restricted_nodes / base.n_nodes,
-        full_infostates=list(full_is),
-        restricted_infostates=list(r_is),
-        infostate_coverage=[r_is[0] / full_is[0], r_is[1] / full_is[1]],
-        terminated=result.terminated,
-        outer_iters=result.outer_iters,
-    )
-
-
 def run_size_report(game_name: str, seed: int = 0,
                     node_budget: int | None = None,
-                    max_outer: int | None = None, inner: str = "cfr_plus",
-                    out_dir: str = "runs",
-                    max_states: int | None = 50_000_000) -> dict:
+                    max_outer: int | None = None,
+                    inner: str = XdoConfig.inner,
+                    out_dir: str = ExperimentConfig.out_dir,
+                    max_states: int | None = ExperimentConfig.max_states
+                    ) -> dict:
     """Run the double-oracle solver on a named game and report how much
-    of the full game its final restricted game spans."""
+    of the full game its final restricted game spans: the history count
+    ratio and each player's decision-infostate coverage."""
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
     validate_config(ExperimentConfig(
@@ -449,21 +430,29 @@ def run_size_report(game_name: str, seed: int = 0,
         max_iters=max_outer, max_states=max_states, params={"inner": inner}))
     out = _out_dir(out_dir)
     game = make_game(game_name, seed=seed)
-    counter = NodeCounter(node_budget)
     base = TreeIndex(game, max_histories=max_states)
     res = xdo_solve(game, XdoConfig(inner=inner, max_outer=max_outer),
-                    counter, base_tree=base)
-    report = size_report(game, res, base)
-    report["nodes"] = res.nodes
-    report["version"] = __version__
+                    NodeCounter(node_budget), base_tree=base)
+    full_is = (len(base.infosets_of(0)), len(base.infosets_of(1)))
+    r_is = res.restricted_infostates
+    report = dict(
+        game=game.name,
+        full_histories=base.n_nodes,
+        restricted_histories=res.restricted_nodes,
+        history_ratio=res.restricted_nodes / base.n_nodes,
+        full_infostates=list(full_is),
+        restricted_infostates=list(r_is),
+        infostate_coverage=[r_is[0] / full_is[0], r_is[1] / full_is[1]],
+        terminated=res.terminated,
+        outer_iters=res.outer_iters,
+        nodes=res.nodes,
+        version=__version__,
+    )
     write_summary_json(out / f"size_{game_name}.json", report)
     return report
 
 
 def list_games() -> list[str]:
     """Name patterns accepted by the game registry."""
-    out = []
-    for base, params in GAME_PATTERNS.items():
-        suffix = "".join(f"_<{p}>" for p in params)
-        out.append(base + suffix)
-    return out
+    return [base + "".join(f"_<{p}>" for p in params)
+            for base, params in GAME_PATTERNS.items()]

@@ -4,9 +4,10 @@ Subcommands: ``run`` (one algorithm on one game over seeds, metrics to
 CSV), ``psro-hist`` (strategy-expansion histogram experiment),
 ``size-report`` (restricted-game size after a double-oracle run), and
 ``list-games``.  A YAML config file can carry any ``run`` setting; the
-matching command line flags override it.  Exit codes: 0 success (budget
-truncation included), 2 bad configuration, 3 game too large to
-enumerate.
+matching command line flags override it.  Every integer, in a flag, a
+seed list or a game name, is read by ``games.ascii_int``.  Exit codes:
+0 success (budget truncation included), 2 bad configuration or command
+line, 3 game too large to enumerate, each error in one line.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .games import ascii_int
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """"0,3,7" and "0-149" forms, mixable; a range must not run
-    backwards.  Each bound is ASCII ``-?[0-9]+`` after stripping
-    spaces."""
+    backwards.  Each bound, spaces around it stripped, must pass
+    ``ascii_int``."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -80,31 +81,21 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _run_config(args) -> ExperimentConfig:
-    data = _load_config_file(args.config) if args.config else {}
+def _run_config(opts: dict) -> ExperimentConfig:
+    """The config file's settings, overridden by the flags given
+    (``opts``: only those, under their ExperimentConfig names)."""
+    data = _load_config_file(opts.pop("config")) if "config" in opts else {}
+    params = data.get("params") or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a mapping, not {params!r}")
+    params = {k: _numeric(v) for k, v in params.items()}
+    params.update(_parse_params(opts.pop("param", ())))
+    data.update(opts, params=params)
     if "seeds" in data:
         seeds = data["seeds"]
         if isinstance(seeds, list):
             seeds = ",".join(map(str, seeds))
         data["seeds"] = _parse_seeds(str(seeds))
-    overrides = dict(
-        game=args.game, algo=args.algo,
-        seeds=_parse_seeds(args.seeds) if args.seeds is not None else None,
-        node_budget=args.node_budget, max_iters=args.max_iters,
-        max_wall_s=args.max_wall_s, out_dir=args.out,
-        eval_start=args.eval_cadence, eval_factor=args.eval_factor,
-        wall_clock=args.wall_clock, jobs=args.jobs,
-        max_states=args.max_states,
-    )
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
-    params = data.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be a mapping, not {params!r}")
-    params = {k: _numeric(v) for k, v in params.items()}
-    params.update(_parse_params(args.param))
-    data["params"] = params
     for key in ("game", "algo"):
         if not data.get(key):
             raise ConfigError(f"--{key} is required (flag or config file)")
@@ -114,93 +105,102 @@ def _run_config(args) -> ExperimentConfig:
         raise ConfigError(f"bad config: {err}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 in one line, like any bad input
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of every subcommand.  A flag left out is left out of
+    the parsed namespace, so the defaults are the library's own."""
+    parser = _Parser(
         prog="efgsolve",
         description="Benchmark tabular solvers on two-player zero-sum "
                     "extensive-form games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one algorithm over seeds")
+    run_p = sub.add_parser("run", help="run one algorithm over seeds",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--game", help="game name, e.g. kuhn, kgmp_2_3")
     run_p.add_argument("--algo", help="cfr | cfr_plus | mccfr_es | xfp | "
                                       "xdo | psro")
     run_p.add_argument("--seeds", "--seed", help='e.g. "0", "0,1,2", "0-9"')
-    run_p.add_argument("--node-budget", type=int)
-    run_p.add_argument("--max-iters", type=int)
+    run_p.add_argument("--node-budget", type=ascii_int)
+    run_p.add_argument("--max-iters", type=ascii_int)
     run_p.add_argument("--max-wall-s", type=float)
-    run_p.add_argument("--out", help="output directory (default runs/)")
-    run_p.add_argument("--eval-cadence", type=int, metavar="NODES",
-                       help="first measurement at this visit count, "
-                            "then geometrically (default 10000)")
-    run_p.add_argument("--eval-factor", type=int)
-    run_p.add_argument("--wall-clock", action="store_true", default=None,
+    run_p.add_argument("--out", dest="out_dir", metavar="OUT", help="output "
+                       f"directory (default {ExperimentConfig.out_dir}/)")
+    run_p.add_argument("--eval-cadence", type=ascii_int, dest="eval_start",
+                       metavar="NODES", help="first measurement at this "
+                       "visit count, then geometrically (default "
+                       f"{ExperimentConfig.eval_start})")
+    run_p.add_argument("--eval-factor", type=ascii_int)
+    run_p.add_argument("--wall-clock", action="store_true",
                        help="record real wall_ms (breaks byte-level "
                             "reproducibility)")
-    run_p.add_argument("--jobs", type=int)
-    run_p.add_argument("--max-states", type=int)
+    run_p.add_argument("--jobs", type=ascii_int)
+    run_p.add_argument("--max-states", type=ascii_int)
     run_p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="algorithm parameter, repeatable")
     run_p.add_argument("--config", help="YAML file with any of the above")
 
     hist_p = sub.add_parser("psro-hist",
                             help="repeated double-oracle trials on the "
-                                 "pick-a-game rock paper scissors")
-    hist_p.add_argument("--trials", type=int, default=150)
-    hist_p.add_argument("--seed0", type=int, default=0)
-    hist_p.add_argument("--horizon", type=int, default=30)
-    hist_p.add_argument("--eps", type=float, default=1e-3)
-    hist_p.add_argument("--out", default="runs")
-    hist_p.add_argument("--jobs", type=int, default=1)
+                                 "pick-a-game rock paper scissors",
+                            argument_default=argparse.SUPPRESS)
+    hist_p.add_argument("--trials", type=ascii_int)
+    hist_p.add_argument("--seed0", type=ascii_int)
+    hist_p.add_argument("--horizon", type=ascii_int)
+    hist_p.add_argument("--eps", type=float)
+    hist_p.add_argument("--out", dest="out_dir", metavar="OUT")
+    hist_p.add_argument("--jobs", type=ascii_int)
 
     size_p = sub.add_parser("size-report",
                             help="restricted-game size after a "
-                                 "double-oracle run")
-    size_p.add_argument("--game", required=True)
-    size_p.add_argument("--seed", type=int, default=0)
-    size_p.add_argument("--node-budget", type=int)
-    size_p.add_argument("--max-iters", type=int)
-    size_p.add_argument("--inner", default="cfr_plus")
-    size_p.add_argument("--out", default="runs")
-    size_p.add_argument("--max-states", type=int, default=50_000_000)
+                                 "double-oracle run",
+                            argument_default=argparse.SUPPRESS)
+    size_p.add_argument("--game", dest="game_name", metavar="GAME",
+                        required=True)
+    size_p.add_argument("--seed", type=ascii_int)
+    size_p.add_argument("--node-budget", type=ascii_int)
+    size_p.add_argument("--max-iters", type=ascii_int, dest="max_outer",
+                        metavar="MAX_ITERS")
+    size_p.add_argument("--inner")
+    size_p.add_argument("--out", dest="out_dir", metavar="OUT")
+    size_p.add_argument("--max-states", type=ascii_int)
 
     sub.add_parser("list-games", help="name patterns the registry accepts")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            summary = run_experiment(_run_config(args))
+        opts = vars(build_parser().parse_args(argv))
+        command = opts.pop("command")
+        if command == "run":
+            summary = run_experiment(_run_config(opts))
             for seed, final in summary["final_exploitability"].items():
                 flag = (" (truncated)"
                         if summary["seeds"][seed]["truncated"] else "")
                 print(f"seed {seed}: exploitability {final:.6g}{flag}")
             print(f"wrote {len(summary['csv_files'])} CSV file(s) and a "
                   f"summary under {summary['config']['out_dir']}/")
-        elif args.command == "psro-hist":
-            summary = run_psro_hist(args.trials, args.seed0, args.horizon,
-                                    args.eps, args.out, args.jobs)
+        elif command == "psro-hist":
+            summary = run_psro_hist(**opts)
             for player in (1, 2):
                 frac = summary["proportion_full"][f"player{player}"]
                 print(f"player {player} expanded every pure strategy in "
-                      f"{frac:.1%} of {args.trials} trial(s)")
-        elif args.command == "size-report":
-            report = run_size_report(args.game, args.seed, args.node_budget,
-                                     args.max_iters, args.inner, args.out,
-                                     args.max_states)
-            print(f"{args.game}: restricted/full histories "
+                      f"{frac:.1%} of {summary['trials']} trial(s)")
+        elif command == "size-report":
+            report = run_size_report(**opts)
+            print(f"{opts['game_name']}: restricted/full histories "
                   f"{report['history_ratio']:.3f} "
                   f"({report['restricted_histories']}/"
                   f"{report['full_histories']})")
         else:
             for pattern in list_games():
                 print(pattern)
-    except ConfigError as err:
+    except (ConfigError, EnumerationOverflow) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except EnumerationOverflow as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(err, EnumerationOverflow) else 2
     return 0

@@ -96,7 +96,7 @@ def write_summary_json(path, summary: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cadence_thresholds(start: int = 10_000, factor: int = 2):
+def cadence_thresholds(start: int, factor: int):
     """Node counts at which to measure: start, start*factor, ... so a
     log-x curve gets evenly spaced points at constant cost."""
     if start < 1 or factor < 2:

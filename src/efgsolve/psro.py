@@ -183,8 +183,8 @@ def reduced_canonical(tree: TreeIndex, choice: np.ndarray,
                     -1).tobytes()
 
 
-def psro_histogram(game, trials: int = 150, seed0: int = 0,
-                   horizon: int = 30, eps: float = 1e-3,
+def psro_histogram(game, trials: int, seed0: int, horizon: int,
+                   eps: float = PsroConfig.eps,
                    base_tree: TreeIndex | None = None) -> list[dict]:
     """Strategy-expansion experiment over repeated double-oracle trials.
 

@@ -6,6 +6,7 @@ process pool, because the acceptance checks diff files, not floats.
 """
 
 import json
+from dataclasses import fields
 from itertools import islice
 
 import pytest
@@ -76,6 +77,17 @@ def test_validate_config_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="needs --node-budget"):
         validate_config(small_cfg(algo="xdo", max_iters=None,
                                   max_wall_s=1.0))
+
+
+@pytest.mark.parametrize("algo", sorted(bench._PARAM_KEYS))
+def test_every_accepted_parameter_is_checked(algo):
+    # XDO's and PSRO's keys come from their configs, so a new config
+    # field must not become a parameter that no check reads.
+    keys = bench._PARAM_KEYS[algo]
+    assert keys <= set(bench._CHECKS)
+    config = {"xdo": bench.XdoConfig, "psro": bench.PsroConfig}.get(algo)
+    if config is not None:
+        assert keys <= {f.name for f in fields(config)}
 
 
 def test_guard_enumerable_counts_and_overflows():
@@ -321,6 +333,31 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     ["psro-hist", "--trials", "2", "--seed0", "-1"],
     ["psro-hist", "--trials", "2", "--eps", "-1"],
     ["psro-hist", "--trials", "2", "--eps", "nan"],
+    ["run", "--game", "kgmp_01_2", "--algo", "cfr", "--max-iters", "1"],
+    ["run", "--game", "oshi_zumo_04_3_6", "--algo", "cfr", "--max-iters",
+     "1"],
+    CFR_RUN + ["--seeds", "007"],
+    CFR_RUN + ["--seeds", "-0"],
+    CFR_RUN + ["--node-budget", "abc"],
+    CFR_RUN + ["--node-budget", "1_0"],
+    ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "1_0"],
+    CFR_RUN + ["--eval-cadence", "01"],
+    CFR_RUN + ["--eval-factor", "+3"],
+    CFR_RUN + ["--jobs", "\u0662"],
+    CFR_RUN + ["--max-states", " 9"],
+    ["psro-hist", "--trials", "1e3"],
+    ["psro-hist", "--trials", "2", "--seed0", "\u0663"],
+    ["psro-hist", "--trials", "2", "--horizon", "1_0"],
+    ["psro-hist", "--trials", "2", "--jobs", "02"],
+    ["size-report", "--game", "kuhn", "--max-iters", "2", "--seed", "1_0"],
+    ["size-report", "--game", "kuhn", "--max-iters", "2", "--node-budget",
+     "1e5"],
+    ["size-report", "--game", "kuhn", "--max-iters", "+2"],
+    ["size-report", "--game", "kuhn", "--max-iters", "2", "--max-states",
+     "-0"],
+    ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2",
+     "--bogus"],
+    ["psro-hist", "--trials"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
@@ -337,7 +374,17 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "psro-max-iters-negative", "jobs-0", "eval-cadence-0",
         "eval-factor-1", "size-report-max-iters-0",
         "size-report-node-budget-negative", "psro-hist-seed0-negative",
-        "psro-hist-eps-negative", "psro-hist-eps-nan"])
+        "psro-hist-eps-negative", "psro-hist-eps-nan",
+        "game-leading-zero", "oshi-zumo-leading-zero", "seeds-leading-zero",
+        "seeds-minus-zero", "node-budget-text", "node-budget-underscore",
+        "max-iters-underscore", "eval-cadence-leading-zero",
+        "eval-factor-plus-sign", "jobs-arabic-indic-digit",
+        "max-states-space", "psro-hist-trials-float",
+        "psro-hist-seed0-arabic-indic-digit", "psro-hist-horizon-underscore",
+        "psro-hist-jobs-leading-zero", "size-report-seed-underscore",
+        "size-report-node-budget-float", "size-report-max-iters-plus-sign",
+        "size-report-max-states-minus-zero", "unknown-flag",
+        "flag-without-value"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -1,16 +1,22 @@
-"""The benchmark's tracer wraps package callables by name from outside
-(perfbench/tracing.py).  Every name it wraps must still exist where it
-looks, or a traced benchmark run fails before it starts."""
+"""The benchmark under perfbench/ reaches into the package from outside:
+its tracer (tracing.py) wraps callables by name, and its worker
+(worker.py) calls the runner's functions with keywords and reads a
+class-level default.  Every name and keyword must still be where they
+look, or a benchmark run fails before it starts."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
+from efgsolve import bench
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing",
-    Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    "perfbench_tracing", PERFBENCH / "tracing.py")
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
@@ -33,3 +39,29 @@ def test_restricted_game_class_resolves():
     # games from full ones.
     assert isinstance(importlib.import_module("efgsolve.xdo").RestrictedGame,
                       type)
+
+
+def _worker_bench_calls():
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "bench"]
+
+
+def test_worker_calls_bind_to_the_runner():
+    calls = _worker_bench_calls()
+    assert {c.func.attr for c in calls} == {
+        "ExperimentConfig", "run_experiment", "run_psro_hist",
+        "guard_enumerable"}
+    for call in calls:
+        # Binding fails on a keyword the callable no longer takes, or on
+        # a required argument the worker does not pass.
+        inspect.signature(getattr(bench, call.func.attr)).bind(
+            *call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def test_worker_reads_the_class_level_history_cap():
+    # setup_s times its set-up under the run's own default cap.
+    assert isinstance(bench.ExperimentConfig.max_states, int)

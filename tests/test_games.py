@@ -7,7 +7,8 @@ import pytest
 
 from efgsolve import TreeIndex, make_game, profile_array, uniform_policy
 from efgsolve.evaluate import exploitability, expected_value
-from efgsolve.games import clone_gmp, gmp_matrix, kgmp, perturbed_kgmp
+from efgsolve.games import (ascii_int, clone_gmp, gmp_matrix, kgmp,
+                            perturbed_kgmp)
 from efgsolve.games.kuhn import BET, PASS
 from efgsolve.games.leduc import CALL, FOLD, RAISE
 
@@ -126,6 +127,16 @@ def test_make_game_seed_reaches_perturbed_games():
     a = make_game("perturbed_kgmp_2_3", seed=7)
     b = make_game("perturbed_kgmp_2_3", seed=7)
     assert all((x == y).all() for x, y in zip(a.matrices, b.matrices))
+
+
+def test_ascii_int_takes_only_the_spelling_str_gives():
+    # The one integer rule of game names, seeds and integer flags.
+    for text in ("0", "7", "-3", "150"):
+        assert ascii_int(text) == int(text)
+    for text in ("01", "007", "+3", "-0", "1_0", " 3", "3\n", "\u0663",
+                 "\uff12", "", "-", "1e3"):
+        with pytest.raises(ValueError):
+            ascii_int(text)
 
 
 def test_rps_choice_shape():
