@@ -5,7 +5,8 @@ CSV), ``psro-hist`` (strategy-expansion histogram experiment),
 ``size-report`` (restricted-game size after a double-oracle run), and
 ``list-games``.  A YAML config file can carry any ``run`` setting; the
 matching command line flags override it.  Every integer, in a flag, a
-seed list or a game name, is read by ``games.ascii_int``.  Exit codes:
+seed list, a game name or YAML, is read by ``games.ascii_int``, and
+every real-number flag by ``games.ascii_float``.  Exit codes:
 0 success (budget truncation included), 2 bad configuration or command
 line, 3 game too large to enumerate, each error in one line.
 """
@@ -20,7 +21,7 @@ import yaml
 from .bench import (ConfigError, EnumerationOverflow, ExperimentConfig,
                     list_games, run_experiment, run_psro_hist,
                     run_size_report)
-from .games import ascii_int
+from .games import ascii_float, ascii_int
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -45,12 +46,40 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
+class _Yaml(yaml.SafeLoader):
+    """YAML whose numbers follow the command line's rules.  YAML 1.1
+    would read "010" as 8, "0x10" as 16 and "1_0" or "1:20" as integers,
+    and "1_0.5" or "1:20.5" as floats; each of these is an error here."""
+
+
+def _yaml_int(loader, node):
+    try:
+        return ascii_int(loader.construct_scalar(node))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _yaml_float(loader, node):
+    # YAML's float pattern takes only ASCII: digits, a dot, a sign, an
+    # exponent, "_", ":" and the words ".inf" and ".nan".  Without "_"
+    # and ":" that is ascii_float's notation, in YAML's spelling of
+    # infinity and NaN.
+    text = loader.construct_scalar(node)
+    if "_" in text or ":" in text:
+        raise ConfigError(f"not a number: {text!r}")
+    return loader.construct_yaml_float(node)
+
+
+_Yaml.add_constructor("tag:yaml.org,2002:int", _yaml_int)
+_Yaml.add_constructor("tag:yaml.org,2002:float", _yaml_float)
+
+
 def _numeric(value):
     """YAML reads dot-less scientific notation ("1e-5") as text; give
     such strings a second chance as floats."""
     if isinstance(value, str):
         try:
-            return float(value)
+            return ascii_float(value)
         except ValueError:
             pass
     return value
@@ -62,14 +91,14 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise ConfigError(f"--param takes key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        out[key.strip()] = _numeric(yaml.safe_load(val))
+        out[key.strip()] = _numeric(yaml.load(val, Loader=_Yaml))
     return out
 
 
 def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Yaml)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
     except yaml.YAMLError as err:
@@ -127,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seeds", "--seed", help='e.g. "0", "0,1,2", "0-9"')
     run_p.add_argument("--node-budget", type=ascii_int)
     run_p.add_argument("--max-iters", type=ascii_int)
-    run_p.add_argument("--max-wall-s", type=float)
+    run_p.add_argument("--max-wall-s", type=ascii_float)
     run_p.add_argument("--out", dest="out_dir", metavar="OUT", help="output "
                        f"directory (default {ExperimentConfig.out_dir}/)")
     run_p.add_argument("--eval-cadence", type=ascii_int, dest="eval_start",
@@ -151,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist_p.add_argument("--trials", type=ascii_int)
     hist_p.add_argument("--seed0", type=ascii_int)
     hist_p.add_argument("--horizon", type=ascii_int)
-    hist_p.add_argument("--eps", type=float)
+    hist_p.add_argument("--eps", type=ascii_float)
     hist_p.add_argument("--out", dest="out_dir", metavar="OUT")
     hist_p.add_argument("--jobs", type=ascii_int)
 

@@ -11,7 +11,7 @@ from .oshi_zumo import OshiZumo
 __all__ = [
     "Kuhn", "Leduc", "OshiZumo", "ParallelStageGame", "clone_gmp",
     "gmp_matrix", "kgmp", "perturbed_kgmp", "rps_choice", "make_game",
-    "GAME_PATTERNS", "ascii_int",
+    "GAME_PATTERNS", "ascii_float", "ascii_int",
 ]
 
 # Base name -> (integer parameters, builder(seed, *parameters)).  Only
@@ -41,6 +41,20 @@ def ascii_int(text: str) -> int:
     except ValueError:
         pass
     raise ValueError(f"not an integer: {text!r}")
+
+
+def ascii_float(text: str) -> float:
+    """``text`` as a float if it is ASCII decimal or scientific notation,
+    else ValueError; "inf", "nan" and values past the float range read
+    as ``float`` reads them, for the caller's range check.  ``float``
+    alone would also take "1_0", surrounding spaces and other scripts'
+    digits."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"not a number: {text!r}")
 
 
 def make_game(name: str, seed: int = 0):

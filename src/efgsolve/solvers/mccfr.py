@@ -10,10 +10,10 @@ because numpy scalars and small temporaries cost microseconds per
 visited history: a terminal is its player-0 payoff as a float, a chance
 node is its children with their probability prefix sums, and a decision
 node is its children, acting player and column range.  ``regret`` and
-``ssum`` are flat float lists.  Every float operation is the one the
-equivalent numpy row operations make, in the same order, so the results
-equal an array implementation bit for bit (``tests/test_solvers.py``
-keeps one as the reference):
+``ssum`` are flat float lists.  The results equal an array
+implementation bit for bit (``tests/test_solvers.py`` keeps one as the
+reference): every float operation is the one the equivalent numpy row
+operations make, in the same order, or provably gives the same float:
 
 * a row's regret-matching norm is added left to right, which is what
   numpy's sum does below eight elements; longer rows use numpy's sum;
@@ -21,6 +21,16 @@ keeps one as the reference):
   behind it (OpenBLAS on x86-64) computes short dots as a chain of fused
   multiply-adds, which a Python sum of products misses in the last bit
   on about half of all rows, and Python has no ``math.fma`` before 3.13;
+* a row with exactly one positive regret, at column ``k``, has the unit
+  row e_k as its strategy (``x / x`` is 1.0, every other entry 0.0), and
+  most rows are such rows once the regrets settle.  Its node skips the
+  strategy list.  The traverser's value is ``vals[k] + 0.0``: every
+  other product in the dot is ±0, and numpy adds the BLAS result to
+  +0.0, which ``+ 0.0`` repeats for a zero ``vals[k]``.  A sampled
+  player adds 1.0 to ``ssum[lo + k]``, which never holds -0.0 and so
+  gains nothing from the zeros, and moves to child ``k`` after using up
+  its draw, since the prefix sums 0, ..., 0, 1, ..., 1 put every draw
+  in [0, 1) at ``k``;
 * uniforms are drawn 1,024 at a time with ``rng.random(1024)`` and
   handed out in order.  That is the same stream as one ``rng.random()``
   per draw at a fraction of the call cost.  The block carries across
@@ -112,14 +122,22 @@ class MccfrEs:
                 _, p, lo, hi = nd
                 row = regret[lo:hi]
                 norm = 0.0
+                npos = 0
                 if hi - lo < _SEQUENTIAL_SUM:
                     for x in row:
                         if x > 0.0:
                             norm += x
+                            npos += 1
                 else:
-                    norm = float(np_sum([x if x > 0.0 else 0.0
-                                         for x in row]))
-                if norm <= 0.0:
+                    pos = [x if x > 0.0 else 0.0 for x in row]
+                    norm = float(np_sum(pos))
+                    npos = hi - lo - pos.count(0.0)
+                if npos == 1:
+                    # sigma is the unit row at k; norm is its one
+                    # positive regret exactly.
+                    sigma = None
+                    k = row.index(norm)
+                elif norm <= 0.0:
                     sigma = [1.0 / (hi - lo)] * (hi - lo)
                 else:
                     sigma = [x / norm if x > 0.0 else 0.0 for x in row]
@@ -127,7 +145,10 @@ class MccfrEs:
                     visits += hi - lo - 1
                     vals = [c if c.__class__ is float else walk(c)
                             for c in kids]
-                    v = float(dot(sigma, vals))
+                    if sigma is None:
+                        v = vals[k] + 0.0
+                    else:
+                        v = float(dot(sigma, vals))
                     row = regret[lo:hi]
                     if me == 0:
                         regret[lo:hi] = [r + (x - v)
@@ -136,8 +157,13 @@ class MccfrEs:
                         regret[lo:hi] = [r + (v - x)
                                          for r, x in zip(row, vals)]
                     return v
-                ssum[lo:hi] = list(map(add, ssum[lo:hi], sigma))
-                nd = kids[sample_index(sigma, draw())]
+                if sigma is None:
+                    ssum[lo + k] += 1.0
+                    draw()
+                    nd = kids[k]
+                else:
+                    ssum[lo:hi] = list(map(add, ssum[lo:hi], sigma))
+                    nd = kids[sample_index(sigma, draw())]
             return nd
 
         root = self._root

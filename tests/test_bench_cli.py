@@ -358,6 +358,20 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2",
      "--bogus"],
     ["psro-hist", "--trials"],
+    XDO_RUN + ["--param", "check_period=010"],
+    XDO_RUN + ["--param", "check_period=0x10"],
+    XDO_RUN + ["--param", "check_period=1_0"],
+    XDO_RUN + ["--param", "check_period=1:20"],
+    XDO_RUN + ["--param", "check_period=+3"],
+    XDO_RUN + ["--param", "term_eps=1_0.5"],
+    XDO_RUN + ["--param", "term_eps=1e-1_0"],
+    XDO_RUN + ["--param", "term_eps=\u0660.\u0665"],
+    CFR_RUN + ["--max-wall-s", "1_0"],
+    CFR_RUN + ["--max-wall-s", " 5"],
+    CFR_RUN + ["--max-wall-s", "\uff15"],
+    ["psro-hist", "--trials", "1", "--horizon", "2", "--eps",
+     "\u0660.\u0665"],
+    ["psro-hist", "--trials", "1", "--horizon", "2", "--eps", "0.0_5"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
@@ -384,7 +398,12 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "psro-hist-jobs-leading-zero", "size-report-seed-underscore",
         "size-report-node-budget-float", "size-report-max-iters-plus-sign",
         "size-report-max-states-minus-zero", "unknown-flag",
-        "flag-without-value"])
+        "flag-without-value", "param-octal", "param-hex",
+        "param-underscore", "param-base-60", "param-plus-sign",
+        "param-float-underscore", "param-exponent-underscore",
+        "param-arabic-indic-digits", "max-wall-s-underscore",
+        "max-wall-s-space", "max-wall-s-fullwidth-digit",
+        "psro-hist-eps-arabic-indic-digits", "psro-hist-eps-underscore"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -419,10 +438,14 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2\nparams: [1, 2]", "max_iters: 2\ngame: 5",
     "max_iters: 2\nout_dir: 5", "max_iters: 2\nparams: {1: 2, foo: 3}",
     "max_iters: 2\nseeds: [0, 0]", "max_iters: 2\nmax_wall_s: .inf",
+    "max_iters: 010", "max_iters: 1_0", "max_iters: 2\nseeds: [0x1]",
+    "max_iters: 2\nseeds: 1:20", "max_iters: 2\nmax_wall_s: 1_0.5",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
         "wall-clock-text", "params-list", "game-number", "out-dir-number",
-        "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf"])
+        "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf",
+        "max-iters-octal", "max-iters-underscore", "seeds-hex",
+        "seeds-base-60", "max-wall-s-underscore"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -522,10 +545,12 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
 def test_cli_param_values_are_yaml_typed(tmp_path):
     code = main(["run", "--game", "kuhn", "--algo", "xdo",
                  "--max-iters", "3", "--param", "inner=lp",
-                 "--param", "term_eps=1e-5", "--out", str(tmp_path)])
+                 "--param", "term_eps=1e-5", "--param", "check_period=3",
+                 "--out", str(tmp_path)])
     assert code == 0
     summary = json.loads((tmp_path / "xdo_kuhn_summary.json").read_text())
-    assert summary["config"]["params"] == {"inner": "lp", "term_eps": 1e-5}
+    assert summary["config"]["params"] == {"inner": "lp", "term_eps": 1e-5,
+                                           "check_period": 3}
     assert main(["run", "--game", "kuhn", "--algo", "xdo",
                  "--max-iters", "3", "--param", "nonsense"]) == 2
 

@@ -2,13 +2,15 @@
 uniform-equilibrium property of the matching-pennies family, and the
 bidding rules of the coin game."""
 
+import math
+
 import numpy as np
 import pytest
 
 from efgsolve import TreeIndex, make_game, profile_array, uniform_policy
 from efgsolve.evaluate import exploitability, expected_value
-from efgsolve.games import (ascii_int, clone_gmp, gmp_matrix, kgmp,
-                            perturbed_kgmp)
+from efgsolve.games import (ascii_float, ascii_int, clone_gmp, gmp_matrix,
+                            kgmp, perturbed_kgmp)
 from efgsolve.games.kuhn import BET, PASS
 from efgsolve.games.leduc import CALL, FOLD, RAISE
 
@@ -137,6 +139,18 @@ def test_ascii_int_takes_only_the_spelling_str_gives():
                  "\uff12", "", "-", "1e3"):
         with pytest.raises(ValueError):
             ascii_int(text)
+
+
+def test_ascii_float_takes_only_ascii_notation():
+    # The one real-number rule of the float flags and YAML's text.
+    for text in ("0.05", "10", "1e-5", "-2.5E+3", ".5", "5.", "inf",
+                 "1e999"):
+        assert ascii_float(text) == float(text)
+    assert math.isnan(ascii_float("nan"))
+    for text in ("1_0", "0.0_5", " 5", "5\n", "\u0660.\u0665", "\uff15",
+                 "", "0x10", "1:20", ".inf"):
+        with pytest.raises(ValueError):
+            ascii_float(text)
 
 
 def test_rps_choice_shape():

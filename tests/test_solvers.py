@@ -16,6 +16,7 @@ import pytest
 
 from efgsolve import (NodeCounter, TreeIndex, exploitability,
                       expected_value, make_game)
+from efgsolve.games import ParallelStageGame
 from efgsolve.policy import sample_index
 from efgsolve.solvers import (Cfr, MccfrEs, Xfp, solve_matrix_fp,
                               solve_matrix_lp)
@@ -303,13 +304,40 @@ def test_mccfr_es_walk_matches_the_array_reference(name, seed):
     ref = _ArrayMccfrEs(tree, seed)
     counter = NodeCounter()
     solver = MccfrEs(tree, seed=seed, counter=counter)
-    # Uneven calls, so the draw block carries across iterate calls.
-    for n in (1, 2, 3, 60):
+    # Uneven calls, so the draw block carries across iterate calls; by
+    # the long last call most rows have one positive regret.  Bytes, not
+    # np.array_equal, which takes -0.0 for +0.0.
+    for n in (1, 2, 3, 60, 300):
         ref.iterate(n)
         solver.iterate(n)
     assert counter.count == ref.visits
-    assert np.array_equal(np.array(solver.regret), ref.regret)
-    assert np.array_equal(np.array(solver.ssum), ref.ssum)
+    assert _same_bits(np.array(solver.regret), ref.regret)
+    assert _same_bits(np.array(solver.ssum), ref.ssum)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mccfr_es_unit_rows_match_the_array_reference(seed):
+    # In stage s every row has its one positive regret in column s:
+    # first, middle and last.  The diagonal is then both players' hot
+    # child, so the traverser's value is a payoff of +0.0 or -0.0.
+    m = [[-0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, -0.0]]
+    tree = TreeIndex(ParallelStageGame("unit_rows", [m] * 3))
+    regret = np.zeros(tree.n_cols)
+    for s in range(3):
+        for p in (0, 1):
+            lo = int(tree.is_off[tree.key_to_isid[(p, s)]])
+            regret[lo:lo + 3] = -1.0
+            regret[lo + (s + 1) % 3] = 0.0
+            regret[lo + s] = 0.5
+    ref = _ArrayMccfrEs(tree, seed)
+    ref.regret = regret.copy()
+    solver = MccfrEs(tree, seed=seed, counter=NodeCounter())
+    solver.regret = regret.tolist()
+    ref.iterate(1)
+    solver.iterate(1)
+    assert solver.counter.count == ref.visits
+    assert _same_bits(np.array(solver.regret), ref.regret)
+    assert _same_bits(np.array(solver.ssum), ref.ssum)
 
 
 @pytest.mark.parametrize("name, first, second", [
