@@ -425,6 +425,7 @@ def run_size_report(game_name: str, seed: int = 0,
     ratio and each player's decision-infostate coverage."""
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
+    _check({"seed": (_seed, "an integer >= 0")}, dict(seed=seed))
     validate_config(ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
         max_iters=max_outer, max_states=max_states, params={"inner": inner}))

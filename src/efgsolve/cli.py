@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import yaml
 
@@ -49,7 +50,9 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 class _Yaml(yaml.SafeLoader):
     """YAML whose numbers follow the command line's rules.  YAML 1.1
     would read "010" as 8, "0x10" as 16 and "1_0" or "1:20" as integers,
-    and "1_0.5" or "1:20.5" as floats; each of these is an error here."""
+    and "1_0.5" or "1:20.5" as floats; each of these is an error here.
+    Booleans are YAML 1.2's true and false only: "yes", "no", "on" and
+    "off" stay text, which the checks then refuse."""
 
 
 def _yaml_int(loader, node):
@@ -70,8 +73,18 @@ def _yaml_float(loader, node):
     return loader.construct_yaml_float(node)
 
 
+_BOOLS = {"true": True, "True": True, "TRUE": True,
+          "false": False, "False": False, "FALSE": False}  # YAML 1.2's
+
+
+def _yaml_bool(loader, node):
+    text = loader.construct_scalar(node)
+    return _BOOLS.get(text, text)
+
+
 _Yaml.add_constructor("tag:yaml.org,2002:int", _yaml_int)
 _Yaml.add_constructor("tag:yaml.org,2002:float", _yaml_float)
+_Yaml.add_constructor("tag:yaml.org,2002:bool", _yaml_bool)
 
 
 def _numeric(value):
@@ -128,10 +141,12 @@ def _run_config(opts: dict) -> ExperimentConfig:
     for key in ("game", "algo"):
         if not data.get(key):
             raise ConfigError(f"--{key} is required (flag or config file)")
-    try:
-        return ExperimentConfig(**data)
-    except TypeError as err:
-        raise ConfigError(f"bad config: {err}") from None
+    known = [f.name for f in fields(ExperimentConfig)]
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}; accepted keys: "
+                              + ", ".join(known))
+    return ExperimentConfig(**data)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,7 +8,10 @@ backward sweep, deepest level first (Johanson et al., IJCAI 2011),
 which relies on every infostate's decision nodes lying at one depth
 (``TreeIndex`` checks this at build).  Before level k is
 summed into its parents its values are final, so they value the columns
-of the responder's infostates at depth k - 1; a segment max
+of the responder's infostates at depth k - 1, summed with
+``np.bincount`` into arrays the size of those columns through the
+level plan ``TreeIndex.own_levels`` keeps (each edge's parent and its
+position among the columns); a segment max
 (``np.maximum.reduceat`` over the infostates' column slices) gives each
 infostate's best value, and the edges into level k then weigh 1 for the
 picked columns and 0 for the rest.  Ties between equally good actions
@@ -55,7 +58,7 @@ class BestResponse(NamedTuple):
 def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
           preferred: np.ndarray | None, rng) -> np.ndarray:
     """Position of the chosen maximizer in each segment of ``row``."""
-    best = np.repeat(np.maximum.reduceat(row, starts), nact)
+    best = np.maximum.reduceat(row, starts).repeat(nact)
     if rng is None:
         cand = row == best
     else:
@@ -64,7 +67,7 @@ def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
     if preferred is not None:
         inside = cand & preferred
         has = np.logical_or.reduceat(inside, starts)
-        cand = np.where(np.repeat(has, nact), inside, cand)
+        cand = np.where(has.repeat(nact), inside, cand)
     # first candidate of each segment, i.e. the lowest action slot
     pick = np.minimum.reduceat(
         np.where(cand, np.arange(row.size), row.size), starts)
@@ -94,37 +97,41 @@ def best_response(tree: TreeIndex, sigma: np.ndarray, player: int,
         counter.add(tree.n_nodes)
 
     # The responder's edges weigh 1 until their level's picks are made.
-    w = tree.in_prob * tree.edge_sigma(sigma)
-    w[tree.in_player == player] = 1.0
-    reach = tree.reach(w)  # chance-and-opponent reach
-    q = np.zeros(tree.n_cols)
-    q_unit = np.zeros(tree.n_cols)
-    reached = np.zeros(tree.n_cols, dtype=bool)
-    chosen = np.zeros(tree.n_cols)
-    choice = np.empty(tree.infosets_of(player).size, dtype=np.int64)
     groups = tree.own_levels(player)
+    sig = np.concatenate((sigma, [1.0]))
+    for g in groups.values():
+        sig[g.cols] = 1.0
+    w = tree.in_prob * sig.take(tree.in_col)
+    reach = tree.reach(w)  # chance-and-opponent reach
+    choice = np.empty(sum(g.slots.size for g in groups.values()),
+                      dtype=np.int64)
     v = tree.payoff1.copy()
+    parent = tree.parent
     for k in range(len(tree.levels) - 1, 0, -1):
         g = groups.get(k - 1)
         if g is not None:
             # A column's value sums its histories weighted by their
             # reach, or unweighted where opponent and chance reach none
-            # of the infostate's histories.
-            kid_cols = tree.in_col[g.kids]
-            par_reach = reach[tree.parent[g.kids]]
-            vp = v[g.kids] if player == 0 else -v[g.kids]
-            np.add.at(q, kid_cols, par_reach * vp)
-            np.add.at(q_unit, kid_cols, vp)
-            reached[kid_cols[par_reach > 0.0]] = True
-            row = np.where(reached[g.cols], q[g.cols], q_unit[g.cols])
-            pick = g.cols[_pick(row, g.starts, g.nact,
-                                None if prefer is None else prefer[g.cols],
-                                rng)]
-            chosen[pick] = 1.0
-            choice[g.slots] = pick
-            w[g.kids] = chosen[kid_cols]
+            # of the infostate's histories.  Reach is never negative,
+            # so a column's reach sums to more than 0 exactly when one
+            # of its histories is reached.
+            n = g.cols.size
+            par_reach = reach.take(g.kid_par)
+            vp = v.take(g.kids)
+            if player == 1:
+                vp = -vp
+            row = np.bincount(g.kid_pos, par_reach * vp, n)
+            reached = np.bincount(g.kid_pos, par_reach, n) > 0.0
+            if not reached.all():
+                row = np.where(reached, row,
+                               np.bincount(g.kid_pos, vp, n))
+            pick = _pick(row, g.starts, g.nact,
+                         None if prefer is None else prefer[g.cols], rng)
+            choice[g.slots] = g.cols[pick]
+            # The picked columns weigh 1, the others 0.
+            w[g.kids] = np.bincount(pick, minlength=n).take(g.kid_pos)
         sl = tree.levels[k]
-        np.add.at(v, tree.parent[sl], w[sl] * v[sl])
+        np.add.at(v, parent[sl], w[sl] * v[sl])
 
     value = float(v[0]) if player == 0 else -float(v[0])
     return BestResponse(value=value, choice=choice)

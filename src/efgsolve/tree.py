@@ -6,9 +6,11 @@ numbered level by level, so each depth level is one contiguous slice of
 node ids and a full-width pass is one vectorized step per level.  The
 index holds the general sweeps: ``reach``, the forward product of edge
 weights from the root, and ``values``, the backward sum of weighted
-child values; both take one weight per node.  Every weight array a
-caller needs is a selection from ``in_prob`` and one gather of a flat
-profile, ``edge_sigma``.  The best response runs the only other sweep.
+child values; both take one weight per node.  A caller's weights are
+``in_prob`` times one gather of a flat profile onto the edges through
+``in_col`` (``edge_sigma``); ``Cfr`` gathers from its own player-major
+buffer.  The best response runs the only other sweep, level by level
+through the plans of ``own_levels``.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from time import perf_counter
 from typing import NamedTuple
 
@@ -84,12 +86,16 @@ _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
 class OwnLevel(NamedTuple):
     """One player's infostates at one depth, in ascending id order: their
     slots in the player's choice arrays; the player's edges leaving
-    their decision nodes (a slice of ascending node ids); their action
-    counts and their columns laid end to end (``cols``, segments
-    starting at ``starts``); and for the slots ``linked`` to a parent
-    infostate, the parent's slot and the parent column leading there."""
+    their decision nodes (``kids``, a slice of ascending node ids), the
+    parents of those edges and each edge's position in ``cols``
+    (``kid_pos``); their action counts and their columns laid end to
+    end (``cols``, segments starting at ``starts``); and for the slots
+    ``linked`` to a parent infostate, the parent's slot and the parent
+    column leading there."""
     slots: np.ndarray
     kids: np.ndarray
+    kid_par: np.ndarray
+    kid_pos: np.ndarray
     nact: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
@@ -305,57 +311,92 @@ class TreeIndex:
         tree's order, and infostates are numbered by their first kept
         decision node in walk order.  ``base_col`` maps restricted
         columns to columns here; ``preorder`` keeps this tree's ranks.
-        """
-        nodes = np.flatnonzero(self.reach(self.edge_sigma(cols)))
 
-        dec = nodes[self.decision_mask[nodes]]
-        base_is = self.infoset[dec[np.argsort(self.preorder[dec])]]
-        if not np.isin(base_is, self.col_isid[cols]).all():
-            raise ValueError("decision node with no legal actions")
-        base_is = base_is[np.sort(np.unique(base_is, return_index=True)[1])]
-        col_isid = _relabel(self.col_isid, base_is, self.n_infosets)
-        base_col = np.flatnonzero(cols & (col_isid >= 0))
-        base_col = base_col[np.argsort(col_isid[base_col], kind="stable")]
+        The kept nodes are found level by level, as the children of the
+        kept nodes one level up that chance or an allowed column leads
+        to, and the columns are read off the kept infostates' column
+        ranges, so the cost follows the restricted tree, not this one.
+        """
+        allowed = np.append(cols, True)  # in_col -1: chance and the root
+        child_off, in_col = self.child_off, self.in_col
+        kept = [np.zeros(1, dtype=np.int64)]
+        while kept[-1].size:
+            up = kept[-1]
+            first_kid = child_off[up]
+            nkids = child_off[up + 1] - first_kid
+            ends = nkids.cumsum()
+            kids = (np.arange(ends[-1])
+                    + np.repeat(first_kid - ends + nkids, nkids))
+            kept.append(kids[allowed[in_col[kids]]])
+        nodes = np.concatenate(kept)
 
         out = object.__new__(TreeIndex)
         out.game = game
-        out.base_col = base_col
         for name, _ in _NODE_ARRAYS:
             setattr(out, name, getattr(self, name)[nodes])
-        out.parent = _relabel(out.parent, nodes, self.n_nodes)
-        out.infoset = _relabel(out.infoset, base_is, self.n_infosets)
-        out.in_col = _relabel(out.in_col, base_col, self.n_cols)
+        # Kept nodes ascend and a kept node's parent is kept.
+        out.parent = nodes.searchsorted(out.parent)
+        out.parent[0] = -1
+        # An infostate's decision nodes lie at one depth, so its first
+        # kept node in walk order is its lowest kept id.
+        dec = np.flatnonzero(out.kind == DECISION)
+        dec_is = out.infoset[dec]
+        first = np.full(self.n_infosets, nodes.size)
+        np.minimum.at(first, dec_is, dec)
+        base_is = np.flatnonzero(first < nodes.size)
+        base_is = base_is[np.argsort(out.preorder[first[base_is]])]
+        new_is = np.empty(self.n_infosets, dtype=np.int64)
+        new_is[base_is] = np.arange(base_is.size)
+        out.infoset[dec] = new_is[dec_is]
+
+        # The kept infostates' base columns, row after row; ``before``
+        # counts the allowed ones before each, so at an allowed column
+        # it is the restricted column, and restricted row i spans
+        # ``lo[i]:hi[i]``.
+        off = self.is_off[base_is]
+        nact = self.is_nact[base_is]
+        starts = np.cumsum(nact) - nact
+        row_cols = np.repeat(off - starts, nact) + np.arange(int(nact.sum()))
+        keep = cols[row_cols]
+        before = np.concatenate(([0], np.cumsum(keep)))
+        lo, hi = before[starts], before[starts + nact]
+        if not (hi > lo).all():
+            raise ValueError("decision node with no legal actions")
+        out.base_col = row_cols[keep]
+        edges = np.flatnonzero(out.in_col >= 0)
+        row = out.infoset[out.parent[edges]]
+        out.in_col[edges] = before[starts[row] + out.in_col[edges] - off[row]]
         out.keys = [self.keys[b] for b in base_is.tolist()]
         out.key_to_isid = dict(zip(out.keys, range(base_is.size)))
-        acts = iter(self.col_action[base_col].tolist())
-        out.is_actions = [tuple(islice(acts, n)) for n in np.bincount(
-            col_isid[base_col], minlength=base_is.size).tolist()]
+        acts = self.col_action[out.base_col].tolist()
+        out.is_actions = [tuple(acts[a:b])
+                          for a, b in zip(lo.tolist(), hi.tolist())]
         for name, _ in _INFOSTATE_ARRAYS:
             setattr(out, name, getattr(self, name)[base_is])
-        # A parent's restricted slot counts the allowed columns before
-        # the taken one in its row.
-        par = out.is_parent
-        allowed_before = np.concatenate(([0], np.cumsum(cols)))
-        row = self.is_off[par]
-        out.is_parent_slot = np.where(
-            par < 0, -1, allowed_before[row + out.is_parent_slot]
-            - allowed_before[row])
-        out.is_parent = _relabel(par, base_is, self.n_infosets)
+        # A kept infostate's parent is kept, and the column taken there
+        # is allowed: the restricted slot counts the allowed columns
+        # before it in the parent's row.
+        linked = np.flatnonzero(out.is_parent >= 0)
+        par = new_is[out.is_parent[linked]]
+        out.is_parent[linked] = par
+        out.is_parent_slot[linked] = (
+            before[starts[par] + out.is_parent_slot[linked]] - lo[par])
         out._finish()
         return out
 
     def edge_sigma(self, sigma: np.ndarray) -> np.ndarray:
         """``sigma`` on every node's incoming decision edge, and 1.0 on
         chance edges and at the root (``in_col`` -1)."""
-        return np.concatenate((sigma, [1.0]))[self.in_col]
+        return np.concatenate((sigma, [1.0])).take(self.in_col)
 
     def reach(self, weights: np.ndarray) -> np.ndarray:
         """Forward pass: the product of the incoming edge ``weights``
         along the path from the root to every node (the root's reach is
         1 and its weight is never read)."""
         r = np.ones(self.n_nodes)
+        parent = self.parent
         for sl in self.levels[1:]:
-            r[sl] = r[self.parent[sl]] * weights[sl]
+            np.multiply(r.take(parent[sl]), weights[sl], out=r[sl])
         return r
 
     def values(self, weights: np.ndarray) -> np.ndarray:
@@ -400,7 +441,10 @@ class TreeIndex:
     def own_levels(self, player: int) -> dict[int, OwnLevel]:
         """The player's infostates grouped by depth, keyed by it in
         ascending order, so a parent's group comes before its
-        children's."""
+        children's.  Built once per tree and player; each group is the
+        plan of one level of a best response, which sums its edges into
+        the group's columns through ``kid_pos`` without touching the
+        tree's other columns."""
         groups = self._own_levels.get(player)
         if groups is None:
             own = self.infosets_of(player)
@@ -408,19 +452,24 @@ class TreeIndex:
             kid_at = np.searchsorted(kids, [sl.start for sl in self.levels]
                                      + [self.n_nodes]).tolist()
             depth = self.is_depth[own]
+            # Each column's position within its level's ``cols``.
+            col_pos = np.empty(self.n_cols, dtype=np.int64)
             groups = {}
             for d in np.flatnonzero(np.bincount(depth)).tolist():
                 slots = np.flatnonzero(depth == d)
                 isids = own[slots]
                 nact = self.is_nact[isids]
                 starts = np.cumsum(nact) - nact
+                cols = (np.repeat(self.is_off[isids] - starts, nact)
+                        + np.arange(int(nact.sum())))
+                col_pos[cols] = np.arange(cols.size)
+                lvl_kids = kids[kid_at[d + 1]:kid_at[d + 2]]
                 linked = self.is_parent[isids] >= 0
                 par = self.is_parent[isids[linked]]
                 groups[d] = OwnLevel(
-                    slots, kids[kid_at[d + 1]:kid_at[d + 2]], nact,
-                    np.repeat(self.is_off[isids] - starts, nact)
-                    + np.arange(int(nact.sum())), starts, slots[linked],
-                    np.searchsorted(own, par), self.is_off[par]
-                    + self.is_parent_slot[isids[linked]])
+                    slots, lvl_kids, self.parent[lvl_kids],
+                    col_pos[self.in_col[lvl_kids]], nact, cols, starts,
+                    slots[linked], np.searchsorted(own, par),
+                    self.is_off[par] + self.is_parent_slot[isids[linked]])
             self._own_levels[player] = groups
         return groups

@@ -2,10 +2,10 @@
 
 Exhaustive game walks (state counts and own-action predecessors),
 per-node recursions standing in for ``TreeIndex.reach`` and
-``TreeIndex.values``, the covering tally behind the double-oracle
-iteration bound, helpers that turn choice arrays (see
-``TreeIndex``) into dict-keyed or tabular forms for assertions, and
-``tree_of``, the cached trees the sweep tests share.
+``TreeIndex.values``, the level loop ``reach`` replaced, the covering
+tally behind the double-oracle iteration bound, helpers that turn
+choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
+assertions, and ``tree_of``, the cached trees the sweep tests share.
 """
 
 from __future__ import annotations
@@ -148,6 +148,15 @@ def reference_values(tree, w: np.ndarray) -> np.ndarray:
 
     visit(0)
     return values
+
+
+def loop_reach(tree, weights: np.ndarray) -> np.ndarray:
+    """``TreeIndex.reach`` before it wrote each level through ``take``
+    into a view of its output, kept as a reference."""
+    r = np.ones(tree.n_nodes)
+    for sl in tree.levels[1:]:
+        r[sl] = r[tree.parent[sl]] * weights[sl]
+    return r
 
 
 def covered_infostate_count(game, populations) -> int:

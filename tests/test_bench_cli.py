@@ -372,6 +372,7 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     ["psro-hist", "--trials", "1", "--horizon", "2", "--eps",
      "\u0660.\u0665"],
     ["psro-hist", "--trials", "1", "--horizon", "2", "--eps", "0.0_5"],
+    CFR_RUN + ["--param", "alternating=off"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
@@ -403,7 +404,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "param-float-underscore", "param-exponent-underscore",
         "param-arabic-indic-digits", "max-wall-s-underscore",
         "max-wall-s-space", "max-wall-s-fullwidth-digit",
-        "psro-hist-eps-arabic-indic-digits", "psro-hist-eps-underscore"])
+        "psro-hist-eps-arabic-indic-digits", "psro-hist-eps-underscore",
+        "cfr-alternating-yaml-1-1-off"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -440,12 +442,13 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2\nseeds: [0, 0]", "max_iters: 2\nmax_wall_s: .inf",
     "max_iters: 010", "max_iters: 1_0", "max_iters: 2\nseeds: [0x1]",
     "max_iters: 2\nseeds: 1:20", "max_iters: 2\nmax_wall_s: 1_0.5",
+    "max_iters: 2\nwall_clock: yes",
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
         "wall-clock-text", "params-list", "game-number", "out-dir-number",
         "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf",
         "max-iters-octal", "max-iters-underscore", "seeds-hex",
-        "seeds-base-60", "max-wall-s-underscore"])
+        "seeds-base-60", "max-wall-s-underscore", "wall-clock-yaml-1-1-yes"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -459,6 +462,22 @@ def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+
+def test_cli_errors_name_what_was_typed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_text("game: kuhn\nalgo: cfr\nmax_iters: 2\nbogus: 3\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown config key 'bogus'; accepted keys: game, algo, "
+        "seeds, node_budget, max_iters, max_wall_s, out_dir, eval_start, "
+        "eval_factor, wall_clock, jobs, max_states, params\n")
+    assert main(["size-report", "--game", "kuhn", "--max-iters", "2",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: seed must be an integer >= 0, not -1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
 

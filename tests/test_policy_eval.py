@@ -2,7 +2,8 @@
 
 The oracle is checked against brute force: enumerate every reduced pure
 strategy, evaluate each against the fixed opponent, take the max.  Its
-stage-wise kernel is also checked against a per-infostate reference
+level-by-level kernel is also checked against a per-infostate
+reference, and bit for bit against the ``np.add.at`` sweep it replaced,
 for identical values, choices and random draws.  The mixture
 realization is checked against Kuhn's theorem: a realized
 mixture must earn exactly the weighted sum of its components' payoffs
@@ -17,9 +18,11 @@ from efgsolve import (NodeCounter, TabularPolicy, TreeIndex, best_response,
                       profile_array, realize_mixture, uniform_policy)
 from efgsolve.policy import (PurePolicy, canonical_pure, lift_policy,
                              policy_from_flat, random_pure_policy)
+from efgsolve.evaluate import BestResponse, _pick
 from efgsolve.xdo import enumerate_reduced_pure
 
-from oracles import actions_of, as_policy, choice_of, default_choice
+from oracles import (actions_of, as_policy, choice_of, default_choice,
+                     loop_reach, tree_of)
 
 
 def random_behavioral(tree, player, rng):
@@ -368,6 +371,79 @@ def test_best_response_kernel_matches_per_infostate_reference(name):
                         actions_of(tree, player, br.choice)) == want
                 assert ours.bit_generator.state == \
                     theirs.bit_generator.state
+
+
+def add_at_best_response(tree, sigma, player, counter=None, prefer=None,
+                         rng=None):
+    """``best_response`` before it summed each level with ``np.bincount``
+    into level-sized arrays: ``np.add.at`` into whole column arrays and
+    gathers through ``cols``, with ``reach`` as a level loop."""
+    if counter is not None:
+        counter.add(tree.n_nodes)
+
+    # The responder's edges weigh 1 until their level's picks are made.
+    w = tree.in_prob * tree.edge_sigma(sigma)
+    w[tree.in_player == player] = 1.0
+    reach = loop_reach(tree, w)  # chance-and-opponent reach
+    q = np.zeros(tree.n_cols)
+    q_unit = np.zeros(tree.n_cols)
+    reached = np.zeros(tree.n_cols, dtype=bool)
+    chosen = np.zeros(tree.n_cols)
+    choice = np.empty(tree.infosets_of(player).size, dtype=np.int64)
+    groups = tree.own_levels(player)
+    v = tree.payoff1.copy()
+    for k in range(len(tree.levels) - 1, 0, -1):
+        g = groups.get(k - 1)
+        if g is not None:
+            # A column's value sums its histories weighted by their
+            # reach, or unweighted where opponent and chance reach none
+            # of the infostate's histories.
+            kid_cols = tree.in_col[g.kids]
+            par_reach = reach[tree.parent[g.kids]]
+            vp = v[g.kids] if player == 0 else -v[g.kids]
+            np.add.at(q, kid_cols, par_reach * vp)
+            np.add.at(q_unit, kid_cols, vp)
+            reached[kid_cols[par_reach > 0.0]] = True
+            row = np.where(reached[g.cols], q[g.cols], q_unit[g.cols])
+            pick = g.cols[_pick(row, g.starts, g.nact,
+                                None if prefer is None else prefer[g.cols],
+                                rng)]
+            chosen[pick] = 1.0
+            choice[g.slots] = pick
+            w[g.kids] = chosen[kid_cols]
+        sl = tree.levels[k]
+        np.add.at(v, tree.parent[sl], w[sl] * v[sl])
+
+    value = float(v[0]) if player == 0 else -float(v[0])
+    return BestResponse(value=value, choice=choice)
+
+
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "oshi_zumo_3_3_4",
+                                  "rps_choice", "leduc+restricted"])
+def test_best_response_matches_the_add_at_sweep(name):
+    tree = tree_of(name)
+    rng = np.random.default_rng(5)
+    x = rng.random(tree.n_cols)
+    profiles = [tie_heavy_profile(tree, 0), tie_heavy_profile(tree, 1),
+                x / np.repeat(np.add.reduceat(x, tree.is_off), tree.is_nact)]
+    for seed, sigma in enumerate(profiles):
+        for player in (0, 1):
+            mask = prefer_cols(tree, random_prefer(tree, player, rng))
+            for pref in (None, mask):
+                for draw in (False, True):
+                    ours, theirs = (np.random.default_rng(seed) if draw
+                                    else None for _ in range(2))
+                    got = best_response(tree, sigma, player, NodeCounter(),
+                                        pref, ours)
+                    want = add_at_best_response(tree, sigma, player,
+                                                NodeCounter(), pref, theirs)
+                    assert np.float64(got.value).tobytes() \
+                        == np.float64(want.value).tobytes()
+                    assert got.choice.dtype == want.choice.dtype
+                    assert np.array_equal(got.choice, want.choice)
+                    if draw:
+                        assert ours.bit_generator.state \
+                            == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["kuhn", "leduc"])

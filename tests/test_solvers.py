@@ -6,8 +6,9 @@ assertions are regression pins, not statistical hopes.  Node counts are
 checked against closed forms (full sweeps cost one visit per history)
 so a counting regression cannot hide inside a passing convergence test.
 MCCFR-ES's walk over Python tables, and CFR's sweep that reuses each
-player's unchanged reach, are checked bit for bit against the code they
-replaced, kept here as the references.
+player's unchanged reach and rows over player-major column blocks, are
+checked bit for bit against the code they replaced, kept here as the
+references.
 """
 
 
@@ -167,12 +168,14 @@ def test_cfr_matches_the_reference_sweep(name, plus, alternating):
     tree = tree_of(name)
     ref = _ReferenceCfr(tree, plus, alternating, NodeCounter())
     solver = Cfr(tree, plus, alternating, NodeCounter())
-    # Uneven calls with the average read in between, so the kept reach
-    # must carry across iterate calls and survive average_flat.
+    # Uneven calls with the average and the current profile read in
+    # between, so the kept reach and rows must carry across iterate
+    # calls and survive both reads.
     for n in (1, 3, 5):
         ref.iterate(n)
         solver.iterate(n)
         assert _same_bits(solver.average_flat(), ref.average_flat())
+        assert _same_bits(solver.current(), ref.current())
         assert solver.t == ref.t
         assert solver.counter.count == ref.counter.count
         assert _same_bits(solver.regret, ref.regret)

@@ -12,13 +12,15 @@ lists, on random profiles and random weights, for trees with and
 without chance nodes and for a tree derived by ``restrict``.  The
 layout they rely on (each level one slice of ids, each node's children
 one run of ids in walk order, the gather's 1.0 off the decision edges)
-is checked on the same trees.
+is checked on the same trees, and ``reach`` bit for bit against the
+level loop it replaced.
 """
 
 import numpy as np
 import pytest
 
-from oracles import reference_reach, reference_values, tree_of
+from oracles import (loop_reach, reference_reach, reference_values,
+                     tree_of)
 
 GAMES = ["kuhn", "leduc", "oshi_zumo_3_3_4", "kgmp_1_3", "leduc+restricted"]
 
@@ -51,6 +53,18 @@ def test_arbitrary_weights_match_the_recursion(name):
     w = rng.random(tree.n_nodes)
     assert np.array_equal(tree.reach(w), reference_reach(tree, w))
     assert np.array_equal(tree.values(w), reference_values(tree, w))
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_reach_matches_the_level_loop(name):
+    # Zero weights too, so that some subtrees are cut off.
+    tree = tree_of(name)
+    rng = np.random.default_rng(8)
+    for w in (rng.random(tree.n_nodes),
+              np.where(rng.random(tree.n_nodes) < 0.2, 0.0,
+                       rng.random(tree.n_nodes))):
+        got, want = tree.reach(w), loop_reach(tree, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", GAMES)

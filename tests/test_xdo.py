@@ -2,14 +2,17 @@
 
 Small games keep every claim checkable against enumeration: restricted
 trees derived from the base index are checked field by field against a
-walk of the game cut down to the population action sets, iteration bounds
-come from counting infostates, and the trace invariants encode the
-inner loop's stop rule (restricted exploitability below tolerance and
-strictly below the full-game number, unless the run is ending anyway).
+walk of the game cut down to the population action sets, and against
+the whole-tree ``restrict`` that the level-by-level one replaced;
+iteration bounds come from counting infostates, and the trace
+invariants encode the inner loop's stop rule (restricted exploitability
+below tolerance and strictly below the full-game number, unless the run
+is ending anyway).
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,13 +20,14 @@ import pytest
 from efgsolve import (NodeCounter, TreeIndex, exploitability, make_game,
                       profile_array)
 from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
-from efgsolve.tree import EnumerationOverflow
+from efgsolve.tree import (_INFOSTATE_ARRAYS, _NODE_ARRAYS,
+                           EnumerationOverflow, _relabel)
 from efgsolve.xdo import (Population, RestrictedGame, XdoConfig, XdoResult,
                           _extend_to_base, enumerate_reduced_pure,
                           eq1_allowed, xdo_solve)
 
 from oracles import (choice_of, covered_infostate_count, default_choice,
-                     infostate_predecessors)
+                     infostate_predecessors, tree_of)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +341,75 @@ def test_restrict_equals_the_walked_restricted_game(name, members):
     assert np.array_equal(base.col_action[got.base_col], got.col_action)
     assert [base.keys[i] for i in base.col_isid[got.base_col]] \
         == [got.keys[i] for i in got.col_isid]
+
+
+def reach_restrict(self, cols, game):
+    """``TreeIndex.restrict`` before it found the kept nodes level by
+    level: a ``reach`` pass over the whole base tree, then relabels and
+    column scans over all its nodes and columns."""
+    nodes = np.flatnonzero(self.reach(self.edge_sigma(cols)))
+
+    dec = nodes[self.decision_mask[nodes]]
+    base_is = self.infoset[dec[np.argsort(self.preorder[dec])]]
+    if not np.isin(base_is, self.col_isid[cols]).all():
+        raise ValueError("decision node with no legal actions")
+    base_is = base_is[np.sort(np.unique(base_is, return_index=True)[1])]
+    col_isid = _relabel(self.col_isid, base_is, self.n_infosets)
+    base_col = np.flatnonzero(cols & (col_isid >= 0))
+    base_col = base_col[np.argsort(col_isid[base_col], kind="stable")]
+
+    out = object.__new__(TreeIndex)
+    out.game = game
+    out.base_col = base_col
+    for name, _ in _NODE_ARRAYS:
+        setattr(out, name, getattr(self, name)[nodes])
+    out.parent = _relabel(out.parent, nodes, self.n_nodes)
+    out.infoset = _relabel(out.infoset, base_is, self.n_infosets)
+    out.in_col = _relabel(out.in_col, base_col, self.n_cols)
+    out.keys = [self.keys[b] for b in base_is.tolist()]
+    out.key_to_isid = dict(zip(out.keys, range(base_is.size)))
+    acts = iter(self.col_action[base_col].tolist())
+    out.is_actions = [tuple(islice(acts, n)) for n in np.bincount(
+        col_isid[base_col], minlength=base_is.size).tolist()]
+    for name, _ in _INFOSTATE_ARRAYS:
+        setattr(out, name, getattr(self, name)[base_is])
+    # A parent's restricted slot counts the allowed columns before
+    # the taken one in its row.
+    par = out.is_parent
+    allowed_before = np.concatenate(([0], np.cumsum(cols)))
+    row = self.is_off[par]
+    out.is_parent_slot = np.where(
+        par < 0, -1, allowed_before[row + out.is_parent_slot]
+        - allowed_before[row])
+    out.is_parent = _relabel(par, base_is, self.n_infosets)
+    out._finish()
+    return out
+
+
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "oshi_zumo_3_3_4",
+                                  "rps_choice", "clone_gmp_2_4_3",
+                                  "leduc+restricted"])
+def test_restrict_matches_the_reach_pass_version(name):
+    # Populations grow by one random member per player and step, as in
+    # a double-oracle run; every field must match, dtype and bytes.
+    base = tree_of(name)
+    rng = np.random.default_rng(2)
+    pops = tuple(Population(base, p, [default_choice(base, p)])
+                 for p in (0, 1))
+    for _ in range(8):
+        mask = eq1_allowed(pops)
+        game = RestrictedGame(base.game, mask)
+        got, want = base.restrict(mask, game), reach_restrict(base, mask, game)
+        assert vars(got).keys() == vars(want).keys()
+        for field, value in vars(want).items():
+            ours = getattr(got, field)
+            if isinstance(value, np.ndarray):
+                assert ours.dtype == value.dtype, field
+                assert ours.tobytes() == value.tobytes(), field
+            else:
+                assert ours == value, field
+        for p in (0, 1):
+            pops[p].add(random_pure_policy(base, p, rng))
 
 
 @pytest.mark.parametrize("name", RESTRICT_GAMES)
