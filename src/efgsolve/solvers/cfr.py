@@ -6,28 +6,26 @@ updates for both players (one history visit per node per iteration).
 player-major column order, fixed by one permutation of the tree's
 columns: player 0's columns, then player 1's, each in tree order, so
 each player's columns are one block and each of its rows is a run
-inside it.  An update changes only its player's block, so a sweep
-renormalises only the rows of the players the previous sweep updated
-(one block per alternating sweep, both per simultaneous sweep), and an
-update's sums, clamp and accumulation run over its own block.  The
-profile buffer is followed by the probabilities of the edges no player
-owns, the root's 1.0 first, so one ``take`` gathers the value weights
-onto the edges, and one more per player gathers its own-reach weights,
-1.0 on every edge it does not own.  One ``TreeIndex.values`` pass
-gives the player-0 values, and the chance reach, a constant of the
-tree, is computed once.  Each
-player's own reach is kept between sweeps and recomputed, by one
-``TreeIndex.reach`` pass, only after an update of that player's
-regrets: two passes per simultaneous sweep, one per alternating sweep.
+inside it.  An update changes only its player's block, so it makes
+only that player's rows and own reach stale.  The next sweep, or a
+``current()`` read, renormalises those rows and recomputes that reach
+with one ``TreeIndex.reach`` pass: one player per alternating sweep,
+both per simultaneous sweep.  An update's sums, clamp and accumulation
+run over its own block.  The profile buffer is followed by the
+probabilities of the edges no player owns, the root's 1.0 first, so
+one ``take`` gathers the value weights onto the edges, and one more
+per player gathers its own-reach weights, 1.0 on every edge it does
+not own.  One ``TreeIndex.values`` pass gives the player-0 values, and
+the chance reach, a constant of the tree, is computed once.
 ``regret``, ``ssum``, ``current()`` and ``average_flat()`` read in tree
-order.  Every float equals a whole-tree update: each column's sums keep
-their order, and player 1's sign rides on its chance reach.
-``plus=True`` gives CFR+:
-regrets are clamped at zero after every update, the average strategy
-is weighted linearly by iteration number, and updates alternate
-between players with values recomputed in between (two sweeps per
-iteration, each updating one player), which is what makes CFR+ fast;
-pass ``alternating`` explicitly to override.
+order.  Every float equals a whole-tree update: each row's and
+column's sums keep their order, and player 1's sign rides on its
+chance reach.  ``plus=True`` gives CFR+: regrets are clamped at zero
+after every update, the average strategy is weighted linearly by
+iteration number, and updates alternate between players with values
+recomputed in between (two sweeps per iteration, each updating one
+player), which is what makes CFR+ fast; pass ``alternating``
+explicitly to override.
 """
 
 from __future__ import annotations
@@ -111,24 +109,21 @@ class Cfr:
             nact = tree.is_nact[isids]
             width = int(nact.sum())
             rows = np.repeat(np.arange(isids.size), nact)
-            row_of = np.zeros(tree.n_infosets, dtype=np.int64)
-            row_of[isids] = np.arange(isids.size)
             own = tree.in_player == p
             kids = np.flatnonzero(own)
             par = tree.parent[kids]
-            dec = np.flatnonzero(tree.decision_mask & (tree.player == p))
+            dec = np.flatnonzero(tree.player == p)
             self._blocks.append(_Block(
                 slice(lo, lo + width), np.cumsum(nact) - nact, nact, rows,
                 1.0 / nact[rows], np.where(own, edge_col, n), kids,
                 edge_col[kids] - lo, par, rc[par] if p == 0 else -rc[par],
-                dec, row_of[tree.infoset[dec]]))
+                dec, (np.cumsum(tree.is_player == p) - 1)[tree.infoset[dec]]))
             lo += width
+        self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
         # Each player's own reach under the current profile.  An update
         # changes only its player's regrets, so only that player's rows
-        # and reach go stale: ``_stale_rows`` and ``_stale`` list the
-        # players to recompute.
+        # and reach go stale: ``_stale`` lists the players to recompute.
         self._reach: list[np.ndarray | None] = [None, None]
-        self._stale_rows: tuple[int, ...] = (0, 1)
         self._stale: tuple[int, ...] = (0, 1)
 
     @property
@@ -141,14 +136,16 @@ class Cfr:
 
     def _refresh(self) -> None:
         """Renormalise the rows of the players updated since the last
-        refresh.  CFR+ regrets are clamped already."""
-        for p in self._stale_rows:
+        refresh and recompute their own reach, one ``reach`` pass each.
+        CFR+ regrets are clamped already."""
+        for p in self._stale:
             b = self._blocks[p]
             x = self._regret[b.cols]
             if not self.plus:
                 x = np.maximum(x, 0.0)
             _normalise(x, b.off, b.nact, b.uniform, self._w[b.cols])
-        self._stale_rows = ()
+            self._reach[p] = self.tree.reach(self._w.take(b.own_at))
+        self._stale = ()
 
     def current(self) -> np.ndarray:
         self._refresh()
@@ -179,13 +176,10 @@ class Cfr:
         reach and the player-0 values, then the updates of ``players``."""
         tree = self.tree
         self._refresh()
-        for p in self._stale:
-            self._reach[p] = tree.reach(
-                self._w.take(self._blocks[p].own_at))
         v = tree.values(self._w.take(self._w_at))
         for p in players:
             self._update(v, p)
-        self._stale_rows = self._stale = players
+        self._stale = players
         if self.counter is not None:
             self.counter.add(tree.n_nodes)
 
@@ -197,8 +191,4 @@ class Cfr:
                 self._sweep(players)
 
     def average_flat(self) -> np.ndarray:
-        out = np.empty(self.tree.n_cols)
-        for b in self._blocks:
-            _normalise(self._ssum[b.cols], b.off, b.nact, b.uniform,
-                       out[b.cols])
-        return out[self._pos]
+        return normalise_rows(self.tree, self.ssum, self._uniform)

@@ -98,7 +98,6 @@ class MccfrEs:
         self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
         self._root = _walk_table(tree)
         self._draw = _uniforms(self.rng).__next__
-        self._visits = 0
 
     def iterate(self, n: int = 1) -> None:
         regret, ssum, draw = self.regret, self.ssum, self._draw
@@ -171,10 +170,8 @@ class MccfrEs:
             for me in (0, 1):
                 visits += 1
                 walk(root)
-        self._visits += visits
         if self.counter is not None:
-            self.counter.add(self._visits)
-            self._visits = 0
+            self.counter.add(visits)
 
     def average_flat(self) -> np.ndarray:
         return normalise_rows(self.tree, np.array(self.ssum), self._uniform)

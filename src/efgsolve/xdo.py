@@ -184,17 +184,15 @@ def _lp_inner(rtree: TreeIndex, counter, cap: int):
 
 def xdo_solve(game, config: XdoConfig | None = None,
               counter: NodeCounter | None = None,
-              base_tree: TreeIndex | None = None,
-              populations=None) -> XdoResult:
+              base_tree: TreeIndex | None = None) -> XdoResult:
     cfg = config or XdoConfig()
     if counter is None:
         counter = NodeCounter()
     if base_tree is None:
         base_tree = TreeIndex(game)
-    if populations is None:
-        populations = tuple(
-            Population(base_tree, p, [base_tree.is_off[
-                base_tree.infosets_of(p)]]) for p in (0, 1))
+    populations = tuple(
+        Population(base_tree, p, [base_tree.is_off[base_tree.infosets_of(p)]])
+        for p in (0, 1))
 
     eps = cfg.eps0
     t_start = time.perf_counter()

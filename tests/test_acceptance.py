@@ -32,6 +32,8 @@ from efgsolve.xdo import (XdoConfig, enumerate_reduced_pure, eq1_allowed,
 
 from oracles import as_policy, count_states
 
+pytestmark = pytest.mark.slow
+
 NODE_BUDGET = 10_000_000
 LEDUC_HISTORIES = 9_451          # enforced in test_game_core
 CLONE_LEDUC_HISTORIES = 468_511

@@ -182,6 +182,27 @@ def test_cfr_matches_the_reference_sweep(name, plus, alternating):
         assert _same_bits(solver.ssum, ref.ssum)
 
 
+@pytest.mark.parametrize("alternating", [True, False])
+def test_cfr_makes_one_reach_pass_per_updated_player(alternating):
+    # A sweep recomputes the own reach of the players the sweep before
+    # it updated: both on the first sweep, then one per alternating
+    # sweep and two per simultaneous sweep.  A ``current()`` read may
+    # recompute it early, but never adds a pass.
+    tree = TreeIndex(make_game("kuhn"))
+    solver = Cfr(tree, plus=True, alternating=alternating)
+    passes = []
+    reach = tree.reach
+    tree.reach = lambda weights: passes.append(1) or reach(weights)
+    first = 1 if alternating else 0
+    solver.iterate(1)
+    assert len(passes) == 2 * 1 + first
+    solver.current()
+    solver.iterate(3)
+    assert len(passes) == 2 * 4 + first
+    solver.iterate(2)
+    assert len(passes) == 2 * 6 + first
+
+
 def test_xfp_converges_on_kuhn(kuhn_tree):
     solver = Xfp(kuhn_tree)
     solver.iterate(500)

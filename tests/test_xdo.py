@@ -220,17 +220,6 @@ def test_clone_classes_stay_out_of_the_restricted_game():
     assert res.restricted_nodes < base.n_nodes / 4
 
 
-def test_populations_passed_in_are_reused(kuhn_tree):
-    pops = (Population(kuhn_tree, 0,
-                       enumerate_reduced_pure(kuhn_tree, 0)[:4]),
-            Population(kuhn_tree, 1,
-                       enumerate_reduced_pure(kuhn_tree, 1)[:4]),)
-    res = xdo_solve(make_game("kuhn"), XdoConfig(inner="lp"),
-                    base_tree=kuhn_tree, populations=pops)
-    assert res.populations is pops
-    assert res.terminated
-
-
 def test_result_dataclass_shape(kuhn_lp_result):
     res = kuhn_lp_result
     assert isinstance(res, XdoResult)
