@@ -426,27 +426,26 @@ def run_size_report(game_name: str, seed: int = 0,
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
     _check({"seed": (_seed, "an integer >= 0")}, dict(seed=seed))
-    validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
-        max_iters=max_outer, max_states=max_states, params={"inner": inner}))
+        max_iters=max_outer, max_states=max_states, params={"inner": inner})
+    validate_config(cfg)
     out = _out_dir(out_dir)
-    game = make_game(game_name, seed=seed)
-    base = TreeIndex(game, max_histories=max_states)
-    res = xdo_solve(game, XdoConfig(inner=inner, max_outer=max_outer),
-                    NodeCounter(node_budget), base_tree=base)
-    full_is = (len(base.infosets_of(0)), len(base.infosets_of(1)))
-    r_is = res.restricted_infostates
+    tree = TreeIndex(make_game(game_name, seed=seed), max_histories=max_states)
+    _, res = _run_xdo(tree, cfg, seed, NodeCounter(node_budget))
+    full_is = (len(tree.infosets_of(0)), len(tree.infosets_of(1)))
+    r_is = res["restricted_infostates"]
     report = dict(
-        game=game.name,
-        full_histories=base.n_nodes,
-        restricted_histories=res.restricted_nodes,
-        history_ratio=res.restricted_nodes / base.n_nodes,
+        game=tree.game.name,
+        full_histories=tree.n_nodes,
+        restricted_histories=res["restricted_histories"],
+        history_ratio=res["restricted_histories"] / tree.n_nodes,
         full_infostates=list(full_is),
-        restricted_infostates=list(r_is),
+        restricted_infostates=r_is,
         infostate_coverage=[r_is[0] / full_is[0], r_is[1] / full_is[1]],
-        terminated=res.terminated,
-        outer_iters=res.outer_iters,
-        nodes=res.nodes,
+        terminated=res["terminated"],
+        outer_iters=res["iters"],
+        nodes=res["nodes"],
         version=__version__,
     )
     write_summary_json(out / f"size_{game_name}.json", report)

@@ -3,7 +3,8 @@
 Populations of pure strategies per player (rows of choice arrays, see
 ``xdo.Population``), an empirical payoff matrix over all pairs (each
 cell scatters one row of each population into a flat profile; exact
-tree evaluation by default, seeded playout averages optionally), a
+tree evaluation by default, optionally the average of seeded playouts
+down the tree's ``walk_table``), grown by ``grow_matrix``, a
 matrix-game meta-solver (LP by default), and exact best responses
 against the realized meta-mixture, the sum of both players' halves from
 ``realize_mixture``.  Terminates when neither best response improves
@@ -13,6 +14,7 @@ on the mixture value by more than ``eps``.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -23,9 +25,10 @@ from .evaluate import best_response, expected_value
 # under this module's name.
 from .policy import (TabularPolicy, own_reachable, policy_from_flat,
                      profile_array, pure_profile, random_pure_policy,
-                     realize_mixture, sample_index)
-from .solvers.matrix_solvers import solve_matrix_fp, solve_matrix_lp
-from .tree import CHANCE_NODE, TERMINAL, NodeCounter, TreeIndex
+                     realize_mixture)
+from .solvers.matrix_solvers import (grow_matrix, solve_matrix_fp,
+                                     solve_matrix_lp)
+from .tree import NodeCounter, TreeIndex, walk_table
 from .xdo import Population
 
 
@@ -54,43 +57,29 @@ class PsroResult:
     trace: list = field(default_factory=list)
 
 
-def _sampled_payoff(tree: TreeIndex, sigma: np.ndarray, games: int,
+def _sampled_payoff(root, sigma: np.ndarray, games: int,
                     seed_seq: np.random.SeedSequence,
-                    counter: NodeCounter | None) -> float:
-    rng = np.random.default_rng(seed_seq)
+                    counter: NodeCounter) -> float:
+    """Mean player-0 payoff of ``games`` seeded playouts of the pure
+    profile ``sigma`` down ``root``, a ``walk_table``."""
+    draw = np.random.default_rng(seed_seq).random
+    cols = sigma.tolist()
     total = 0.0
     visits = 0
     for _ in range(games):
-        u = 0
-        while True:
+        nd = root
+        while nd.__class__ is not float:
             visits += 1
-            kind = tree.kind[u]
-            if kind == TERMINAL:
-                total += tree.payoff1[u]
-                break
-            kids = tree.children(u)
-            if kind == CHANCE_NODE:
-                u = int(kids[sample_index(tree.in_prob[kids], rng.random())])
+            if len(nd) == 2:
+                nd = nd[0][bisect_right(nd[1], draw())]
             else:
-                # Pure strategies: exactly one child column carries mass.
-                cols = tree.in_col[kids]
-                u = int(kids[int(np.argmax(sigma[cols]))])
-    if counter is not None:
-        counter.add(visits)
+                # Pure strategies: one column of the infostate is 1.0.
+                kids, _, lo, hi = nd
+                nd = kids[cols.index(1.0, lo, hi) - lo]
+        visits += 1
+        total += nd
+    counter.add(visits)
     return total / games
-
-
-def _grow_matrix(m: np.ndarray, shape: tuple[int, int],
-                 payoff) -> np.ndarray:
-    """``m`` grown to ``shape``; each new cell is ``payoff(i, j)``,
-    evaluated in row-major order."""
-    grown = np.zeros(shape)
-    grown[:m.shape[0], :m.shape[1]] = m
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            if i >= m.shape[0] or j >= m.shape[1]:
-                grown[i, j] = payoff(i, j)
-    return grown
 
 
 def _double_oracle(tree: TreeIndex, pops, payoff, solve,
@@ -107,7 +96,7 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
     while True:
         shape = (len(pops[0]), len(pops[1]))
         if shape != m.shape:
-            m = _grow_matrix(m, shape, payoff)
+            m = grow_matrix(m, shape, payoff)
             sol = solve(m)
             sigma = (realize_mixture(tree, pops[0].choices, sol.row, 0)
                      + realize_mixture(tree, pops[1].choices, sol.col, 1))
@@ -130,12 +119,14 @@ def psro_solve(game, config: PsroConfig | None = None,
         random_pure_policy(tree, p, rng) if cfg.init == "random"
         else tree.is_off[tree.infosets_of(p)]]) for p in (0, 1))
 
+    root = walk_table(tree) if cfg.payoffs == "sampled" else None
+
     def payoff(i: int, j: int) -> float:
         sigma = pure_profile(tree, pops[0].choices[i], pops[1].choices[j])
-        if cfg.payoffs == "exact":
+        if root is None:
             return expected_value(tree, sigma, counter=counter)
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(i, j))
-        return _sampled_payoff(tree, sigma, cfg.games_per_pair, seq, counter)
+        return _sampled_payoff(root, sigma, cfg.games_per_pair, seq, counter)
 
     solve = solve_matrix_lp if cfg.meta_solver == "lp" else partial(
         solve_matrix_fp, iterations=cfg.fp_iters)

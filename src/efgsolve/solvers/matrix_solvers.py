@@ -4,6 +4,7 @@
 payoff matrix by solving one small LP per player (deterministic for a
 fixed matrix).  ``solve_matrix_fp`` is plain fictitious play with
 lowest-index tie-breaking, kept as a cheaper approximate alternative.
+``grow_matrix`` fills the cells that growing populations add.
 """
 
 from __future__ import annotations
@@ -18,6 +19,19 @@ class MatrixSolution(NamedTuple):
     row: np.ndarray
     col: np.ndarray
     value: float
+
+
+def grow_matrix(m: np.ndarray, shape: tuple[int, int],
+                payoff) -> np.ndarray:
+    """``m`` grown to ``shape``; each new cell is ``payoff(i, j)``,
+    evaluated in row-major order."""
+    grown = np.zeros(shape)
+    grown[:m.shape[0], :m.shape[1]] = m
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if i >= m.shape[0] or j >= m.shape[1]:
+                grown[i, j] = payoff(i, j)
+    return grown
 
 
 def solve_matrix_lp(matrix) -> MatrixSolution:

@@ -5,15 +5,12 @@ traverser's actions are all explored, while chance and the opponent are
 sampled from the seeded generator.  Visited histories are counted
 individually, so the node counter reflects actual sampled work.
 
-The walk runs on plain Python data built once from the ``TreeIndex``,
-because numpy scalars and small temporaries cost microseconds per
-visited history: a terminal is its player-0 payoff as a float, a chance
-node is its children with their probability prefix sums, and a decision
-node is its children, acting player and column range.  ``regret`` and
-``ssum`` are flat float lists.  The results equal an array
-implementation bit for bit (``tests/test_solvers.py`` keeps one as the
-reference): every float operation is the one the equivalent numpy row
-operations make, in the same order, or provably gives the same float:
+The walk runs on ``tree.walk_table``, plain Python data built once, and
+``regret`` and ``ssum`` are flat float lists.  The results equal an
+array implementation bit for bit (``tests/test_solvers.py`` keeps one
+as the reference): every float operation is the one the equivalent
+numpy row operations make, in the same order, or provably gives the
+same float:
 
 * a row's regret-matching norm is added left to right, which is what
   numpy's sum does below eight elements; longer rows use numpy's sum;
@@ -40,13 +37,12 @@ operations make, in the same order, or provably gives the same float:
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 from operator import add
 
 import numpy as np
 
 from ..policy import sample_index
-from ..tree import CHANCE_NODE, TERMINAL, NodeCounter, TreeIndex
+from ..tree import NodeCounter, TreeIndex, walk_table
 from .cfr import normalise_rows
 
 _DRAW_BLOCK = 1024
@@ -60,33 +56,6 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_DRAW_BLOCK).tolist()
 
 
-def _walk_table(tree: TreeIndex):
-    """The root of the tree as nested Python data (see the module
-    docstring), built bottom-up from the last node id, since a node's
-    children have larger ids than the node.  Decision nodes of one
-    infostate share one pair of column-bound ints, which keeps the
-    table small."""
-    kind = tree.kind.tolist()
-    nodes: list = [None] * tree.n_nodes
-    bounds: dict = {}
-    for u in range(tree.n_nodes - 1, -1, -1):
-        if kind[u] == TERMINAL:
-            nodes[u] = float(tree.payoff1[u])
-            continue
-        ids = tree.children(u).tolist()
-        kids = tuple([nodes[c] for c in ids])
-        if kind[u] == CHANCE_NODE:
-            # sample_index's prefix sums, hoisted out of the walk.
-            probs = tree.in_prob[ids].tolist()
-            nodes[u] = (kids, list(accumulate(probs[:-1])))
-        else:
-            lo = int(tree.is_off[tree.infoset[u]])
-            if lo not in bounds:
-                bounds[lo] = (lo, lo + len(ids))
-            nodes[u] = (kids, int(tree.player[u])) + bounds[lo]
-    return nodes[0]
-
-
 class MccfrEs:
     def __init__(self, tree: TreeIndex, seed: int = 0,
                  counter: NodeCounter | None = None):
@@ -96,7 +65,7 @@ class MccfrEs:
         self.regret = [0.0] * tree.n_cols
         self.ssum = [0.0] * tree.n_cols
         self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
-        self._root = _walk_table(tree)
+        self._root = walk_table(tree)
         self._draw = _uniforms(self.rng).__next__
 
     def iterate(self, n: int = 1) -> None:

@@ -15,6 +15,8 @@ The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
 histories than the cap.  The cap bounds histories, not memory.
+``walk_table`` is the one plain Python form of the tree, for the walks
+that visit one history at a time: MCCFR-ES and PSRO's sampled playouts.
 
 Node accounting contract: one full-width pass over a tree (a solver
 iteration, a best-response computation, a counted expected-value call)
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 from time import perf_counter
 from typing import NamedTuple
 
@@ -473,3 +475,33 @@ class TreeIndex:
                     self.is_off[par] + self.is_parent_slot[isids[linked]])
             self._own_levels[player] = groups
         return groups
+
+
+def walk_table(tree: TreeIndex):
+    """The tree as nested plain Python data, for walks that visit one
+    history at a time.  Returns the root's entry: a terminal is its
+    player-0 payoff as a float; a chance node is ``(kids, prefix)``,
+    its children's entries and ``policy.sample_index``'s prefix sums of
+    their probabilities, so ``kids[bisect_right(prefix, r)]`` is the
+    child a draw ``r`` picks; a decision node is ``(kids, player, lo,
+    hi)``, child ``k`` behind column ``lo + k``.  Built bottom-up, as
+    children have larger ids than their node; the decision nodes of one
+    infostate share one ``(lo, hi)`` pair, which keeps the table small."""
+    kind = tree.kind.tolist()
+    nodes: list = [None] * tree.n_nodes
+    bounds: dict = {}
+    for u in range(tree.n_nodes - 1, -1, -1):
+        if kind[u] == TERMINAL:
+            nodes[u] = float(tree.payoff1[u])
+            continue
+        ids = tree.children(u).tolist()
+        kids = tuple([nodes[c] for c in ids])
+        if kind[u] == CHANCE_NODE:
+            probs = tree.in_prob[ids].tolist()
+            nodes[u] = (kids, list(accumulate(probs[:-1])))
+        else:
+            lo = int(tree.is_off[tree.infoset[u]])
+            if lo not in bounds:
+                bounds[lo] = (lo, lo + len(ids))
+            nodes[u] = (kids, int(tree.player[u])) + bounds[lo]
+    return nodes[0]

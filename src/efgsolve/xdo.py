@@ -13,12 +13,15 @@ the summed gain is within the termination tolerance the extended
 profile is returned; otherwise both best responses join the
 populations.
 
-The inner solve stops once (a) its restricted-game exploitability is
-below the current tolerance and (b) it is strictly below the full-game
-exploitability of the extended profile, so work is never wasted
-polishing a restricted game that already lags the full game; when the
-extended profile is already good enough to terminate on, (b) is waived
-to avoid polishing forever.
+The inner solve is one stream of restricted profiles
+(``_inner_solutions``): one exact LP solution, or the CFR(+) average
+every ``check_period`` iterations.  It stops at the stream's last
+profile, on an exhausted budget, or once (a) its restricted-game
+exploitability is below the current tolerance and (b) it is strictly
+below the full-game exploitability of the extended profile, so work is
+never wasted polishing a restricted game that already lags the full
+game; when the extended profile is already good enough to terminate
+on, (b) is waived to avoid polishing forever.
 
 Best responses prefer actions already inside the restricted game when
 exactly tied, so payoff-identical duplicates never grow the population.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .policy import (TabularPolicy, canonical_pure, lift_policy,
                      policy_from_flat, profile_array, pure_profile,
                      realize_mixture)
 from .solvers.cfr import Cfr
-from .solvers.matrix_solvers import solve_matrix_lp
+from .solvers.matrix_solvers import grow_matrix, solve_matrix_lp
 from .tree import EnumerationOverflow, NodeCounter, TreeIndex
 
 
@@ -170,16 +174,25 @@ def _extend_to_base(rtree: TreeIndex, base_tree: TreeIndex,
     return sigma
 
 
-def _lp_inner(rtree: TreeIndex, counter, cap: int):
-    pures = [enumerate_reduced_pure(rtree, p, cap) for p in (0, 1)]
-    m = np.zeros((len(pures[0]), len(pures[1])))
-    for i, pi in enumerate(pures[0]):
-        for j, pj in enumerate(pures[1]):
-            m[i, j] = expected_value(rtree, pure_profile(rtree, pi, pj),
-                                     counter=counter)
-    sol = solve_matrix_lp(m)
-    return (realize_mixture(rtree, pures[0], sol.row, 0)
-            + realize_mixture(rtree, pures[1], sol.col, 1))
+def _inner_solutions(rtree: TreeIndex, cfg: XdoConfig, counter):
+    """Yields ``(flat, inner_iters, last)``: a restricted profile, the
+    inner iterations behind it, and whether it ends the solve (at
+    ``max_inner``; the LP's one solution is always the last)."""
+    if cfg.inner == "lp":
+        p0, p1 = (enumerate_reduced_pure(rtree, p, cfg.lp_cap) for p in (0, 1))
+        m = grow_matrix(np.zeros((0, 0)), (len(p0), len(p1)),
+                        lambda i, j: expected_value(rtree, pure_profile(
+                            rtree, p0[i], p1[j]), counter=counter))
+        sol = solve_matrix_lp(m)
+        yield (realize_mixture(rtree, p0, sol.row, 0)
+               + realize_mixture(rtree, p1, sol.col, 1)), 1, True
+        return
+    solver = Cfr(rtree, plus=(cfg.inner == "cfr_plus"), counter=counter)
+    for inner_iters in count(1):
+        solver.iterate(1)
+        if inner_iters % cfg.check_period == 0 or counter.exhausted:
+            yield solver.average_flat(), inner_iters, (
+                cfg.max_inner is not None and inner_iters >= cfg.max_inner)
 
 
 def xdo_solve(game, config: XdoConfig | None = None,
@@ -206,30 +219,12 @@ def xdo_solve(game, config: XdoConfig | None = None,
         allowed = eq1_allowed(populations)
         rtree = base_tree.restrict(allowed, RestrictedGame(game, allowed))
 
-        inner_iter = 0
-        solver = None
-        if cfg.inner != "lp":
-            solver = Cfr(rtree, plus=(cfg.inner == "cfr_plus"),
-                         counter=counter)
-        while True:
-            if cfg.inner == "lp":
-                flat = _lp_inner(rtree, counter, cfg.lp_cap)
-                inner_iter += 1
-            else:
-                for _ in range(cfg.check_period):
-                    solver.iterate(1)
-                    inner_iter += 1
-                    if counter.exhausted:
-                        break
-                flat = solver.average_flat()
-
+        for flat, inner_iters, last in _inner_solutions(rtree, cfg, counter):
             br0r = best_response(rtree, flat, 0, counter)
             br1r = best_response(rtree, flat, 1, counter)
             e_r = br0r.value + br1r.value
 
-            stopping = (cfg.inner == "lp" or counter.exhausted
-                        or (cfg.max_inner is not None
-                            and inner_iter >= cfg.max_inner))
+            stopping = last or counter.exhausted
             if not (e_r < eps or stopping):
                 # condition (a) failed and the loop goes on, so the
                 # verdict cannot be "stop" no matter what the full-game
@@ -243,7 +238,7 @@ def xdo_solve(game, config: XdoConfig | None = None,
                                 prefer=populations[1].cols)
             e_full = br0.value + br1.value
 
-            trace.append(dict(outer=outer, inner=inner_iter,
+            trace.append(dict(outer=outer, inner=inner_iters,
                               nodes=counter.count, exploitability=e_full,
                               restricted_exploitability=e_r,
                               pop0=len(populations[0]),
@@ -252,9 +247,8 @@ def xdo_solve(game, config: XdoConfig | None = None,
                               wall_ms=(time.perf_counter() - t_start)
                               * 1000.0))
 
-            if e_r < eps and (e_r < e_full or e_full <= cfg.term_eps):
-                break
-            if stopping:
+            if stopping or (e_r < eps and (e_r < e_full
+                                           or e_full <= cfg.term_eps)):
                 break
 
         if e_full <= cfg.term_eps:

@@ -14,8 +14,8 @@ from efgsolve import expected_value, make_game
 from efgsolve import psro
 from efgsolve.evaluate import best_response
 from efgsolve.policy import pure_profile, random_pure_policy, realize_mixture
-from efgsolve.psro import _grow_matrix, psro_histogram, reduced_canonical
-from efgsolve.solvers.matrix_solvers import solve_matrix_lp
+from efgsolve.psro import psro_histogram, reduced_canonical
+from efgsolve.solvers.matrix_solvers import grow_matrix, solve_matrix_lp
 
 SEEDS = range(30)
 HORIZON = 30
@@ -35,9 +35,9 @@ def reference_trial(tree, seed, horizon=HORIZON, eps=1e-3):
     first_pass = None
     after_growth = 0
     for it in range(1, horizon + 1):
-        m = _grow_matrix(m, (len(members[0]), len(members[1])),
-                         lambda i, j: expected_value(tree, pure_profile(
-                             tree, members[0][i], members[1][j])))
+        m = grow_matrix(m, (len(members[0]), len(members[1])),
+                        lambda i, j: expected_value(tree, pure_profile(
+                            tree, members[0][i], members[1][j])))
         matrices.append(m)
         sol = solve_matrix_lp(m)
         sigma = (realize_mixture(tree, members[0], sol.row, 0)

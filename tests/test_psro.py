@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from efgsolve import NodeCounter, TreeIndex, expected_value, make_game
-from efgsolve.policy import pure_profile
-from efgsolve.psro import (PsroConfig, psro_histogram, psro_solve,
-                           reduced_canonical)
+from efgsolve.policy import pure_profile, random_pure_policy, sample_index
+from efgsolve.psro import (PsroConfig, _sampled_payoff, psro_histogram,
+                           psro_solve, reduced_canonical)
+from efgsolve.tree import CHANCE_NODE, TERMINAL, walk_table
 from efgsolve.xdo import Population
 
 from oracles import choice_of, reduced_strategies_expanded
@@ -97,6 +98,51 @@ def test_sampled_payoffs_count_their_playout_visits(kuhn_tree):
                PsroConfig(payoffs="sampled", games_per_pair=20, max_iters=2),
                counter, base_tree=kuhn_tree)
     assert counter.count > 0
+
+
+def reference_sampled_payoff(tree, sigma, games, seed_seq, counter):
+    """The per-node playout walk over the tree's arrays that
+    ``_sampled_payoff`` replaced, kept as its bit-for-bit reference."""
+    rng = np.random.default_rng(seed_seq)
+    total = 0.0
+    visits = 0
+    for _ in range(games):
+        u = 0
+        while True:
+            visits += 1
+            kind = tree.kind[u]
+            if kind == TERMINAL:
+                total += tree.payoff1[u]
+                break
+            kids = tree.children(u)
+            if kind == CHANCE_NODE:
+                u = int(kids[sample_index(tree.in_prob[kids], rng.random())])
+            else:
+                cols = tree.in_col[kids]
+                u = int(kids[int(np.argmax(sigma[cols]))])
+    counter.add(visits)
+    return total / games
+
+
+@pytest.mark.parametrize("name", ["kuhn", "leduc", "rps_choice",
+                                  "perturbed_kgmp_8_4"])
+def test_sampled_payoff_matches_the_per_node_walk(name):
+    # rps_choice has no chance node; the others draw chance at the root.
+    tree = TreeIndex(make_game(name, seed=3))
+    root = walk_table(tree)
+    rng = np.random.default_rng(11)
+    for k in range(8):
+        sigma = pure_profile(tree, random_pure_policy(tree, 0, rng),
+                             random_pure_policy(tree, 1, rng))
+        seed, key = k % 3, (k, 7 - k)
+        got, want = NodeCounter(), NodeCounter()
+        value = _sampled_payoff(root, sigma, 40 + k, np.random.SeedSequence(
+            seed, spawn_key=key), got)
+        expected = reference_sampled_payoff(
+            tree, sigma, 40 + k, np.random.SeedSequence(seed, spawn_key=key),
+            want)
+        assert value == expected
+        assert got.count == want.count
 
 
 def test_random_init_is_seeded():

@@ -171,12 +171,16 @@ def test_full_game_check_dominates_restricted_one(kuhn_tree):
 def test_full_check_is_skipped_while_tolerance_unmet():
     # eps so small that the inner loop cannot meet it: the only full
     # evaluation (and trace row) per outer comes from the stop path.
-    res = xdo_solve(make_game("leduc"),
-                    XdoConfig(eps0=1e-9, eps_floor=1e-9, max_inner=20,
-                              max_outer=2), NodeCounter())
-    assert [(t["outer"], t["inner"]) for t in res.trace] == [(1, 10),
-                                                             (2, 20)]
-    assert not res.terminated
+    # With max_inner off the check grid (3, 7), the solve stops at the
+    # first check at or past it.
+    for period, max_inner, expected in ((10, 20, [(1, 10), (2, 20)]),
+                                        (3, 7, [(1, 3), (2, 9)])):
+        res = xdo_solve(make_game("leduc"),
+                        XdoConfig(eps0=1e-9, eps_floor=1e-9,
+                                  check_period=period, max_inner=max_inner,
+                                  max_outer=2), NodeCounter())
+        assert [(t["outer"], t["inner"]) for t in res.trace] == expected
+        assert not res.terminated
 
 
 def test_node_budget_stops_the_run(kuhn_tree):
