@@ -5,7 +5,9 @@ per-node recursions standing in for ``TreeIndex.reach`` and
 ``TreeIndex.values``, the level loop ``reach`` replaced, the covering
 tally behind the double-oracle iteration bound, helpers that turn
 choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
-assertions, and ``tree_of``, the cached trees the sweep tests share.
+assertions, ``tree_of``, the cached trees the sweep tests share, and
+``reference_solve_matrix_lp``, the ``linprog`` solve that
+``solve_matrix_lp`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linprog
 
 from efgsolve import TreeIndex, make_game
 from efgsolve.policy import (PurePolicy, canonical_pure, policy_from_flat,
                              random_pure_policy)
 from efgsolve.psro import reduced_canonical
+from efgsolve.solvers.matrix_solvers import MatrixSolution
 from efgsolve.xdo import RestrictedGame
 
 
@@ -210,3 +214,51 @@ def as_policy(tree, choice, player: int):
     onehot = np.zeros(tree.n_cols)
     onehot[choice] = 1.0
     return policy_from_flat(tree, onehot, player)
+
+
+def reference_solve_matrix_lp(matrix) -> MatrixSolution:
+    """The minimax solve of a payoff matrix through
+    ``linprog(method="highs")``, one LP per player.  Matching it bit for
+    bit also guards ``solve_matrix_lp`` against scipy changing the
+    defaults it copies."""
+    m = np.asarray(matrix, dtype=float)
+    rows, cols = m.shape
+
+    # Row player: maximize v s.t. x^T M >= v, x in simplex.
+    c = np.zeros(rows + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-m.T, np.ones((cols, 1))])
+    a_eq = np.zeros((1, rows + 1))
+    a_eq[0, :rows] = 1.0
+    bounds = [(0.0, None)] * rows + [(None, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(cols), A_eq=a_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"row LP failed: {res.message}")
+    x = np.maximum(res.x[:rows], 0.0)
+    x /= x.sum()
+    value = -res.fun
+
+    # Column player: minimize w s.t. M y <= w, y in simplex.
+    c = np.zeros(cols + 1)
+    c[-1] = 1.0
+    a_ub = np.hstack([m, -np.ones((rows, 1))])
+    a_eq = np.zeros((1, cols + 1))
+    a_eq[0, :cols] = 1.0
+    bounds = [(0.0, None)] * cols + [(None, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(rows), A_eq=a_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"column LP failed: {res.message}")
+    y = np.maximum(res.x[:cols], 0.0)
+    y /= y.sum()
+    if abs(res.x[-1] - value) > 1e-6:
+        raise RuntimeError("LP duals disagree beyond tolerance")
+    return MatrixSolution(row=x, col=y, value=float(value))
+
+
+def same_solution(a: MatrixSolution, b: MatrixSolution) -> bool:
+    """Equal bytes in both mixtures and in the value."""
+    return (a.row.tobytes() == b.row.tobytes()
+            and a.col.tobytes() == b.col.tobytes()
+            and np.float64(a.value).tobytes() == np.float64(b.value).tobytes())

@@ -17,6 +17,8 @@ from efgsolve.policy import pure_profile, random_pure_policy, realize_mixture
 from efgsolve.psro import psro_histogram, reduced_canonical
 from efgsolve.solvers.matrix_solvers import grow_matrix, solve_matrix_lp
 
+from oracles import reference_solve_matrix_lp, same_solution
+
 SEEDS = range(30)
 HORIZON = 30
 
@@ -121,7 +123,14 @@ def test_lp_solution_is_byte_identical_on_a_repeated_matrix(reference):
     matrices += [rng.integers(-2, 3, size=(r, c)).astype(float)
                  for r, c in ((1, 1), (2, 3), (5, 4), (9, 6))]
     for m in matrices:
-        a, b = solve_matrix_lp(m), solve_matrix_lp(m.copy())
-        assert a.row.tobytes() == b.row.tobytes()
-        assert a.col.tobytes() == b.col.tobytes()
-        assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+        assert same_solution(solve_matrix_lp(m), solve_matrix_lp(m.copy()))
+
+
+def test_lp_matches_linprog_on_every_solved_matrix(reference):
+    # The matrices psro_histogram solves: each one that grew.
+    for seed in SEEDS:
+        ms = reference[seed][2]
+        for k, m in enumerate(ms):
+            if k == 0 or m.shape != ms[k - 1].shape:
+                assert same_solution(solve_matrix_lp(m),
+                                     reference_solve_matrix_lp(m)), (seed, m)

@@ -24,7 +24,7 @@ from efgsolve.solvers import (Cfr, MccfrEs, Xfp, solve_matrix_fp,
 from efgsolve.solvers.cfr import normalise_rows
 from efgsolve.tree import CHANCE_NODE, TERMINAL
 
-from oracles import tree_of
+from oracles import reference_solve_matrix_lp, same_solution, tree_of
 
 KUHN_VALUE = -1.0 / 18.0
 
@@ -409,6 +409,31 @@ def test_matrix_lp_degenerate_one_by_one():
     assert sol.value == pytest.approx(3.5)
     assert sol.row == pytest.approx([1.0])
     assert sol.col == pytest.approx([1.0])
+
+
+def test_matrix_lp_matches_linprog_bit_for_bit():
+    rng = np.random.default_rng(11)
+    matrices = [rng.integers(-3, 4, size=(r, c)).astype(float)
+                for r in range(1, 10) for c in range(1, 7)]
+    matrices.append(np.array([[1.0, 0.0, 2.0], [-1.0, 0.0, 3.0]]))
+    for m in matrices:
+        assert same_solution(solve_matrix_lp(m),
+                             reference_solve_matrix_lp(m)), m
+
+
+@pytest.mark.parametrize("matrix, error, match", [
+    ([[np.nan, 1.0]], ValueError, None),
+    ([[1.0, np.inf]], ValueError, None),
+    ([[-np.inf], [1.0]], ValueError, None),
+    ([[1e300, -1e300], [-1e300, 1e300]], RuntimeError,
+     "^row LP failed: HiGHS model error"),
+    (np.zeros((0, 2)), RuntimeError, "^row LP failed:"),
+])
+def test_matrix_lp_rejects_what_linprog_rejected(matrix, error, match):
+    with pytest.raises(error, match=match):
+        solve_matrix_lp(matrix)
+    with pytest.raises(error):
+        reference_solve_matrix_lp(matrix)
 
 
 def test_matrix_fp_approximates_lp():
