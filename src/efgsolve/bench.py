@@ -88,7 +88,7 @@ _CHECKS = {
                             ("init", ("default", "random")))},
     **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
                     (lambda v: _real(v) and v >= 0, "a real number >= 0")),
-    **dict.fromkeys(("check_period", "lp_cap", "fp_iters", "games_per_pair"),
+    **dict.fromkeys(("check_period", "fp_iters", "games_per_pair"),
                     (_count, "an integer >= 1")),
     "eps_decay": (lambda v: _real(v) and 0 < v <= 1,
                   "a real number in (0, 1]"),

@@ -1,28 +1,25 @@
-"""Zero-sum matrix game solvers used for meta-games.
+"""Zero-sum solvers over payoff matrices: meta-games and sequence forms.
 
-``solve_matrix_lp`` finds an exact minimax solution of the row player's
-payoff matrix by solving one small LP per player (deterministic for a
-fixed matrix).  ``solve_matrix_fp`` is plain fictitious play with
-lowest-index tie-breaking, kept as a cheaper approximate alternative.
+``solve_sequence_form`` solves a ``TreeIndex`` game exactly by its
+sequence-form LPs (Koller, Megiddo & von Stengel, GEB 1996), which are
+linear in the game's sequences.  ``solve_matrix_lp`` solves a payoff
+matrix exactly as the one-infostate case, where each player's
+constraint matrix is one row of ones.  Both solve one LP per player
+with ``_sequence_lp``.  ``solve_matrix_fp`` is plain fictitious play
+with lowest-index tie-breaking, a cheaper approximate alternative.
 ``grow_matrix`` fills the cells that growing populations add.
 
 The LPs go straight to the HiGHS core behind
-``scipy.optimize.linprog(method="highs")``.  A meta-game LP has a few
-dozen nonzeros, and ``linprog``'s per-call Python (input cleaning,
-option checks, CSC conversion, result checks) costs about four times
-HiGHS's own solve.  What ``linprog`` did is kept, so solutions are the
-same to the bit:
-- the same model: the nonzeros of ``[A_ub; A_eq]`` column by column,
-  inequality rows with lower bound ``-inf``, the simplex row as an
-  equality, and ``v`` free;
-- the same options, built once: presolve on, dual simplex, no output,
-  no debug;
-- a fresh solver per LP;
-- the same checks: the status of every HiGHS call, an optimal model
-  status, and ``linprog``'s feasibility test of the result (bounds,
-  slacks and the equality residual within ``10 * sqrt(1e-9)``, no NaN).
-Matrices holding NaN or inf raise ``ValueError``, as ``linprog``'s input
-check did.
+``scipy.optimize.linprog(method="highs")``, without its per-call
+Python, which cost about four times HiGHS's own solve of a meta-game
+LP.  Meta-game solutions stay ``linprog``'s to the bit: the same model
+(the nonzeros of ``[A_ub; A_eq]`` by column, inequality rows with lower
+bound ``-inf``, the simplex row an equality, ``v`` free), the same
+options (presolve on, dual simplex, no output, no debug), a fresh
+solver per LP, and the same checks (every HiGHS status, an optimal
+model, and ``linprog``'s test of bounds, slacks and equality residuals
+within ``10 * sqrt(1e-9)``, no NaN).  NaN or inf entries raise
+``ValueError``, as ``linprog``'s input check did.
 """
 
 from __future__ import annotations
@@ -73,30 +70,26 @@ def grow_matrix(m: np.ndarray, shape: tuple[int, int],
     return grown
 
 
-def _simplex_lp(a: np.ndarray, sign: float, who: str) -> tuple:
-    """Minimise ``sign * v`` over ``p`` in the simplex and ``v`` free,
-    subject to ``sign * (a @ p - v) <= 0``.  Returns HiGHS's column
-    values ``[p, v]`` and its objective value."""
-    k, n = a.shape
-    # Constraint rows, then the simplex row; columns p, then v.
-    dense = np.zeros((k + 1, n + 1))
-    dense[:k, :n] = sign * a
-    dense[:k, n] = -sign
-    dense[k, :n] = 1.0
-    nonzero = dense.T != 0
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
-    lp.num_row_ = lp.a_matrix_.num_row_ = k + 1
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(1))))
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = dense.T[nonzero]
+def _sequence_lp(columns: tuple, k: int, n: int, sign: float,
+                 who: str) -> tuple:
+    """One player's sequence-form LP: minimise ``sign * u[0]`` over a
+    plan ``z >= 0`` with ``E z = e`` (1 in E's first row, else 0) and a
+    free ``u``, subject to ``sign * (A z - F^T u) <= 0``.  ``columns``
+    is ``(start, index, value, rows)``, the ``rows`` of ``[[sign * A,
+    -sign * F^T], [E, 0]]`` by column; A has ``k`` rows, z ``n``
+    entries.  Returns HiGHS's ``[z, u]`` and objective value."""
+    width, rows = columns[0].size - 1, columns[3]
+    lp, colwise = _highs.HighsLp(), _highs.MatrixFormat.kColwise
+    lp.num_col_, lp.num_row_, a = width, rows, lp.a_matrix_
+    a.num_col_, a.num_row_, a.format_ = width, rows, colwise
+    a.start_, a.index_, a.value_ = columns[:3]
+    # HiGHS copies each array as it is set, so each is finished first.
     inf = _highs.kHighsInf
-    lp.col_cost_ = np.append(np.zeros(n), sign)
-    lp.col_lower_ = lower = np.append(np.zeros(n), -inf)
-    lp.col_upper_ = np.full(n + 1, inf)
-    lp.row_lower_ = np.append(np.full(k, -inf), 1.0)
-    lp.row_upper_ = rhs = np.append(np.zeros(k), 1.0)
+    cost, lower, rhs = np.zeros(width), np.zeros(width), np.zeros(rows)
+    cost[n], lower[n:], rhs[k] = sign, -inf, 1.0
+    lp.col_cost_, lp.col_lower_, lp.row_upper_ = cost, lower, rhs
+    lp.col_upper_ = np.full(width, inf)
+    lp.row_lower_ = np.concatenate((np.full(k, -inf), rhs[k:]))
 
     highs = _highs._Highs()
     error = _highs.HighsStatus.kError
@@ -118,28 +111,89 @@ def _simplex_lp(a: np.ndarray, sign: float, who: str) -> tuple:
     # The upper bounds are infinite, so only NaN could break them.
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
             or not (x >= lower - tol).all() or (slack[:k] < -tol).any()
-            or abs(slack[k]) > tol):
+            or np.abs(slack[k:]).max() > tol):
         raise RuntimeError(f"{who} LP failed: the solution does not "
                            f"satisfy the constraints within {tol:.2E}")
     return x, fun
 
 
+def _both_lps(columns, sizes: tuple) -> tuple:
+    """Both players' LPs, player p's from ``columns(p, sign)`` with a
+    plan of ``sizes[p]``: the plans, clipped at 0, and player 0's value,
+    the row LP's maximum, which the column LP's ``u[0]`` must match."""
+    (x, fun), (y, _) = (
+        _sequence_lp(columns(p, sign), sizes[1 - p], sizes[p], sign, who)
+        for p, sign, who in ((0, -1.0, "row"), (1, 1.0, "column")))
+    if abs(y[sizes[1]] + fun) > 1e-6:
+        raise RuntimeError("LP duals disagree beyond tolerance")
+    return np.maximum(x[:sizes[0]], 0.0), np.maximum(y[:sizes[1]], 0.0), -fun
+
+
 def solve_matrix_lp(matrix) -> MatrixSolution:
     m = np.asarray(matrix, dtype=float)
-    rows, cols = m.shape
     if not np.isfinite(m).all():
         raise ValueError("matrix must not contain inf or nan")
-    # Row player: maximize v s.t. x^T M >= v, x in simplex.
-    x, fun = _simplex_lp(m.T, -1.0, "row")
-    value = -fun
-    # Column player: minimize w s.t. M y <= w, y in simplex.
-    y, _ = _simplex_lp(m, 1.0, "column")
-    if abs(y[-1] - value) > 1e-6:
-        raise RuntimeError("LP duals disagree beyond tolerance")
-    x = np.maximum(x[:rows], 0.0)
-    y = np.maximum(y[:cols], 0.0)
+
+    def columns(p, sign):
+        # Row player: maximize v s.t. x^T M >= v, x in simplex; column
+        # player: minimize w s.t. M y <= w, y in simplex.  E and F are a
+        # row of ones, so [[sign * a, -sign], [1 ... 1, 0]] is dense.
+        a = m if p else m.T
+        dense = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+        dense[:-1, :-1], dense[:-1, -1], dense[-1, :-1] = sign * a, -sign, 1
+        nonzero = dense.T != 0
+        return (np.concatenate(([0], np.cumsum(nonzero.sum(1)))),
+                np.nonzero(nonzero)[1], dense.T[nonzero], len(dense))
+
+    x, y, value = _both_lps(columns, m.shape)
     return MatrixSolution(row=x / x.sum(), col=y / y.sum(),
                           value=float(value))
+
+
+def solve_sequence_form(tree) -> tuple[np.ndarray, float]:
+    """Both players' realization plans over the columns of ``tree`` in
+    an exact equilibrium, and player 0's value.  Sequences are the empty
+    one, 0, then the player's columns in tree order; E's rows are the
+    empty sequence and each infostate's columns minus its parent
+    sequence; A sums payoff times chance reach by terminal sequences."""
+    mine = [tree.is_player[tree.col_isid] == p for p in (0, 1)]
+    size = [int(m.sum()) + 1 for m in mine]
+    # Each column's sequence, and 0 for column -1: no decision edge.
+    seq = np.append(np.where(mine[0], mine[0].cumsum(), mine[1].cumsum()), 0)
+    # Each node's last sequence of each player, one level at a time.
+    last = np.zeros((2, tree.n_nodes), dtype=np.int64)
+    for sl in tree.levels[1:]:
+        last[:, sl] = np.where(tree.in_player[sl] == [[0], [1]],
+                               seq[tree.in_col[sl]], last[:, tree.parent[sl]])
+    term = np.flatnonzero(tree.terminal_mask)
+    pay = (tree.payoff1 * tree.reach(tree.in_prob))[term]
+    e = []  # each player's E as (rows, columns, values)
+    for p in (0, 1):
+        own = tree.infosets_of(p)
+        par, row = tree.is_parent[own], np.arange(1, own.size + 1)
+        par_col = np.where(par < 0, -1, tree.is_off[par]
+                           + tree.is_parent_slot[own])
+        e.append((np.concatenate(([0], row.repeat(tree.is_nact[own]), row)),
+                  np.concatenate((np.arange(size[p]), seq[par_col])),
+                  np.repeat([1.0, -1.0], [size[p], own.size])))
+
+    def columns(p, sign):
+        # [[sign * A, -sign * F^T], [E, 0]] from triplets sorted by
+        # column and row, duplicates summed in order (HiGHS drops zeros).
+        (er, ec, ev), (fr, fc, fv), k = e[p], e[1 - p], size[1 - p]
+        span = k + er[-1] + 1
+        keys, at = np.unique(
+            np.concatenate((last[p, term], ec, size[p] + fr)) * span
+            + np.concatenate((last[1 - p, term], k + er, fc)),
+            return_inverse=True)
+        ends = np.searchsorted(keys // span, np.arange(size[p] + fr[-1] + 2))
+        return ends, keys % span, np.bincount(at, np.concatenate((
+            sign * pay, ev, -sign * fv))), span
+
+    x, y, value = _both_lps(columns, size)
+    plans = np.empty(tree.n_cols)
+    plans[mine[0]], plans[mine[1]] = x[1:], y[1:]
+    return plans, value
 
 
 def solve_matrix_fp(matrix, iterations: int = 2000) -> MatrixSolution:

@@ -21,9 +21,11 @@ that visit one history at a time: MCCFR-ES and PSRO's sampled playouts.
 Node accounting contract: one full-width pass over a tree (a solver
 iteration, a best-response computation, a counted expected-value call)
 costs one visit per history swept; sampled traversals cost one visit
-per history actually touched.  Enumerating the tree itself is free:
-budgets meter solving and the best-response checks decisions rest on,
-not indexing.  Reporting-only evaluations pass ``counter=None`` and
+per history actually touched.  A sequence-form LP solve costs one
+visit per history of its tree, for the pass that builds its payoff
+triplets; HiGHS's own work is not metered.  Enumerating the tree itself
+is free: budgets meter solving and the best-response checks decisions
+rest on, not indexing.  Reporting-only evaluations pass ``counter=None`` and
 cost nothing.
 """
 
@@ -45,7 +47,7 @@ TERMINAL = 2
 
 
 class EnumerationOverflow(RuntimeError):
-    """More histories or strategies than an enumeration cap allows."""
+    """More histories than an enumeration cap allows."""
 
 
 class NodeCounter:

@@ -14,14 +14,15 @@ profile is returned; otherwise both best responses join the
 populations.
 
 The inner solve is one stream of restricted profiles
-(``_inner_solutions``): one exact LP solution, or the CFR(+) average
-every ``check_period`` iterations.  It stops at the stream's last
-profile, on an exhausted budget, or once (a) its restricted-game
-exploitability is below the current tolerance and (b) it is strictly
-below the full-game exploitability of the extended profile, so work is
-never wasted polishing a restricted game that already lags the full
-game; when the extended profile is already good enough to terminate
-on, (b) is waived to avoid polishing forever.
+(``_inner_solutions``): the exact solution of the restricted game's
+sequence-form LP, or the CFR(+) average every ``check_period``
+iterations.  It stops at the stream's last profile, on an exhausted
+budget, or once (a) its restricted-game exploitability is below the
+current tolerance and (b) it is strictly below the full-game
+exploitability of the extended profile, so work is never wasted
+polishing a restricted game that already lags the full game; when the
+extended profile is already good enough to terminate on, (b) is waived
+to avoid polishing forever.
 
 Best responses prefer actions already inside the restricted game when
 exactly tied, so payoff-identical duplicates never grow the population.
@@ -35,15 +36,15 @@ from itertools import count
 
 import numpy as np
 
+# canonical_pure, expected_value, profile_array, realize_mixture and
+# solve_matrix_lp are not called here; the benchmark's tracer wraps
+# them under this module's names.
 from .evaluate import best_response, expected_value
-# canonical_pure and profile_array are not called here; the benchmark's
-# tracer wraps them under this module's names.
 from .policy import (TabularPolicy, canonical_pure, lift_policy,
-                     policy_from_flat, profile_array, pure_profile,
-                     realize_mixture)
-from .solvers.cfr import Cfr
-from .solvers.matrix_solvers import grow_matrix, solve_matrix_lp
-from .tree import EnumerationOverflow, NodeCounter, TreeIndex
+                     policy_from_flat, profile_array, realize_mixture)
+from .solvers.cfr import Cfr, normalise_rows
+from .solvers.matrix_solvers import solve_matrix_lp, solve_sequence_form
+from .tree import NodeCounter, TreeIndex
 
 
 class Population:
@@ -93,47 +94,6 @@ class RestrictedGame:
         self.name = base.name + "+restricted"
 
 
-def enumerate_reduced_pure(tree: TreeIndex, player: int,
-                           cap: int = 100_000) -> np.ndarray:
-    """All reduced pure strategies, as rows of choice arrays: every
-    assignment over the infostates the player can reach given their own
-    earlier choices, with the first action everywhere else."""
-    own = tree.infosets_of(player)
-    kids: dict[int, list[int]] = {}  # parent column (-1: none) -> slots
-    for slot, (par, par_slot) in enumerate(zip(
-            tree.is_parent[own].tolist(), tree.is_parent_slot[own].tolist())):
-        col = -1 if par < 0 else int(tree.is_off[par]) + par_slot
-        kids.setdefault(col, []).append(slot)
-
-    def expand_set(slots) -> list[dict]:
-        combos = [{}]
-        for slot in slots:
-            branch = expand_one(slot)
-            combos = [{**c, **b} for c in combos for b in branch]
-            if len(combos) > cap:
-                raise EnumerationOverflow(
-                    f"reduced strategy space of player {player} exceeds "
-                    f"cap {cap}")
-        return combos
-
-    def expand_one(slot: int) -> list[dict]:
-        isid = int(own[slot])
-        off = int(tree.is_off[isid])
-        out = []
-        for col in range(off, off + int(tree.is_nact[isid])):
-            for c in expand_set(kids.get(col, ())):
-                d = dict(c)
-                d[slot] = col
-                out.append(d)
-        return out
-
-    combos = expand_set(kids.get(-1, ()))
-    rows = np.tile(tree.is_off[own], (len(combos), 1))
-    for row, d in zip(rows, combos):
-        row[list(d)] = list(d.values())
-    return rows
-
-
 @dataclass
 class XdoConfig:
     eps0: float = 0.35
@@ -144,7 +104,6 @@ class XdoConfig:
     check_period: int = 10
     max_outer: int | None = None
     max_inner: int | None = None
-    lp_cap: int = 100_000
 
 
 @dataclass
@@ -179,13 +138,10 @@ def _inner_solutions(rtree: TreeIndex, cfg: XdoConfig, counter):
     inner iterations behind it, and whether it ends the solve (at
     ``max_inner``; the LP's one solution is always the last)."""
     if cfg.inner == "lp":
-        p0, p1 = (enumerate_reduced_pure(rtree, p, cfg.lp_cap) for p in (0, 1))
-        m = grow_matrix(np.zeros((0, 0)), (len(p0), len(p1)),
-                        lambda i, j: expected_value(rtree, pure_profile(
-                            rtree, p0[i], p1[j]), counter=counter))
-        sol = solve_matrix_lp(m)
-        yield (realize_mixture(rtree, p0, sol.row, 0)
-               + realize_mixture(rtree, p1, sol.col, 1)), 1, True
+        counter.add(rtree.n_nodes)
+        plan, _ = solve_sequence_form(rtree)
+        yield normalise_rows(rtree, plan, np.repeat(
+            1.0 / rtree.is_nact, rtree.is_nact)), 1, True
         return
     solver = Cfr(rtree, plus=(cfg.inner == "cfr_plus"), counter=counter)
     for inner_iters in count(1):

@@ -3,7 +3,8 @@
 Exhaustive game walks (state counts and own-action predecessors),
 per-node recursions standing in for ``TreeIndex.reach`` and
 ``TreeIndex.values``, the level loop ``reach`` replaced, the covering
-tally behind the double-oracle iteration bound, helpers that turn
+tally behind the double-oracle iteration bound, the enumeration of
+reduced pure strategies, helpers that turn
 choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
 assertions, ``tree_of``, the cached trees the sweep tests share, and
 ``reference_solve_matrix_lp``, the ``linprog`` solve that
@@ -120,6 +121,44 @@ def tree_of(name):
     tree = base.restrict(mask, RestrictedGame(base.game, mask))
     assert 0 < tree.n_nodes < base.n_nodes
     return tree
+
+
+def enumerate_reduced_pure(tree, player: int) -> np.ndarray:
+    """All reduced pure strategies, as rows of choice arrays: every
+    assignment over the infostates the player can reach given their own
+    earlier choices, with the first action everywhere else.  The
+    brute-force reference for the sequence-form LP: its number of rows
+    grows exponentially with the game."""
+    own = tree.infosets_of(player)
+    kids: dict[int, list[int]] = {}  # parent column (-1: none) -> slots
+    for slot, (par, par_slot) in enumerate(zip(
+            tree.is_parent[own].tolist(), tree.is_parent_slot[own].tolist())):
+        col = -1 if par < 0 else int(tree.is_off[par]) + par_slot
+        kids.setdefault(col, []).append(slot)
+
+    def expand_set(slots) -> list[dict]:
+        combos = [{}]
+        for slot in slots:
+            branch = expand_one(slot)
+            combos = [{**c, **b} for c in combos for b in branch]
+        return combos
+
+    def expand_one(slot: int) -> list[dict]:
+        isid = int(own[slot])
+        off = int(tree.is_off[isid])
+        out = []
+        for col in range(off, off + int(tree.is_nact[isid])):
+            for c in expand_set(kids.get(col, ())):
+                d = dict(c)
+                d[slot] = col
+                out.append(d)
+        return out
+
+    combos = expand_set(kids.get(-1, ()))
+    rows = np.tile(tree.is_off[own], (len(combos), 1))
+    for row, d in zip(rows, combos):
+        row[list(d)] = list(d.values())
+    return rows
 
 
 def reference_reach(tree, w: np.ndarray) -> np.ndarray:

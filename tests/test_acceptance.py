@@ -27,10 +27,9 @@ from efgsolve.metrics import read_rows_csv
 from efgsolve.policy import pure_profile
 from efgsolve.psro import psro_histogram
 from efgsolve.solvers import Cfr, solve_matrix_lp
-from efgsolve.xdo import (XdoConfig, enumerate_reduced_pure, eq1_allowed,
-                          xdo_solve)
+from efgsolve.xdo import XdoConfig, eq1_allowed, xdo_solve
 
-from oracles import as_policy, count_states
+from oracles import as_policy, count_states, enumerate_reduced_pure
 
 pytestmark = pytest.mark.slow
 

@@ -536,14 +536,15 @@ def test_size_report_walks_its_game_once(root_calls, tmp_path):
     assert root_calls == ["kuhn"]
 
 
-def test_cli_lp_inner_over_its_cap_exits_3(tmp_path, capsys):
+def test_cli_rejects_the_removed_lp_cap_key(tmp_path, capsys):
     code = main(["run", "--game", "kuhn", "--algo", "xdo", "--max-iters",
                  "3", "--param", "inner=lp", "--param", "lp_cap=1",
                  "--out", str(tmp_path)])
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceeds cap 1" in err
+    assert err.startswith("error: xdo does not take parameters ['lp_cap']")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):

@@ -96,9 +96,9 @@ GOLDEN = {
     },
     "xdo_kuhn_lp": {
         "xdo_kuhn_seed0.csv":
-            "4298cbc3990210fb6b02c17f9794645aaa29a29d4cd95f55cf6d6fcd2b47c7b6",
+            "2c5b53cb987a3d30c2c014f443f8988dbba1bfdf866901a05e0f480f1fe494bf",
         "xdo_kuhn_summary.json":
-            "8b726d196e104386fb36540cd9ee6783cdca04ce103bedf2878d62387f7612f6",
+            "f5cf4bc106681318bc994d3a222d14d0372b8695c4517e652a20530f0858579d",
     },
     "xdo_leduc": {
         "xdo_leduc_seed0.csv":

@@ -19,10 +19,9 @@ from efgsolve import (NodeCounter, TabularPolicy, TreeIndex, best_response,
 from efgsolve.policy import (PurePolicy, canonical_pure, lift_policy,
                              policy_from_flat, random_pure_policy)
 from efgsolve.evaluate import BestResponse, _pick
-from efgsolve.xdo import enumerate_reduced_pure
 
 from oracles import (actions_of, as_policy, choice_of, default_choice,
-                     loop_reach, tree_of)
+                     enumerate_reduced_pure, loop_reach, tree_of)
 
 
 def random_behavioral(tree, player, rng):

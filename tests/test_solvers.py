@@ -15,18 +15,21 @@ references.
 import numpy as np
 import pytest
 
-from efgsolve import (NodeCounter, TreeIndex, exploitability,
-                      expected_value, make_game)
+from efgsolve import (NodeCounter, TreeIndex, best_response,
+                      exploitability, expected_value, make_game)
 from efgsolve.games import ParallelStageGame
-from efgsolve.policy import sample_index
+from efgsolve.policy import pure_profile, sample_index
 from efgsolve.solvers import (Cfr, MccfrEs, Xfp, solve_matrix_fp,
                               solve_matrix_lp)
 from efgsolve.solvers.cfr import normalise_rows
+from efgsolve.solvers.matrix_solvers import solve_sequence_form
 from efgsolve.tree import CHANCE_NODE, TERMINAL
 
-from oracles import reference_solve_matrix_lp, same_solution, tree_of
+from oracles import (enumerate_reduced_pure, reference_solve_matrix_lp,
+                     same_solution, tree_of)
 
 KUHN_VALUE = -1.0 / 18.0
+LEDUC_VALUE = -0.085606424078
 
 
 def test_cfr_plus_converges_on_kuhn(kuhn_tree):
@@ -434,6 +437,47 @@ def test_matrix_lp_rejects_what_linprog_rejected(matrix, error, match):
         solve_matrix_lp(matrix)
     with pytest.raises(error):
         reference_solve_matrix_lp(matrix)
+
+
+def sequence_form_profile(tree):
+    """The sequence-form LP's plans as rows, uniform where a row's
+    parent sequence has mass 0, and the LP's value."""
+    plan, value = solve_sequence_form(tree)
+    uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
+    return normalise_rows(tree, plan, uniform), value
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kuhn", KUHN_VALUE), ("leduc", LEDUC_VALUE), ("oshi_zumo_4_3_6", 0.0)])
+def test_sequence_form_lp_solves_the_game_exactly(name, value):
+    tree = tree_of(name)
+    flat, lp_value = sequence_form_profile(tree)
+    assert lp_value == pytest.approx(value, abs=1e-9)
+    assert expected_value(tree, flat) == pytest.approx(value, abs=1e-9)
+    br0, br1 = (best_response(tree, flat, p) for p in (0, 1))
+    assert br0.value + br1.value <= 1e-9
+    assert br0.value == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["kuhn", "rps_choice", "clone_gmp_2_4_3"]
+                         + [f"kgmp_{k}_{n}" for k in (1, 2, 3)
+                            for n in (2, 3, 4)])
+def test_sequence_form_value_is_the_reduced_normal_form_value(name):
+    tree = tree_of(name)
+    pures = [enumerate_reduced_pure(tree, p) for p in (0, 1)]
+    matrix = np.array([[expected_value(tree, pure_profile(tree, a, b))
+                        for b in pures[1]] for a in pures[0]])
+    assert solve_sequence_form(tree)[1] == pytest.approx(
+        solve_matrix_lp(matrix).value, abs=1e-9)
+
+
+def test_cfr_plus_on_leduc_converges_to_the_lp_value(leduc_tree):
+    solver = Cfr(leduc_tree, plus=True)
+    solver.iterate(400)
+    _, value = solve_sequence_form(leduc_tree)
+    assert value == pytest.approx(LEDUC_VALUE, abs=1e-9)
+    assert expected_value(leduc_tree, solver.average_flat()) \
+        == pytest.approx(value, abs=1e-4)
 
 
 def test_matrix_fp_approximates_lp():

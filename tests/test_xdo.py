@@ -20,14 +20,12 @@ import pytest
 from efgsolve import (NodeCounter, TreeIndex, exploitability, make_game,
                       profile_array)
 from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
-from efgsolve.tree import (_INFOSTATE_ARRAYS, _NODE_ARRAYS,
-                           EnumerationOverflow, _relabel)
+from efgsolve.tree import _INFOSTATE_ARRAYS, _NODE_ARRAYS, _relabel
 from efgsolve.xdo import (Population, RestrictedGame, XdoConfig, XdoResult,
-                          _extend_to_base, enumerate_reduced_pure,
-                          eq1_allowed, xdo_solve)
+                          _extend_to_base, eq1_allowed, xdo_solve)
 
 from oracles import (choice_of, covered_infostate_count, default_choice,
-                     infostate_predecessors, tree_of)
+                     enumerate_reduced_pure, infostate_predecessors, tree_of)
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +87,6 @@ def test_enumerate_reduced_pure_counts():
         tree = TreeIndex(make_game(name))
         got = tuple(len(enumerate_reduced_pure(tree, p)) for p in (0, 1))
         assert got == want, name
-    with pytest.raises(EnumerationOverflow):
-        enumerate_reduced_pure(TreeIndex(make_game("kuhn")), 1, cap=5)
 
 
 def test_covered_infostates_grow_with_the_population(kuhn_tree):
@@ -126,6 +122,20 @@ def test_lp_inner_terminates_exactly_on_kuhn(kuhn_lp_result, kuhn_tree):
     assert exploitability(kuhn_tree, profile_array(
         kuhn_tree, res.policy0, res.policy1)) \
         == pytest.approx(res.exploitability, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, n", [(1, 6), (1, 8), (1, 10), (2, 6), (3, 6),
+                                  (4, 4), (6, 4), (8, 4), (6, 6)])
+def test_lp_inner_outer_iterations_do_not_grow_with_the_stage_count(k, n):
+    # k GMP(n) stages behind a chance node: each player has n^k reduced
+    # pure strategies, but a best response picks an action in every
+    # stage at once, so XDO with an exact inner solve ends after 2n - 1
+    # outer iterations whatever k is.  The outer cap turns a run that
+    # would not end into a failure.
+    res = xdo_solve(make_game(f"kgmp_{k}_{n}"),
+                    XdoConfig(inner="lp", max_outer=4 * n))
+    assert res.terminated
+    assert res.outer_iters == 2 * n - 1
 
 
 def test_every_outer_iteration_emits_a_trace_row(kuhn_lp_result):
