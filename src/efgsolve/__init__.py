@@ -3,7 +3,7 @@ extensive-form games."""
 
 __version__ = "0.1.0"
 
-from .game import CHANCE, DEFAULT_ACTION, PLAYER1, PLAYER2
+from .game import CHANCE
 from .tree import NodeCounter, TreeIndex
 from .policy import (TabularPolicy, lift_policy, profile_array,
                      policy_from_flat, random_pure_policy, realize_mixture,
@@ -13,8 +13,7 @@ from .evaluate import (BestResponse, best_response, exploitability,
 from .games import make_game
 
 __all__ = [
-    "CHANCE", "DEFAULT_ACTION", "PLAYER1", "PLAYER2",
-    "NodeCounter", "TreeIndex",
+    "CHANCE", "NodeCounter", "TreeIndex",
     "TabularPolicy", "lift_policy", "profile_array",
     "policy_from_flat", "random_pure_policy", "realize_mixture",
     "uniform_policy",

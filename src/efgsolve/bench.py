@@ -18,10 +18,11 @@ and leave out building the tree.
 
 Each seed builds its game's ``TreeIndex`` once, in ``run_seed``
 (``run_size_report`` for a size report), and every algorithm runs on
-that index.  The build is the only walk of the game, and it enforces
-the ``max_states`` cap on histories: a game past it raises
-``EnumerationOverflow`` from the walk, in the pool worker under
-``jobs > 1``, before any file is written.
+that index; ``psro-hist`` builds one per chunk of trials, in
+``_hist_chunk``.  No other module builds one, and these are the only
+walks of a game.  A run's build enforces the ``max_states`` cap on
+histories: a game past it raises ``EnumerationOverflow`` from the walk,
+in the pool worker under ``jobs > 1``, before any file is written.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ _CHECKS = {
                             ("payoffs", ("exact", "sampled")),
                             ("init", ("default", "random")))},
     **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
-                    (lambda v: _real(v) and v >= 0, "a real number >= 0")),
+                    (lambda v: _real(v) and 0 <= v < math.inf,
+                     "a finite real number >= 0")),
     **dict.fromkeys(("check_period", "fp_iters", "games_per_pair"),
                     (_count, "an integer >= 1")),
     "eps_decay": (lambda v: _real(v) and 0 < v <= 1,
@@ -259,7 +261,7 @@ def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
              counter: NodeCounter) -> tuple[list[dict], dict]:
     xcfg = XdoConfig(max_outer=cfg.max_iters, **cfg.params)
-    res = xdo_solve(tree.game, xcfg, counter, base_tree=tree)
+    res = xdo_solve(tree, xcfg, counter)
     rows = [_row(cfg, seed, t["outer"], t["inner"], t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
                  t["restricted_nodes"], t["wall_ms"])
@@ -277,7 +279,7 @@ def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
 def _run_psro(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
               counter: NodeCounter) -> tuple[list[dict], dict]:
     pcfg = PsroConfig(seed=seed, max_iters=cfg.max_iters, **cfg.params)
-    res = psro_solve(tree.game, pcfg, counter, base_tree=tree)
+    res = psro_solve(tree, pcfg, counter)
     rows = [_row(cfg, seed, t["iter"], None, t["nodes"],
                  t["exploitability"], (t["pop0"], t["pop1"]),
                  wall_ms=t["wall_ms"])
@@ -363,8 +365,8 @@ HIST_COLUMNS = ("seed", "expanded1", "expanded2", "eps_pass_iter", "iters",
 
 
 def _hist_chunk(chunk) -> list[dict]:
-    """``chunk`` is (trials, seed0, horizon, eps)."""
-    return psro_histogram(rps_choice(), *chunk)
+    """``chunk`` is (trials, seed0, horizon, eps), run on one tree."""
+    return psro_histogram(TreeIndex(rps_choice()), *chunk)
 
 
 def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,

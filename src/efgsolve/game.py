@@ -26,15 +26,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-PLAYER1 = 0
-PLAYER2 = 1
 CHANCE = -1
-
-#: Infostate keys are plain tuples of ints, player id first.
-InfostateKey = tuple
-
-#: Missing policy entries resolve to the first legal action.
-DEFAULT_ACTION = 0
 
 
 @runtime_checkable
@@ -65,7 +57,7 @@ class State(Protocol):
         """Terminal utilities for players 0 and 1."""
         ...
 
-    def infostate_key(self, player: int) -> InfostateKey:
+    def infostate_key(self, player: int) -> tuple:
         """Observation/action sequence of ``player`` at this node."""
         ...
 

@@ -1,14 +1,15 @@
 """Normal-form double oracle / tabular PSRO.
 
-Populations of pure strategies per player (rows of choice arrays, see
-``xdo.Population``), an empirical payoff matrix over all pairs (each
-cell scatters one row of each population into a flat profile; exact
-tree evaluation by default, optionally the average of seeded playouts
-down the tree's ``walk_table``), grown by ``grow_matrix``, a
-matrix-game meta-solver (LP by default), and exact best responses
-against the realized meta-mixture, the sum of both players' halves from
-``realize_mixture``.  Terminates when neither best response improves
-on the mixture value by more than ``eps``.
+``psro_solve`` and ``psro_histogram`` run on a game's ``TreeIndex`` and
+walk no game.  Populations of pure strategies per player (rows of
+choice arrays, see ``xdo.Population``), an empirical payoff matrix over
+all pairs (each cell scatters one row of each population into a flat
+profile; exact tree evaluation by default, optionally the average of
+seeded playouts down the tree's ``walk_table``), grown by
+``grow_matrix``, a matrix-game meta-solver (LP by default), and exact
+best responses against the realized meta-mixture, the sum of both
+players' halves from ``realize_mixture``.  Terminates when neither best
+response improves on the mixture value by more than ``eps``.
 """
 
 from __future__ import annotations
@@ -106,13 +107,11 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
         yield sol, sigma, br0, br1, br0.value - v, br1.value + v
 
 
-def psro_solve(game, config: PsroConfig | None = None,
-               counter: NodeCounter | None = None,
-               base_tree: TreeIndex | None = None) -> PsroResult:
+def psro_solve(tree: TreeIndex, config: PsroConfig | None = None,
+               counter: NodeCounter | None = None) -> PsroResult:
     cfg = config or PsroConfig()
     if counter is None:
         counter = NodeCounter()
-    tree = base_tree if base_tree is not None else TreeIndex(game)
     rng = np.random.default_rng(cfg.seed)
 
     pops = tuple(Population(tree, p, [
@@ -174,9 +173,8 @@ def reduced_canonical(tree: TreeIndex, choice: np.ndarray,
                     -1).tobytes()
 
 
-def psro_histogram(game, trials: int, seed0: int, horizon: int,
-                   eps: float = PsroConfig.eps,
-                   base_tree: TreeIndex | None = None) -> list[dict]:
+def psro_histogram(tree: TreeIndex, trials: int, seed0: int, horizon: int,
+                   eps: float = PsroConfig.eps) -> list[dict]:
     """Strategy-expansion experiment over repeated double-oracle trials.
 
     Each trial starts from one uniformly drawn pure strategy per player
@@ -198,7 +196,6 @@ def psro_histogram(game, trials: int, seed0: int, horizon: int,
     response improved by more than ``eps`` (None if never), and the
     final mixture's exploitability.
     """
-    tree = base_tree if base_tree is not None else TreeIndex(game)
     records = []
     for t in range(trials):
         seed = seed0 + t

@@ -47,11 +47,11 @@ def _normalise(x: np.ndarray, off: np.ndarray, nact: np.ndarray,
     return np.divide(x, norm, out=out, where=norm > 0.0)
 
 
-def normalise_rows(tree: TreeIndex, x: np.ndarray,
-                   uniform: np.ndarray) -> np.ndarray:
+def normalise_rows(tree: TreeIndex, x: np.ndarray) -> np.ndarray:
     """Divide each infostate's columns of ``x`` by their sum; a row that
-    sums to zero takes its entries from ``uniform``."""
-    return _normalise(x, tree.is_off, tree.is_nact, uniform,
+    sums to zero becomes uniform."""
+    nact = tree.is_nact
+    return _normalise(x, tree.is_off, nact, np.repeat(1.0 / nact, nact),
                       np.empty_like(x))
 
 
@@ -119,7 +119,6 @@ class Cfr:
                 edge_col[kids] - lo, par, rc[par] if p == 0 else -rc[par],
                 dec, (np.cumsum(tree.is_player == p) - 1)[tree.infoset[dec]]))
             lo += width
-        self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
         # Each player's own reach under the current profile.  An update
         # changes only its player's regrets, so only that player's rows
         # and reach go stale: ``_stale`` lists the players to recompute.
@@ -191,4 +190,4 @@ class Cfr:
                 self._sweep(players)
 
     def average_flat(self) -> np.ndarray:
-        return normalise_rows(self.tree, self.ssum, self._uniform)
+        return normalise_rows(self.tree, self.ssum)

@@ -64,7 +64,6 @@ class MccfrEs:
         self.counter = counter
         self.regret = [0.0] * tree.n_cols
         self.ssum = [0.0] * tree.n_cols
-        self._uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
         self._root = walk_table(tree)
         self._draw = _uniforms(self.rng).__next__
 
@@ -143,4 +142,4 @@ class MccfrEs:
             self.counter.add(visits)
 
     def average_flat(self) -> np.ndarray:
-        return normalise_rows(self.tree, np.array(self.ssum), self._uniform)
+        return normalise_rows(self.tree, np.array(self.ssum))

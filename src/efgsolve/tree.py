@@ -15,6 +15,8 @@ The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
 histories than the cap.  The cap bounds histories, not memory.
+``restrict`` derives the index of an action-restricted subgame, and
+that subgame's ``RestrictedGame``, from the index alone.
 ``walk_table`` is the one plain Python form of the tree, for the walks
 that visit one history at a time: MCCFR-ES and PSRO's sampled playouts.
 
@@ -106,6 +108,16 @@ class OwnLevel(NamedTuple):
     linked: np.ndarray
     parent_slots: np.ndarray
     parent_cols: np.ndarray
+
+
+class RestrictedGame:
+    """The game behind a restricted tree: a base game cut down to the
+    allowed columns ``cols`` of its tree (``TreeIndex.restrict``)."""
+
+    def __init__(self, base, cols: np.ndarray):
+        self.base = base
+        self.cols = cols
+        self.name = base.name + "+restricted"
 
 
 def _relabel(ids: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
@@ -306,9 +318,10 @@ class TreeIndex:
         self._col_isid = self._col_action = None
         self._own_levels = {}
 
-    def restrict(self, cols: np.ndarray, game) -> TreeIndex:
+    def restrict(self, cols: np.ndarray) -> TreeIndex:
         """Index of the subgame that allows only the columns in the bool
-        mask ``cols``, derived from this index without walking ``game``.
+        mask ``cols``, derived from this index without walking its game.
+        Its game is ``RestrictedGame(self.game, cols)``.
 
         It equals a walk of the perfect-recall game whose legal lists are
         the allowed actions in this tree's order: kept nodes keep this
@@ -335,7 +348,7 @@ class TreeIndex:
         nodes = np.concatenate(kept)
 
         out = object.__new__(TreeIndex)
-        out.game = game
+        out.game = RestrictedGame(self.game, cols)
         for name, _ in _NODE_ARRAYS:
             setattr(out, name, getattr(self, name)[nodes])
         # Kept nodes ascend and a kept node's parent is kept.

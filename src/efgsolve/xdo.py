@@ -1,13 +1,14 @@
 """Double oracle over extensive-form restricted games.
 
-The outer loop keeps a population of pure strategies per player, as
-rows of choice arrays over the base tree (see ``TreeIndex``).  Each
-iteration takes the restricted game whose legal actions at an
-infostate are exactly those some population member plays there, as a
-column mask over the base tree, and derives its index from the base
-index (``TreeIndex.restrict``, no game walk).  It solves that game to a
-decaying tolerance, extends the solution to the full game by scattering
-its columns onto the base tree (first action where undefined), and asks
+``xdo_solve`` runs on the base game's ``TreeIndex`` and walks no game.
+Its outer loop keeps a population of pure strategies per player, as
+rows of choice arrays over that base tree.  Each iteration takes the
+restricted game whose legal actions at an infostate are exactly those
+some population member plays there, as a column mask over the base
+tree, and derives its index from the base index
+(``TreeIndex.restrict``).  It solves that game to a decaying
+tolerance, extends the solution to the full game by scattering its
+columns onto the base tree (first action where undefined), and asks
 exact best-response oracles whether either player can still gain.  If
 the summed gain is within the termination tolerance the extended
 profile is returned; otherwise both best responses join the
@@ -36,15 +37,16 @@ from itertools import count
 
 import numpy as np
 
-# canonical_pure, expected_value, profile_array, realize_mixture and
-# solve_matrix_lp are not called here; the benchmark's tracer wraps
-# them under this module's names.
+# canonical_pure, expected_value, profile_array, realize_mixture,
+# solve_matrix_lp and RestrictedGame are not used here; the benchmark's
+# tracer wraps the functions under this module's names and reads the
+# class from it.
 from .evaluate import best_response, expected_value
 from .policy import (TabularPolicy, canonical_pure, lift_policy,
                      policy_from_flat, profile_array, realize_mixture)
 from .solvers.cfr import Cfr, normalise_rows
 from .solvers.matrix_solvers import solve_matrix_lp, solve_sequence_form
-from .tree import NodeCounter, TreeIndex
+from .tree import NodeCounter, RestrictedGame, TreeIndex
 
 
 class Population:
@@ -82,16 +84,6 @@ def eq1_allowed(populations) -> np.ndarray:
     every action some population member plays at its infostate (the
     paper's Eq. 1)."""
     return populations[0].cols | populations[1].cols
-
-
-class RestrictedGame:
-    """The game behind a restricted tree: a base game cut down to the
-    allowed columns ``cols`` of its tree (``TreeIndex.restrict``)."""
-
-    def __init__(self, base, cols: np.ndarray):
-        self.base = base
-        self.cols = cols
-        self.name = base.name + "+restricted"
 
 
 @dataclass
@@ -140,8 +132,7 @@ def _inner_solutions(rtree: TreeIndex, cfg: XdoConfig, counter):
     if cfg.inner == "lp":
         counter.add(rtree.n_nodes)
         plan, _ = solve_sequence_form(rtree)
-        yield normalise_rows(rtree, plan, np.repeat(
-            1.0 / rtree.is_nact, rtree.is_nact)), 1, True
+        yield normalise_rows(rtree, plan), 1, True
         return
     solver = Cfr(rtree, plus=(cfg.inner == "cfr_plus"), counter=counter)
     for inner_iters in count(1):
@@ -151,16 +142,13 @@ def _inner_solutions(rtree: TreeIndex, cfg: XdoConfig, counter):
                 cfg.max_inner is not None and inner_iters >= cfg.max_inner)
 
 
-def xdo_solve(game, config: XdoConfig | None = None,
-              counter: NodeCounter | None = None,
-              base_tree: TreeIndex | None = None) -> XdoResult:
+def xdo_solve(tree: TreeIndex, config: XdoConfig | None = None,
+              counter: NodeCounter | None = None) -> XdoResult:
     cfg = config or XdoConfig()
     if counter is None:
         counter = NodeCounter()
-    if base_tree is None:
-        base_tree = TreeIndex(game)
     populations = tuple(
-        Population(base_tree, p, [base_tree.is_off[base_tree.infosets_of(p)]])
+        Population(tree, p, [tree.is_off[tree.infosets_of(p)]])
         for p in (0, 1))
 
     eps = cfg.eps0
@@ -173,7 +161,7 @@ def xdo_solve(game, config: XdoConfig | None = None,
     while True:
         outer += 1
         allowed = eq1_allowed(populations)
-        rtree = base_tree.restrict(allowed, RestrictedGame(game, allowed))
+        rtree = tree.restrict(allowed)
 
         for flat, inner_iters, last in _inner_solutions(rtree, cfg, counter):
             br0r = best_response(rtree, flat, 0, counter)
@@ -187,10 +175,10 @@ def xdo_solve(game, config: XdoConfig | None = None,
                 # check says; skip the expensive part of the check
                 continue
 
-            sigma_full = _extend_to_base(rtree, base_tree, flat)
-            br0 = best_response(base_tree, sigma_full, 0, counter,
+            sigma_full = _extend_to_base(rtree, tree, flat)
+            br0 = best_response(tree, sigma_full, 0, counter,
                                 prefer=populations[0].cols)
-            br1 = best_response(base_tree, sigma_full, 1, counter,
+            br1 = best_response(tree, sigma_full, 1, counter,
                                 prefer=populations[1].cols)
             e_full = br0.value + br1.value
 
@@ -220,7 +208,7 @@ def xdo_solve(game, config: XdoConfig | None = None,
 
     # Every outer iteration ends on a full check, so (rtree, flat) is
     # the restricted solution the last check extended.
-    policy0, policy1 = (lift_policy(rtree, base_tree,
+    policy0, policy1 = (lift_policy(rtree, tree,
                                     policy_from_flat(rtree, flat, p))
                         for p in (0, 1))
     r_is = (len(rtree.infosets_of(0)), len(rtree.infosets_of(1)))

@@ -24,7 +24,6 @@ from efgsolve.policy import (PurePolicy, canonical_pure, policy_from_flat,
                              random_pure_policy)
 from efgsolve.psro import reduced_canonical
 from efgsolve.solvers.matrix_solvers import MatrixSolution
-from efgsolve.xdo import RestrictedGame
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def tree_of(name):
     for p in (0, 1):
         for _ in range(3):
             mask[random_pure_policy(base, p, rng)] = True
-    tree = base.restrict(mask, RestrictedGame(base.game, mask))
+    tree = base.restrict(mask)
     assert 0 < tree.n_nodes < base.n_nodes
     return tree
 

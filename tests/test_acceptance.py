@@ -70,7 +70,7 @@ def bench_root(tmp_path_factory):
 def exact_xdo_runs():
     """Exact-inner double-oracle runs on every small game, used by the
     termination, iteration-bound, and clone criteria."""
-    return {name: xdo_solve(make_game(name), XdoConfig(inner="lp"))
+    return {name: xdo_solve(TreeIndex(make_game(name)), XdoConfig(inner="lp"))
             for name in EXACT_GAMES}
 
 
@@ -250,8 +250,8 @@ def test_c06_clone_actions_stay_bounded(exact_xdo_runs):
 
 
 def test_c07_strategy_expansion_histogram(rps_tree):
-    records = psro_histogram(make_game("rps_choice"), trials=150, seed0=0,
-                             horizon=30, eps=1e-3, base_tree=rps_tree)
+    records = psro_histogram(rps_tree, trials=150, seed0=0, horizon=30,
+                             eps=1e-3)
     full0 = sum(r["expanded0"] == 6 for r in records) / len(records)
     full1 = sum(r["expanded1"] == 9 for r in records) / len(records)
     assert full0 >= 0.95, f"player 1 expanded all strategies in {full0:.1%}"

@@ -17,7 +17,7 @@ from efgsolve.bench import (ConfigError, EnumerationOverflow,
                             run_experiment, run_psro_hist, run_seed,
                             run_size_report, validate_config)
 from efgsolve.cli import _parse_seeds, main
-from efgsolve.games import make_game
+from efgsolve.games import make_game, rps_choice
 from efgsolve.metrics import (CSV_COLUMNS, cadence_thresholds, check_rows,
                               read_rows_csv, write_rows_csv)
 
@@ -373,6 +373,10 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
      "\u0660.\u0665"],
     ["psro-hist", "--trials", "1", "--horizon", "2", "--eps", "0.0_5"],
     CFR_RUN + ["--param", "alternating=off"],
+    XDO_RUN + ["--param", "term_eps=inf"],
+    XDO_RUN + ["--param", "eps0=inf"],
+    PSRO_RUN + ["--param", "eps=inf"],
+    ["psro-hist", "--trials", "2", "--horizon", "2", "--eps", "inf"],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
@@ -405,7 +409,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "param-arabic-indic-digits", "max-wall-s-underscore",
         "max-wall-s-space", "max-wall-s-fullwidth-digit",
         "psro-hist-eps-arabic-indic-digits", "psro-hist-eps-underscore",
-        "cfr-alternating-yaml-1-1-off"])
+        "cfr-alternating-yaml-1-1-off", "xdo-term-eps-inf", "xdo-eps0-inf",
+        "psro-eps-inf", "psro-hist-eps-inf"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -534,6 +539,15 @@ def test_each_seed_walks_its_game_once(algo, root_calls, tmp_path):
 def test_size_report_walks_its_game_once(root_calls, tmp_path):
     run_size_report("kuhn", max_outer=2, inner="lp", out_dir=str(tmp_path))
     assert root_calls == ["kuhn"]
+
+
+def test_psro_hist_walks_its_game_once(monkeypatch, tmp_path):
+    # One chunk under one job, so the one build is in _hist_chunk.
+    calls = []
+    monkeypatch.setattr(bench, "rps_choice",
+                        lambda: _RootCounter(rps_choice(), calls))
+    run_psro_hist(trials=3, out_dir=str(tmp_path), jobs=1)
+    assert calls == ["rps_choice"]
 
 
 def test_cli_rejects_the_removed_lp_cap_key(tmp_path, capsys):

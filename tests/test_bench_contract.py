@@ -65,3 +65,30 @@ def test_worker_calls_bind_to_the_runner():
 def test_worker_reads_the_class_level_history_cap():
     # setup_s times its set-up under the run's own default cap.
     assert isinstance(bench.ExperimentConfig.max_states, int)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "efgsolve"
+# Imported only for the tracer's sake: the names it wraps under each
+# module, and the class its spans read from efgsolve.xdo.
+_TRACER_ONLY = {(module, attr) for module, attr, _, _
+                in tracing.TRACED_FUNCTIONS}
+_TRACER_ONLY.add(("efgsolve.xdo", "RestrictedGame"))
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.rglob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.relative_to(SRC).as_posix())
+def test_every_unread_import_is_one_the_tracer_needs(path):
+    # A name a module imports but never reads is dead unless the
+    # tracer looks it up there.
+    module = ".".join(("efgsolve",)
+                      + path.relative_to(SRC).with_suffix("").parts)
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = {(module, name) for name in imported - read}
+    assert unread <= _TRACER_ONLY, sorted(unread - _TRACER_ONLY)

@@ -10,7 +10,7 @@ calls whose matrix had not changed.
 import numpy as np
 import pytest
 
-from efgsolve import expected_value, make_game
+from efgsolve import expected_value
 from efgsolve import psro
 from efgsolve.evaluate import best_response
 from efgsolve.policy import pure_profile, random_pure_policy, realize_mixture
@@ -85,13 +85,12 @@ def lp_shapes(monkeypatch):
 
 def test_records_match_the_resolve_every_iteration_loop(rps_tree, reference,
                                                         lp_shapes):
-    game = make_game("rps_choice")
     total_after_growth = 0
     for seed in SEEDS:
         lp_shapes.clear()
         record, after_growth, _ = reference[seed]
-        assert psro_histogram(game, trials=1, seed0=seed, horizon=HORIZON,
-                              base_tree=rps_tree) == [record]
+        assert psro_histogram(rps_tree, trials=1, seed0=seed,
+                              horizon=HORIZON) == [record]
         assert all(a != b for a, b in zip(lp_shapes, lp_shapes[1:])), seed
         assert len(lp_shapes) == 1 + after_growth, seed
         total_after_growth += after_growth
@@ -105,9 +104,8 @@ def test_a_batch_of_trials_makes_one_call_per_grown_matrix(rps_tree,
                                                            lp_shapes):
     # Each trial starts its own meta-game, whatever the last one did.
     seeds = SEEDS[:10]
-    records = psro_histogram(make_game("rps_choice"), trials=len(seeds),
-                             seed0=seeds[0], horizon=HORIZON,
-                             base_tree=rps_tree)
+    records = psro_histogram(rps_tree, trials=len(seeds), seed0=seeds[0],
+                             horizon=HORIZON)
     assert records == [reference[s][0] for s in seeds]
     assert len(lp_shapes) == len(seeds) + sum(reference[s][1]
                                               for s in seeds)

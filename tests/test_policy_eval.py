@@ -217,15 +217,14 @@ def test_profile_array_roundtrip(kuhn_tree):
 
 
 def test_lift_policy_scatters_restricted_rows():
-    from efgsolve.xdo import Population, RestrictedGame, eq1_allowed
-    game = make_game("kuhn")
-    base = TreeIndex(game)
+    from efgsolve.xdo import Population, eq1_allowed
+    base = TreeIndex(make_game("kuhn"))
     # Player 1 may check or bet, player 2 is pinned to checking.
     pops = (Population(base, 0, [default_choice(base, 0), choice_of(
         base, 0, {base.keys[int(i)]: 1 for i in base.infosets_of(0)})]),
             Population(base, 1, [default_choice(base, 1)]))
     mask = eq1_allowed(pops)
-    rtree = base.restrict(mask, RestrictedGame(game, mask))
+    rtree = base.restrict(mask)
     lifted = lift_policy(rtree, base, uniform_policy(rtree, 1))
     for isid in rtree.infosets_of(1):
         key = rtree.keys[int(isid)]

@@ -18,8 +18,8 @@ from efgsolve.xdo import Population
 from oracles import choice_of, reduced_strategies_expanded
 
 
-def test_exact_lp_terminates_on_gmp():
-    res = psro_solve(make_game("kgmp_1_3"), PsroConfig(max_iters=60))
+def test_exact_lp_terminates_on_gmp(kgmp13_tree):
+    res = psro_solve(kgmp13_tree, PsroConfig(max_iters=60))
     assert res.terminated
     # Stop rule is per player, so the summed exploitability is at worst
     # twice the tolerance (here it is exactly zero).
@@ -30,8 +30,7 @@ def test_exact_lp_terminates_on_gmp():
 
 
 def test_exact_lp_terminates_on_kuhn(kuhn_tree):
-    res = psro_solve(make_game("kuhn"), PsroConfig(max_iters=60),
-                     base_tree=kuhn_tree)
+    res = psro_solve(kuhn_tree, PsroConfig(max_iters=60))
     assert res.terminated
     assert res.exploitability <= 2e-3
     assert res.iters <= 20
@@ -39,8 +38,7 @@ def test_exact_lp_terminates_on_kuhn(kuhn_tree):
 
 
 def test_meta_mixture_solves_the_rebuilt_empirical_game(kuhn_tree):
-    res = psro_solve(make_game("kuhn"), PsroConfig(max_iters=60),
-                     base_tree=kuhn_tree)
+    res = psro_solve(kuhn_tree, PsroConfig(max_iters=60))
     pop0, pop1 = res.populations
     m = np.array([[expected_value(kuhn_tree, pure_profile(kuhn_tree, pi, pj))
                    for pj in pop1.choices] for pi in pop0.choices])
@@ -51,8 +49,7 @@ def test_meta_mixture_solves_the_rebuilt_empirical_game(kuhn_tree):
 
 
 def test_trace_has_one_row_per_iteration(kuhn_tree):
-    res = psro_solve(make_game("kuhn"), PsroConfig(max_iters=60),
-                     base_tree=kuhn_tree)
+    res = psro_solve(kuhn_tree, PsroConfig(max_iters=60))
     assert [t["iter"] for t in res.trace] == list(range(1, res.iters + 1))
     nodes = [t["nodes"] for t in res.trace]
     assert nodes == sorted(nodes)
@@ -64,17 +61,16 @@ def test_trace_has_one_row_per_iteration(kuhn_tree):
 
 def test_node_budget_stops_the_run(kuhn_tree):
     counter = NodeCounter(200)
-    res = psro_solve(make_game("kuhn"), PsroConfig(), counter,
-                     base_tree=kuhn_tree)
+    res = psro_solve(kuhn_tree, PsroConfig(), counter)
     assert not res.terminated
     assert res.nodes >= 200
 
 
-def test_approximate_meta_stops_when_nothing_new_arrives():
+def test_approximate_meta_stops_when_nothing_new_arrives(kgmp13_tree):
     # Fictitious play leaves residual error, so the stop test never
     # fires; when both oracles return known members the loop ends
     # instead of spinning.
-    res = psro_solve(make_game("kgmp_1_3"),
+    res = psro_solve(kgmp13_tree,
                      PsroConfig(meta_solver="fp", fp_iters=4000,
                                 max_iters=30))
     assert not res.terminated
@@ -84,8 +80,8 @@ def test_approximate_meta_stops_when_nothing_new_arrives():
 
 def test_sampled_payoffs_are_seed_deterministic():
     cfg = dict(payoffs="sampled", games_per_pair=50, max_iters=10, seed=2)
-    a = psro_solve(make_game("rps_choice"), PsroConfig(**cfg))
-    b = psro_solve(make_game("rps_choice"), PsroConfig(**cfg))
+    a = psro_solve(TreeIndex(make_game("rps_choice")), PsroConfig(**cfg))
+    b = psro_solve(TreeIndex(make_game("rps_choice")), PsroConfig(**cfg))
     assert a.exploitability == b.exploitability
     assert a.nodes == b.nodes
     assert [t["exploitability"] for t in a.trace] \
@@ -94,9 +90,9 @@ def test_sampled_payoffs_are_seed_deterministic():
 
 def test_sampled_payoffs_count_their_playout_visits(kuhn_tree):
     counter = NodeCounter()
-    psro_solve(make_game("kuhn"),
+    psro_solve(kuhn_tree,
                PsroConfig(payoffs="sampled", games_per_pair=20, max_iters=2),
-               counter, base_tree=kuhn_tree)
+               counter)
     assert counter.count > 0
 
 
@@ -147,8 +143,8 @@ def test_sampled_payoff_matches_the_per_node_walk(name):
 
 def test_random_init_is_seeded():
     cfg = dict(init="random", seed=5, max_iters=10)
-    a = psro_solve(make_game("rps_choice"), PsroConfig(**cfg))
-    b = psro_solve(make_game("rps_choice"), PsroConfig(**cfg))
+    a = psro_solve(TreeIndex(make_game("rps_choice")), PsroConfig(**cfg))
+    b = psro_solve(TreeIndex(make_game("rps_choice")), PsroConfig(**cfg))
     assert a.exploitability == b.exploitability
     assert a.iters == b.iters
 
@@ -186,9 +182,8 @@ def test_reduced_strategies_expanded_collapses_duplicates(kuhn_tree):
 
 
 def test_histogram_records_and_determinism(rps_tree):
-    game = make_game("rps_choice")
-    recs = psro_histogram(game, trials=3, seed0=10, horizon=30, eps=1e-3,
-                          base_tree=rps_tree)
+    recs = psro_histogram(rps_tree, trials=3, seed0=10, horizon=30,
+                          eps=1e-3)
     assert [r["seed"] for r in recs] == [10, 11, 12]
     for r in recs:
         assert set(r) == {"seed", "expanded0", "expanded1", "eps_pass_iter",
@@ -196,5 +191,5 @@ def test_histogram_records_and_determinism(rps_tree):
         assert 1 <= r["expanded0"] <= 6
         assert 1 <= r["expanded1"] <= 9
         assert r["iters"] == 30
-    assert recs == psro_histogram(game, trials=3, seed0=10, horizon=30,
-                                  eps=1e-3, base_tree=rps_tree)
+    assert recs == psro_histogram(rps_tree, trials=3, seed0=10, horizon=30,
+                                  eps=1e-3)

@@ -102,7 +102,6 @@ class _ReferenceCfr:
         self.ssum = np.zeros(tree.n_cols)
 
         self._col_player = tree.is_player[tree.col_isid]
-        self._uniform = 1.0 / tree.is_nact[tree.col_isid]
         self._dec_nodes = [
             np.flatnonzero(tree.decision_mask & (tree.player == p))
             for p in (0, 1)
@@ -114,8 +113,7 @@ class _ReferenceCfr:
         self._rc = tree.reach(tree.in_prob)
 
     def current(self):
-        return normalise_rows(self.tree, np.maximum(self.regret, 0.0),
-                              self._uniform)
+        return normalise_rows(self.tree, np.maximum(self.regret, 0.0))
 
     def _update(self, sigma, reach, v, player):
         tree = self.tree
@@ -156,7 +154,7 @@ class _ReferenceCfr:
                 self._sweep(players)
 
     def average_flat(self):
-        return normalise_rows(self.tree, self.ssum, self._uniform)
+        return normalise_rows(self.tree, self.ssum)
 
 
 def _same_bits(a, b):
@@ -443,8 +441,7 @@ def sequence_form_profile(tree):
     """The sequence-form LP's plans as rows, uniform where a row's
     parent sequence has mass 0, and the LP's value."""
     plan, value = solve_sequence_form(tree)
-    uniform = np.repeat(1.0 / tree.is_nact, tree.is_nact)
-    return normalise_rows(tree, plan, uniform), value
+    return normalise_rows(tree, plan), value
 
 
 @pytest.mark.parametrize("name, value", [

@@ -20,9 +20,10 @@ import pytest
 from efgsolve import (NodeCounter, TreeIndex, exploitability, make_game,
                       profile_array)
 from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
-from efgsolve.tree import _INFOSTATE_ARRAYS, _NODE_ARRAYS, _relabel
-from efgsolve.xdo import (Population, RestrictedGame, XdoConfig, XdoResult,
-                          _extend_to_base, eq1_allowed, xdo_solve)
+from efgsolve.tree import (_INFOSTATE_ARRAYS, _NODE_ARRAYS, RestrictedGame,
+                          _relabel)
+from efgsolve.xdo import (Population, XdoConfig, XdoResult, _extend_to_base,
+                          eq1_allowed, xdo_solve)
 
 from oracles import (choice_of, covered_infostate_count, default_choice,
                      enumerate_reduced_pure, infostate_predecessors, tree_of)
@@ -30,8 +31,7 @@ from oracles import (choice_of, covered_infostate_count, default_choice,
 
 @pytest.fixture(scope="module")
 def kuhn_lp_result(kuhn_tree):
-    return xdo_solve(make_game("kuhn"), XdoConfig(inner="lp"),
-                     NodeCounter(), base_tree=kuhn_tree)
+    return xdo_solve(kuhn_tree, XdoConfig(inner="lp"), NodeCounter())
 
 
 def all_action_pure(tree, player, action):
@@ -71,11 +71,9 @@ def test_eq1_allowed_is_union_of_member_choices(kuhn_tree):
 
 
 def test_restricted_game_with_default_populations_is_forced(kuhn_tree):
-    game = make_game("kuhn")
     pops = tuple(Population(kuhn_tree, p, [default_choice(kuhn_tree, p)])
                  for p in (0, 1))
-    mask = eq1_allowed(pops)
-    rtree = kuhn_tree.restrict(mask, RestrictedGame(game, mask))
+    rtree = kuhn_tree.restrict(eq1_allowed(pops))
     assert rtree.n_nodes < kuhn_tree.n_nodes
     for isid in range(rtree.n_infosets):
         assert int(rtree.is_nact[isid]) == 1
@@ -132,7 +130,7 @@ def test_lp_inner_outer_iterations_do_not_grow_with_the_stage_count(k, n):
     # stage at once, so XDO with an exact inner solve ends after 2n - 1
     # outer iterations whatever k is.  The outer cap turns a run that
     # would not end into a failure.
-    res = xdo_solve(make_game(f"kgmp_{k}_{n}"),
+    res = xdo_solve(TreeIndex(make_game(f"kgmp_{k}_{n}")),
                     XdoConfig(inner="lp", max_outer=4 * n))
     assert res.terminated
     assert res.outer_iters == 2 * n - 1
@@ -151,8 +149,7 @@ def test_every_outer_iteration_emits_a_trace_row(kuhn_lp_result):
 
 
 def test_cfr_plus_inner_reaches_termination_tolerance(kuhn_tree):
-    res = xdo_solve(make_game("kuhn"), XdoConfig(term_eps=1e-3),
-                    NodeCounter(), base_tree=kuhn_tree)
+    res = xdo_solve(kuhn_tree, XdoConfig(term_eps=1e-3), NodeCounter())
     assert res.terminated
     assert res.exploitability <= 1e-3
     assert res.eps_final == 1e-3
@@ -162,8 +159,7 @@ def test_full_game_check_dominates_restricted_one(kuhn_tree):
     # A full-game best response searches a superset of the restricted
     # strategies, so every measured pair satisfies e_full >= e_r; the
     # inner loop only keeps polishing past tolerance on exact ties.
-    res = xdo_solve(make_game("kuhn"), XdoConfig(term_eps=1e-4),
-                    NodeCounter(), base_tree=kuhn_tree)
+    res = xdo_solve(kuhn_tree, XdoConfig(term_eps=1e-4), NodeCounter())
     assert res.terminated
     by_outer: dict[int, list] = {}
     for t in res.trace:
@@ -178,14 +174,14 @@ def test_full_game_check_dominates_restricted_one(kuhn_tree):
         assert t["exploitability"] > 1e-4
 
 
-def test_full_check_is_skipped_while_tolerance_unmet():
+def test_full_check_is_skipped_while_tolerance_unmet(leduc_tree):
     # eps so small that the inner loop cannot meet it: the only full
     # evaluation (and trace row) per outer comes from the stop path.
     # With max_inner off the check grid (3, 7), the solve stops at the
     # first check at or past it.
     for period, max_inner, expected in ((10, 20, [(1, 10), (2, 20)]),
                                         (3, 7, [(1, 3), (2, 9)])):
-        res = xdo_solve(make_game("leduc"),
+        res = xdo_solve(leduc_tree,
                         XdoConfig(eps0=1e-9, eps_floor=1e-9,
                                   check_period=period, max_inner=max_inner,
                                   max_outer=2), NodeCounter())
@@ -195,35 +191,32 @@ def test_full_check_is_skipped_while_tolerance_unmet():
 
 def test_node_budget_stops_the_run(kuhn_tree):
     counter = NodeCounter(500)
-    res = xdo_solve(make_game("kuhn"), XdoConfig(), counter,
-                    base_tree=kuhn_tree)
+    res = xdo_solve(kuhn_tree, XdoConfig(), counter)
     assert not res.terminated
     assert res.nodes == counter.count >= 500
     assert res.trace, "the stop path still records a full evaluation"
 
 
 def test_max_outer_stops_the_run(leduc_tree):
-    res = xdo_solve(make_game("leduc"), XdoConfig(max_outer=3),
-                    NodeCounter(), base_tree=leduc_tree)
+    res = xdo_solve(leduc_tree, XdoConfig(max_outer=3), NodeCounter())
     assert not res.terminated
     assert res.outer_iters == 3
     rows_per = Counter(t["outer"] for t in res.trace)
     assert set(rows_per) == {1, 2, 3}
 
 
-def test_gmp_terminates_within_two_n_iterations():
+def test_gmp_terminates_within_two_n_iterations(kgmp13_tree):
     # Exact restricted solves on generalized matching pennies add one
     # fresh action per player per iteration until the support closes.
-    res = xdo_solve(make_game("kgmp_1_3"), XdoConfig(inner="lp"))
+    res = xdo_solve(kgmp13_tree, XdoConfig(inner="lp"))
     assert res.terminated
     assert res.exploitability <= 1e-6
     assert res.outer_iters <= 2 * 3
 
 
 def test_clone_classes_stay_out_of_the_restricted_game():
-    game = make_game("clone_gmp_2_4_3")
-    base = TreeIndex(game)
-    res = xdo_solve(game, XdoConfig(inner="lp"), base_tree=base)
+    base = TreeIndex(make_game("clone_gmp_2_4_3"))
+    res = xdo_solve(base, XdoConfig(inner="lp"))
     assert res.terminated
     counts = np.bincount(base.col_isid[eq1_allowed(res.populations)],
                          minlength=base.n_infosets)
@@ -323,7 +316,7 @@ def population_mask(tree, members):
 def test_restrict_equals_the_walked_restricted_game(name, members):
     base = base_index(name)
     mask = population_mask(base, members)
-    got = base.restrict(mask, RestrictedGame(base.game, mask))
+    got = base.restrict(mask)
     want = TreeIndex(_WalkedRestriction(base, mask))
     for field in TREE_ARRAYS:
         a, b = getattr(got, field), getattr(want, field)
@@ -346,7 +339,7 @@ def test_restrict_equals_the_walked_restricted_game(name, members):
         == [got.keys[i] for i in got.col_isid]
 
 
-def reach_restrict(self, cols, game):
+def reach_restrict(self, cols):
     """``TreeIndex.restrict`` before it found the kept nodes level by
     level: a ``reach`` pass over the whole base tree, then relabels and
     column scans over all its nodes and columns."""
@@ -362,7 +355,7 @@ def reach_restrict(self, cols, game):
     base_col = base_col[np.argsort(col_isid[base_col], kind="stable")]
 
     out = object.__new__(TreeIndex)
-    out.game = game
+    out.game = RestrictedGame(self.game, cols)
     out.base_col = base_col
     for name, _ in _NODE_ARRAYS:
         setattr(out, name, getattr(self, name)[nodes])
@@ -401,12 +394,14 @@ def test_restrict_matches_the_reach_pass_version(name):
                  for p in (0, 1))
     for _ in range(8):
         mask = eq1_allowed(pops)
-        game = RestrictedGame(base.game, mask)
-        got, want = base.restrict(mask, game), reach_restrict(base, mask, game)
+        got, want = base.restrict(mask), reach_restrict(base, mask)
         assert vars(got).keys() == vars(want).keys()
         for field, value in vars(want).items():
             ours = getattr(got, field)
-            if isinstance(value, np.ndarray):
+            if field == "game":
+                assert ours.base is value.base
+                assert ours.cols.tobytes() == value.cols.tobytes()
+            elif isinstance(value, np.ndarray):
                 assert ours.dtype == value.dtype, field
                 assert ours.tobytes() == value.tobytes(), field
             else:
@@ -423,7 +418,7 @@ def test_restrict_rejects_a_reached_infostate_with_no_action(name):
     for mask in (population_mask(base, "default")
                  & (base.is_player[base.col_isid] == 0),
                  np.zeros(base.n_cols, dtype=bool)):
-        for build in (lambda: base.restrict(mask, None),
+        for build in (lambda: base.restrict(mask),
                       lambda: TreeIndex(_WalkedRestriction(base, mask))):
             with pytest.raises(ValueError,
                                match="decision node with no legal actions"):
@@ -434,7 +429,7 @@ def test_restrict_rejects_a_reached_infostate_with_no_action(name):
 def test_scatter_extension_equals_the_lifted_profile(name):
     base = base_index(name)
     mask = population_mask(base, "random-only")
-    rtree = base.restrict(mask, RestrictedGame(base.game, mask))
+    rtree = base.restrict(mask)
     rng = np.random.default_rng(4)
     flat = rng.random(rtree.n_cols)
     flat /= np.repeat(np.add.reduceat(flat, rtree.is_off), rtree.is_nact)
