@@ -17,6 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The legal bids of each coin count met so far, shared by every state
+# holding that many coins; filled on first use, not at import.
+_BIDS: dict[int, tuple[int, ...]] = {}
+
 
 @dataclass(eq=False, slots=True)
 class OshiZumoState:
@@ -44,8 +48,13 @@ class OshiZumoState:
         return 0 if self.pending is None else 1
 
     def legal_actions(self) -> tuple[int, ...]:
-        # A bid of b is action id b.
-        return tuple(range(self.coins[self.current_player()] + 1))
+        # A bid of b is action id b.  Player 1 bids while player 0's bid
+        # is pending.
+        coins = self.coins[self.pending is not None]
+        bids = _BIDS.get(coins)
+        if bids is None:
+            bids = _BIDS[coins] = tuple(range(coins + 1))
+        return bids
 
     def apply(self, action: int) -> "OshiZumoState":
         obs0, obs1 = self.obs

@@ -14,7 +14,9 @@ through the plans of ``own_levels``.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
-histories than the cap.  The cap bounds histories, not memory.
+histories than the cap.  The cap bounds histories, not memory.  The
+walk packs each history's row into bytes, at the index's own dtypes,
+so it holds no Python object per history.
 ``restrict`` derives the index of an action-restricted subgame, and
 that subgame's ``RestrictedGame``, from the index alone.
 ``walk_table`` is the one plain Python form of the tree, for the walks
@@ -34,8 +36,8 @@ cost nothing.
 from __future__ import annotations
 
 import sys
-from array import array
 from itertools import accumulate, chain
+from struct import Struct
 from time import perf_counter
 from typing import NamedTuple
 
@@ -78,7 +80,9 @@ class NodeCounter:
 # Node and infostate arrays of a TreeIndex with their dtypes, in the
 # order of a walked node's or infostate's row; a node's row starts with
 # its own rank and its parent's rank in the walk.  ``depth`` comes from
-# the level a row was written to.
+# the level a row was written to.  The walk packs each row with its
+# table's struct (``_packed``), each value at its own array's type and
+# width, and reads the rows back through the matching packed dtype.
 _ROW_ARRAYS = (("preorder", np.int64), ("parent", np.int64),
                ("kind", np.int8), ("player", np.int8),
                ("infoset", np.int64), ("payoff1", np.float64),
@@ -87,6 +91,22 @@ _ROW_ARRAYS = (("preorder", np.int64), ("parent", np.int64),
 _NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64),)
 _INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
                      ("is_parent_slot", np.int64))
+
+# struct codes of the row dtypes, spelt out: numpy's ``dtype.char`` for
+# int64 is 'l', which packs 4 bytes under '<'.
+_STRUCT_CODES = {np.int64: "q", np.int8: "b", np.float64: "d"}
+
+
+def _packed(fields) -> tuple[Struct, np.dtype]:
+    """The struct that packs one row of ``fields`` and the packed
+    little-endian record dtype that reads those rows back."""
+    return (Struct("<" + "".join(_STRUCT_CODES[t] for _, t in fields)),
+            np.dtype([(name, np.dtype(t).newbyteorder("<"))
+                      for name, t in fields]))
+
+
+_NODE_ROW, _NODE_RECORD = _packed(_ROW_ARRAYS)
+_INFOSTATE_ROW, _INFOSTATE_RECORD = _packed(_INFOSTATE_ARRAYS)
 
 
 class OwnLevel(NamedTuple):
@@ -179,16 +199,19 @@ class TreeIndex:
         self.game = game
         cap = max_histories if max_histories and max_histories > 0 \
             else sys.maxsize
-        # The walk writes one _ROW_ARRAYS row per node to the float64
-        # buffer of its depth (every int in a row is below 2**53, so it
-        # is held exactly), and one _INFOSTATE_ARRAYS row per infostate.
-        levels = [array("d")]
-        infos = array("q")
+        # The walk packs one _ROW_ARRAYS row per node onto the buffer
+        # of its depth, and one _INFOSTATE_ARRAYS row per infostate.
+        pack = _NODE_ROW.pack
+        pack_infostate = _INFOSTATE_ROW.pack
+        levels = [bytearray()]
+        infos = bytearray()
         keys: list[tuple] = []
         is_actions: list[tuple] = []
         is_off: list[int] = []
         key_to_isid: dict[tuple, int] = {}
         find_isid = key_to_isid.get
+        # Infostates with equal legal lists share one tuple.
+        shared_actions = {}.setdefault
         ncols = 0
         n = 0  # nodes indexed so far: the next node's rank in the walk
 
@@ -204,11 +227,11 @@ class TreeIndex:
             here = levels[dep]
             dep += 1
             if dep == len(levels):
-                levels.append(array("d"))
+                levels.append(bytearray())
             kids = levels[dep]
             if state.is_chance():
-                here.extend((u, par, CHANCE_NODE, CHANCE, -1, 0.0,
-                             iprob, icol, iply))
+                here += pack(u, par, CHANCE_NODE, CHANCE, -1, 0.0, iprob,
+                             icol, iply)
                 outcomes = state.chance_outcomes()
                 total = sum(p for _, p in outcomes)
                 if abs(total - 1.0) > 1e-9:
@@ -217,8 +240,8 @@ class TreeIndex:
                 for a, p in outcomes:
                     child = state.apply(a)
                     if child.is_terminal():
-                        kids.extend((n, u, TERMINAL, -1, -1,
-                                     child.returns()[0], p, -1, -1))
+                        kids += pack(n, u, TERMINAL, -1, -1,
+                                     child.returns()[0], p, -1, -1)
                         n += 1
                     else:
                         visit(child, u, dep, p, -1, -1, last0, last1)
@@ -233,21 +256,21 @@ class TreeIndex:
                 isid = len(keys)
                 key_to_isid[key] = isid
                 keys.append(key)
-                is_actions.append(actions)
+                is_actions.append(shared_actions(actions, actions))
                 is_off.append(ncols)
                 ncols += len(actions)
-                infos.append(p)
-                infos.extend(last0 if p == 0 else last1)
+                infos.extend(pack_infostate(p, *(last0 if p == 0
+                                                 else last1)))
             elif is_actions[isid] != actions:
                 raise ValueError(
                     f"legal actions differ within infostate {key!r}")
-            here.extend((u, par, DECISION, p, isid, 0.0, iprob, icol, iply))
+            here += pack(u, par, DECISION, p, isid, 0.0, iprob, icol, iply)
             off = is_off[isid]
             for col, a in enumerate(actions, off):
                 child = state.apply(a)
                 if child.is_terminal():
-                    kids.extend((n, u, TERMINAL, -1, -1, child.returns()[0],
-                                 1.0, col, p))
+                    kids += pack(n, u, TERMINAL, -1, -1, child.returns()[0],
+                                 1.0, col, p)
                     n += 1
                 elif p == 0:
                     visit(child, u, dep, 1.0, col, 0, (isid, col - off), last1)
@@ -256,8 +279,8 @@ class TreeIndex:
 
         root = game.root()
         if root.is_terminal():
-            levels[0].extend((0, -1, TERMINAL, -1, -1, root.returns()[0],
-                              1.0, -1, -1))
+            levels[0] += pack(0, -1, TERMINAL, -1, -1, root.returns()[0],
+                              1.0, -1, -1)
             n = 1
         else:
             visit(root, -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
@@ -269,15 +292,17 @@ class TreeIndex:
         # the next build and so add this build's rows to that one's peak.
         del visit
 
-        sizes = [len(b) // len(_ROW_ARRAYS) for b in levels]
-        tables = ((np.concatenate([np.frombuffer(b) for b in levels]),
+        sizes = [len(b) // _NODE_ROW.size for b in levels]
+        # One join, not a concatenation of per-level arrays: that would
+        # add a fixed cost to every build, tiny trees included.
+        tables = ((np.frombuffer(b"".join(levels), dtype=_NODE_RECORD),
                    _ROW_ARRAYS),
-                  (np.frombuffer(infos, dtype=np.int64), _INFOSTATE_ARRAYS))
+                  (np.frombuffer(infos, dtype=_INFOSTATE_RECORD),
+                   _INFOSTATE_ARRAYS))
         del levels, infos
         for table, fields in tables:
-            table = table.reshape(-1, len(fields))
-            for (name, dtype), column in zip(fields, table.T):
-                setattr(self, name, column.astype(dtype))
+            for name, dtype in fields:
+                setattr(self, name, table[name].astype(dtype))
         del tables, table
         # The rows were laid out by depth, in walk order within a depth.
         self.depth = np.repeat(np.arange(len(sizes)), sizes)

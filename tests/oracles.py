@@ -4,7 +4,8 @@ Exhaustive game walks (state counts and own-action predecessors),
 per-node recursions standing in for ``TreeIndex.reach`` and
 ``TreeIndex.values``, the level loop ``reach`` replaced, the covering
 tally behind the double-oracle iteration bound, the enumeration of
-reduced pure strategies, helpers that turn
+reduced pure strategies, ``reference_tree``, the float64 ``array``
+walk that ``TreeIndex`` must match array for array, helpers that turn
 choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
 assertions, ``tree_of``, the cached trees the sweep tests share, and
 ``reference_solve_matrix_lp``, the ``linprog`` solve that
@@ -13,17 +14,20 @@ assertions, ``tree_of``, the cached trees the sweep tests share, and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
 
-from efgsolve import TreeIndex, make_game
+from efgsolve import CHANCE, TreeIndex, make_game
 from efgsolve.policy import (PurePolicy, canonical_pure, policy_from_flat,
                              random_pure_policy)
 from efgsolve.psro import reduced_canonical
 from efgsolve.solvers.matrix_solvers import MatrixSolution
+from efgsolve.tree import (_INFOSTATE_ARRAYS, _ROW_ARRAYS, CHANCE_NODE,
+                           DECISION, TERMINAL, _relabel)
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,90 @@ def infostate_predecessors(game) -> tuple[dict, dict]:
 
     visit(game.root(), None, None)
     return preds
+
+
+def reference_tree(game) -> TreeIndex:
+    """``game``'s index as the walk ``TreeIndex`` replaced built it:
+    each node's ``_ROW_ARRAYS`` row, ints included, goes into one
+    float64 ``array`` per depth (every int in a row is below 2**53, so
+    it is held exactly), each infostate's row into one int64 ``array``,
+    and the columns are cut from the concatenated rows.  No cap and no
+    checks of the game."""
+    tree = TreeIndex.__new__(TreeIndex)
+    tree.game = game
+    levels = [array("d")]
+    infos = array("q")
+    keys, is_actions, is_off, key_to_isid = [], [], [], {}
+    ncols = n = 0
+
+    def visit(state, par, dep, iprob, icol, iply, last0, last1):
+        nonlocal n, ncols
+        u = n
+        n += 1
+        here = levels[dep]
+        dep += 1
+        if dep == len(levels):
+            levels.append(array("d"))
+        kids = levels[dep]
+        if state.is_chance():
+            here.extend((u, par, CHANCE_NODE, CHANCE, -1, 0.0,
+                         iprob, icol, iply))
+            for a, p in state.chance_outcomes():
+                child = state.apply(a)
+                if child.is_terminal():
+                    kids.extend((n, u, TERMINAL, -1, -1,
+                                 child.returns()[0], p, -1, -1))
+                    n += 1
+                else:
+                    visit(child, u, dep, p, -1, -1, last0, last1)
+            return
+        p = state.current_player()
+        actions = tuple(state.legal_actions())
+        key = state.infostate_key(p)
+        isid = key_to_isid.get(key)
+        if isid is None:
+            isid = key_to_isid[key] = len(keys)
+            keys.append(key)
+            is_actions.append(actions)
+            is_off.append(ncols)
+            ncols += len(actions)
+            infos.append(p)
+            infos.extend(last0 if p == 0 else last1)
+        here.extend((u, par, DECISION, p, isid, 0.0, iprob, icol, iply))
+        off = is_off[isid]
+        for col, a in enumerate(actions, off):
+            child = state.apply(a)
+            if child.is_terminal():
+                kids.extend((n, u, TERMINAL, -1, -1, child.returns()[0],
+                             1.0, col, p))
+                n += 1
+            elif p == 0:
+                visit(child, u, dep, 1.0, col, 0, (isid, col - off), last1)
+            else:
+                visit(child, u, dep, 1.0, col, 1, last0, (isid, col - off))
+
+    root = game.root()
+    if root.is_terminal():
+        levels[0].extend((0, -1, TERMINAL, -1, -1, root.returns()[0],
+                          1.0, -1, -1))
+        n = 1
+    else:
+        visit(root, -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
+    sizes = [len(b) // len(_ROW_ARRAYS) for b in levels]
+    for table, fields in (
+            (np.concatenate([np.frombuffer(b) for b in levels]),
+             _ROW_ARRAYS),
+            (np.frombuffer(infos, dtype=np.int64), _INFOSTATE_ARRAYS)):
+        table = table.reshape(-1, len(fields))
+        for (name, dtype), column in zip(fields, table.T):
+            setattr(tree, name, column.astype(dtype))
+    tree.depth = np.repeat(np.arange(len(sizes)), sizes)
+    tree.parent = _relabel(tree.parent, tree.preorder, n)
+    tree.keys = keys
+    tree.key_to_isid = key_to_isid
+    tree.is_actions = is_actions
+    tree._finish()
+    return tree
 
 
 @lru_cache(maxsize=None)

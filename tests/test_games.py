@@ -209,3 +209,17 @@ def test_oshi_zumo_pending_bid_is_hidden():
     resolved = s.apply(1)
     k1 = resolved.infostate_key(1)
     assert k1[-1] == 200 + (3 << 8) + 1, "both bids revealed after the round"
+
+
+def test_oshi_zumo_bids_are_shared_per_coin_count():
+    # Each player bids from their own coins, at any coin count, and
+    # states holding the same count share one tuple of bids.
+    root = make_game("oshi_zumo_200_3_2").root()
+    assert root.legal_actions() == tuple(range(201))
+    s = root.apply(150)
+    assert s.current_player() == 1
+    assert s.legal_actions() is root.legal_actions()
+    t = s.apply(7)
+    assert t.coins == (50, 193) and t.current_player() == 0
+    assert t.legal_actions() == tuple(range(51))
+    assert t.apply(0).legal_actions() == tuple(range(194))
