@@ -98,24 +98,38 @@ def _numeric(value):
     return value
 
 
+def _load_yaml(stream, what: str):
+    """``stream`` read as YAML.  A YAML error becomes a one-line
+    ConfigError: ``what`` was bad, the problem, and where it is."""
+    try:
+        return yaml.load(stream, Loader=_Yaml)
+    except yaml.YAMLError as err:
+        # PyYAML's own message spans lines; its parts do not.
+        mark = getattr(err, "problem_mark", None)
+        where = (f" at line {mark.line + 1}, column {mark.column + 1}"
+                 if mark else "")
+        problem = getattr(err, "problem", None) or str(err).split("\n")[0]
+        raise ConfigError(f"bad {what}: {problem}{where}") from None
+    except RecursionError:  # PyYAML composes nested nodes recursively
+        raise ConfigError(f"bad {what}: nested too deeply") from None
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ConfigError(f"--param takes key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        out[key.strip()] = _numeric(yaml.load(val, Loader=_Yaml))
+        out[key.strip()] = _numeric(_load_yaml(val, f"--param value {val!r}"))
     return out
 
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path) as fh:
-            data = yaml.load(fh, Loader=_Yaml)
-    except OSError as err:
+        with open(path, encoding="utf-8") as fh:
+            data = _load_yaml(fh, "config file")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file: {err}") from None
-    except yaml.YAMLError as err:
-        raise ConfigError(f"bad config file: {err}") from None
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -6,11 +6,12 @@ tree's columns, and a pure strategy is a *choice array*: the column
 each of the player's infostates plays, in ascending infostate order
 (see ``TreeIndex``).  ``TabularPolicy`` (key -> probability row over the
 infostate's ordered legal actions) and ``PurePolicy`` (key -> action
-id) are what callers pass in and get back; ``profile_array``,
-``canonical_pure`` and ``policy_from_flat`` convert between the two
-forms.  Any key a dict policy does not mention resolves to the first
-legal action (the package-wide default rule), so every policy is total
-over any game it is used on.
+id) are for callers who want dict rows: ``profile_array`` and
+``canonical_pure`` flatten them, and ``policy_from_flat`` makes rows
+of a flat profile, such as a solver's result, on request.  Any key a
+dict policy does not mention resolves to the first legal action (the
+package-wide default rule), so every policy is total over any game it
+is used on.
 """
 
 from __future__ import annotations

@@ -24,9 +24,8 @@ import numpy as np
 from .evaluate import best_response, expected_value
 # profile_array is not called here; the benchmark's tracer wraps it
 # under this module's name.
-from .policy import (TabularPolicy, own_reachable, policy_from_flat,
-                     profile_array, pure_profile, random_pure_policy,
-                     realize_mixture)
+from .policy import (own_reachable, profile_array, pure_profile,
+                     random_pure_policy, realize_mixture)
 from .solvers.matrix_solvers import (grow_matrix, solve_matrix_fp,
                                      solve_matrix_lp)
 from .tree import NodeCounter, TreeIndex, walk_table
@@ -49,8 +48,7 @@ class PsroConfig:
 class PsroResult:
     populations: tuple[Population, Population]
     meta: tuple[np.ndarray, np.ndarray]
-    policy0: TabularPolicy
-    policy1: TabularPolicy
+    sigma: np.ndarray  # the last iteration's realized meta-mixture
     exploitability: float
     terminated: bool
     iters: int
@@ -156,9 +154,8 @@ def psro_solve(tree: TreeIndex, config: PsroConfig | None = None,
             # nothing new to evaluate, so stop rather than loop.
             break
 
-    policy0, policy1 = (policy_from_flat(tree, sigma, p) for p in (0, 1))
     return PsroResult(populations=pops, meta=(sol.row, sol.col),
-                      policy0=policy0, policy1=policy1, exploitability=e,
+                      sigma=sigma, exploitability=e,
                       terminated=terminated, iters=iters,
                       nodes=counter.count, trace=trace)
 

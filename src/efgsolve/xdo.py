@@ -37,13 +37,13 @@ from itertools import count
 
 import numpy as np
 
-# canonical_pure, expected_value, profile_array, realize_mixture,
-# solve_matrix_lp and RestrictedGame are not used here; the benchmark's
-# tracer wraps the functions under this module's names and reads the
-# class from it.
+# canonical_pure, expected_value, lift_policy, profile_array,
+# realize_mixture, solve_matrix_lp and RestrictedGame are not used here;
+# the benchmark's tracer wraps the functions under this module's names
+# and reads the class from it.
 from .evaluate import best_response, expected_value
-from .policy import (TabularPolicy, canonical_pure, lift_policy,
-                     policy_from_flat, profile_array, realize_mixture)
+from .policy import (canonical_pure, lift_policy, profile_array,
+                     realize_mixture)
 from .solvers.cfr import Cfr, normalise_rows
 from .solvers.matrix_solvers import solve_matrix_lp, solve_sequence_form
 from .tree import NodeCounter, RestrictedGame, TreeIndex
@@ -101,8 +101,7 @@ class XdoConfig:
 @dataclass
 class XdoResult:
     populations: tuple[Population, Population]
-    policy0: TabularPolicy
-    policy1: TabularPolicy
+    sigma: np.ndarray      # base-tree profile the last full check measured
     exploitability: float
     eps_final: float       # termination tolerance the final check used
     eps_inner_final: float  # decayed inner tolerance at the end
@@ -206,16 +205,12 @@ def xdo_solve(tree: TreeIndex, config: XdoConfig | None = None,
         if cfg.max_outer is not None and outer >= cfg.max_outer:
             break
 
-    # Every outer iteration ends on a full check, so (rtree, flat) is
-    # the restricted solution the last check extended.
-    policy0, policy1 = (lift_policy(rtree, tree,
-                                    policy_from_flat(rtree, flat, p))
-                        for p in (0, 1))
+    # Every outer iteration ends on a full check, so sigma_full is the
+    # profile the last check measured.
     r_is = (len(rtree.infosets_of(0)), len(rtree.infosets_of(1)))
     return XdoResult(
-        populations=populations, policy0=policy0, policy1=policy1,
-        exploitability=e_full, eps_final=cfg.term_eps,
-        eps_inner_final=eps, terminated=terminated, outer_iters=outer,
-        nodes=counter.count, trace=trace,
+        populations=populations, sigma=sigma_full, exploitability=e_full,
+        eps_final=cfg.term_eps, eps_inner_final=eps, terminated=terminated,
+        outer_iters=outer, nodes=counter.count, trace=trace,
         restricted_nodes=rtree.n_nodes, restricted_infostates=r_is,
     )

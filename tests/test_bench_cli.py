@@ -377,6 +377,9 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
     XDO_RUN + ["--param", "eps0=inf"],
     PSRO_RUN + ["--param", "eps=inf"],
     ["psro-hist", "--trials", "2", "--horizon", "2", "--eps", "inf"],
+    CFR_RUN + ["--param", "alternating=[1"],
+    CFR_RUN + ["--param", "alternating=!!python/name:os.system"],
+    CFR_RUN + ["--param", "alternating=" + "[" * 3000 + "]" * 3000],
 ], ids=["xdo-inner", "xdo-check-period", "size-report-inner",
         "size-report-unknown-game", "size-report-empty-game",
         "psro-meta-solver", "psro-payoffs", "psro-init", "psro-hist-jobs",
@@ -410,7 +413,8 @@ CFR_RUN = ["run", "--game", "kuhn", "--algo", "cfr", "--max-iters", "2"]
         "max-wall-s-space", "max-wall-s-fullwidth-digit",
         "psro-hist-eps-arabic-indic-digits", "psro-hist-eps-underscore",
         "cfr-alternating-yaml-1-1-off", "xdo-term-eps-inf", "xdo-eps0-inf",
-        "psro-eps-inf", "psro-hist-eps-inf"])
+        "psro-eps-inf", "psro-hist-eps-inf", "param-unclosed-yaml",
+        "param-python-yaml-tag", "param-deep-yaml"])
 def test_cli_rejects_bad_solver_settings(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -447,13 +451,17 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
     "max_iters: 2\nseeds: [0, 0]", "max_iters: 2\nmax_wall_s: .inf",
     "max_iters: 010", "max_iters: 1_0", "max_iters: 2\nseeds: [0x1]",
     "max_iters: 2\nseeds: 1:20", "max_iters: 2\nmax_wall_s: 1_0.5",
-    "max_iters: 2\nwall_clock: yes",
+    "max_iters: 2\nwall_clock: yes", "max_iters: [2",
+    "max_iters: 2\nseeds: !!python/object:os.system x",
+    "max_iters: 2\nparams:\n" + "".join(f"{' ' * i} - \n"
+                                     for i in range(1, 3000)),
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
         "max-states-text", "seeds-text", "max-iters-float",
         "wall-clock-text", "params-list", "game-number", "out-dir-number",
         "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf",
         "max-iters-octal", "max-iters-underscore", "seeds-hex",
-        "seeds-base-60", "max-wall-s-underscore", "wall-clock-yaml-1-1-yes"])
+        "seeds-base-60", "max-wall-s-underscore", "wall-clock-yaml-1-1-yes",
+        "unclosed-yaml", "python-yaml-tag", "deep-yaml"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -467,6 +475,33 @@ def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+
+def test_cli_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_bytes(b"game: kuhn\nalgo: cfr # \xff\xfe\nmax_iters: 2\n")
+    assert main(["run", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read config file: 'utf-8' codec can't decode byte "
+        "0xff in position 23: invalid start byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+
+def test_cli_yaml_errors_say_what_and_where(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_text("game: kuhn\nalgo: [cfr\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad config file: expected ',' or ']', but got "
+        "'<stream end>' at line 3, column 1\n")
+    assert main(CFR_RUN + ["--param", "alternating=!!python/name:os.system",
+                           "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --param value '!!python/name:os.system': could not "
+        "determine a constructor for the tag "
+        "'tag:yaml.org,2002:python/name:os.system' at line 1, column 1\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
 

@@ -7,8 +7,12 @@ reference, and bit for bit against the ``np.add.at`` sweep it replaced,
 for identical values, choices and random draws.  The mixture
 realization is checked against Kuhn's theorem: a realized
 mixture must earn exactly the weighted sum of its components' payoffs
-against any fixed opponent.
+against any fixed opponent.  No module but ``policy.py`` makes a
+dict-keyed policy.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,3 +469,23 @@ def test_population_mask_is_the_allowed_column_set(name):
     # An empty population allows nothing anywhere.
     empty = eq1_allowed((Population(tree, 0), Population(tree, 1)))
     assert not empty.any()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "efgsolve"
+# The dict-keyed policy types and their converters.
+_DICT_API = {"TabularPolicy", "PurePolicy", "policy_from_flat", "lift_policy",
+             "profile_array", "uniform_policy", "canonical_pure"}
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SRC.rglob("*.py") if p.name != "policy.py"),
+    ids=lambda p: p.relative_to(SRC).as_posix())
+def test_dict_policies_are_made_only_at_the_api_edge(path):
+    # Inside the package strategies are arrays over a TreeIndex; only
+    # policy.py builds or converts dict-keyed policies, for callers.
+    calls = {node.func.id if isinstance(node.func, ast.Name)
+             else node.func.attr
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert not calls & _DICT_API, sorted(calls & _DICT_API)

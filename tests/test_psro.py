@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from efgsolve import NodeCounter, TreeIndex, expected_value, make_game
-from efgsolve.policy import pure_profile, random_pure_policy, sample_index
+from efgsolve.policy import (pure_profile, random_pure_policy,
+                             realize_mixture, sample_index)
 from efgsolve.psro import (PsroConfig, _sampled_payoff, psro_histogram,
                            psro_solve, reduced_canonical)
 from efgsolve.tree import CHANCE_NODE, TERMINAL, walk_table
@@ -35,6 +36,17 @@ def test_exact_lp_terminates_on_kuhn(kuhn_tree):
     assert res.exploitability <= 2e-3
     assert res.iters <= 20
     assert all(len(p) <= res.iters for p in res.populations)
+
+
+@pytest.mark.parametrize("max_iters, terminated", [(60, True), (3, False)])
+def test_result_profile_is_the_realized_meta_mixture(kuhn_tree, max_iters,
+                                                     terminated):
+    res = psro_solve(kuhn_tree, PsroConfig(max_iters=max_iters))
+    assert res.terminated == terminated
+    pops = res.populations
+    want = (realize_mixture(kuhn_tree, pops[0].choices, res.meta[0], 0)
+            + realize_mixture(kuhn_tree, pops[1].choices, res.meta[1], 1))
+    assert res.sigma.tobytes() == want.tobytes()
 
 
 def test_meta_mixture_solves_the_rebuilt_empirical_game(kuhn_tree):

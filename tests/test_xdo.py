@@ -117,9 +117,20 @@ def test_lp_inner_terminates_exactly_on_kuhn(kuhn_lp_result, kuhn_tree):
     assert all(len(p) <= res.outer_iters for p in res.populations)
     assert res.restricted_nodes < kuhn_tree.n_nodes
     # Reported profile really has the reported exploitability.
-    assert exploitability(kuhn_tree, profile_array(
-        kuhn_tree, res.policy0, res.policy1)) \
+    assert exploitability(kuhn_tree, res.sigma) \
         == pytest.approx(res.exploitability, abs=1e-12)
+
+
+def test_result_profile_is_the_measured_one_on_leduc(leduc_tree):
+    # A run cut by max_outer, so the profile is a CFR+ average extended
+    # to the full game, not an equilibrium.
+    res = xdo_solve(leduc_tree, XdoConfig(inner="cfr_plus", max_outer=3))
+    assert not res.terminated and res.outer_iters == 3
+    assert exploitability(leduc_tree, res.sigma) \
+        == pytest.approx(res.exploitability, abs=1e-12)
+    # Dict rows are made on request, and flatten back to the same bytes.
+    rows = (policy_from_flat(leduc_tree, res.sigma, p) for p in (0, 1))
+    assert profile_array(leduc_tree, *rows).tobytes() == res.sigma.tobytes()
 
 
 @pytest.mark.parametrize("k, n", [(1, 6), (1, 8), (1, 10), (2, 6), (3, 6),
