@@ -21,8 +21,10 @@ action set when possible; an infostate with no preferred maximizer
 keeps all of them), then the lowest action id.
 Passing a generator replaces the last rule with one uniform draw per
 infostate that still has several maximizers, deepest level first and by
-ascending infostate id within a level; only which maximizer gets
-reported changes.  Infostates the opponent/chance never reach still get
+ascending infostate id within a level: ``rng.integers(k)`` picks one of
+its ``k`` maximizers in action order, the same draw and generator state
+as ``rng.choice`` over them at about a quarter of its cost.  Only which
+maximizer gets reported changes.  Infostates the opponent/chance never reach still get
 an action, chosen by the same rules with all histories weighted
 equally.  The response comes back as the responder's choice array (see
 ``TreeIndex``): one picked column per infostate, in ascending infostate
@@ -76,7 +78,7 @@ def _pick(row: np.ndarray, starts: np.ndarray, nact: np.ndarray,
         for seg in np.flatnonzero(n_cand > 1).tolist():
             lo = int(starts[seg])
             slots = np.flatnonzero(cand[lo:lo + int(nact[seg])])
-            pick[seg] = lo + rng.choice(slots)
+            pick[seg] = lo + slots[rng.integers(slots.size)]
     return pick
 
 

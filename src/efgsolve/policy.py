@@ -127,6 +127,8 @@ def own_reachable(tree: TreeIndex, choices: np.ndarray,
     the player's infostates."""
     alive = np.ones(choices.shape, dtype=bool)
     for g in tree.own_levels(player).values():
+        if not g.linked.size:  # no own parent here: all stay alive
+            continue
         alive[..., g.linked] = (alive[..., g.parent_slots]
                                 & (choices[..., g.parent_slots]
                                    == g.parent_cols))
@@ -149,23 +151,20 @@ def realize_mixture(tree: TreeIndex, choices, weights,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(choices),):
         raise ValueError("need exactly one weight per pure strategy")
-    isids = tree.infosets_of(player)
-    choices = choices.reshape(len(choices), isids.size)
+    plan = tree.own_columns(player)
+    choices = choices.reshape(len(choices), plan.isids.size)
     live = own_reachable(tree, choices, player) & (weights > 0.0)[:, None]
     half = np.zeros(tree.n_cols)
     np.add.at(half, choices[live],
               np.broadcast_to(weights[:, None], choices.shape)[live])
-    total = np.empty(isids.size)
-    nact = tree.is_nact[isids]
-    for n in np.flatnonzero(np.bincount(nact)).tolist():
+    total = np.empty(plan.isids.size)
+    for slots, cols in plan.blocks:
         # Rows of one length laid out as a 2-D block sum exactly as each
         # row's own ``sum()`` does.
-        rows = nact == n
-        total[rows] = half[tree.is_off[isids[rows], None]
-                           + np.arange(n)].sum(axis=1)
-    cols = tree.is_player[tree.col_isid] == player
-    half[cols] = np.divide(half[cols], np.repeat(total, nact),
-                           out=np.repeat(1.0 / nact, nact),
+        total[slots] = half[cols].sum(axis=1)
+    mask, nact = plan.mask, plan.nact
+    half[mask] = np.divide(half[mask], np.repeat(total, nact),
+                           out=plan.uniform.copy(),
                            where=np.repeat(total > 0.0, nact))
     return half
 

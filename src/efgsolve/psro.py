@@ -89,8 +89,9 @@ def _double_oracle(tree: TreeIndex, pops, payoff, solve,
     gain over the mixture's value.  The matrix (new cells
     ``payoff(i, j)``), its ``solve``, ``sigma`` and the value are
     recomputed only after a population grew; the matrix is otherwise
-    the one already solved, and HiGHS is deterministic for a fixed
-    input."""
+    the one already solved, and a meta-game solve depends on its
+    matrix alone: the process's one HiGHS solver is cleared after
+    every LP, so a re-solve would give the same bytes."""
     m = np.zeros((0, 0))
     while True:
         shape = (len(pops[0]), len(pops[1]))

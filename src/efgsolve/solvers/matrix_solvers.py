@@ -12,19 +12,23 @@ with lowest-index tie-breaking, a cheaper approximate alternative.
 The LPs go straight to the HiGHS core behind
 ``scipy.optimize.linprog(method="highs")``, without its per-call
 Python, which cost about four times HiGHS's own solve of a meta-game
-LP.  Meta-game solutions stay ``linprog``'s to the bit: the same model
-(the nonzeros of ``[A_ub; A_eq]`` by column, inequality rows with lower
-bound ``-inf``, the simplex row an equality, ``v`` free), the same
-options (presolve on, dual simplex, no output, no debug), a fresh
-solver per LP, and the same checks (every HiGHS status, an optimal
-model, and ``linprog``'s test of bounds, slacks and equality residuals
-within ``10 * sqrt(1e-9)``, no NaN).  NaN or inf entries raise
+LP.  One solver serves the whole process: ``linprog``'s options are
+passed to it once, and its model is cleared after every solve, so no
+model, basis or solution carries from one LP to the next, and a fresh
+solver's set-up, about half of HiGHS's time on a small meta-game, is
+paid once.  Meta-game solutions stay ``linprog``'s to the bit: the
+same model (the nonzeros of ``[A_ub; A_eq]`` by column, inequality rows
+with lower bound ``-inf``, the simplex row an equality, ``v`` free),
+the same options (presolve on, dual simplex, no output, no debug), and
+the same checks (every HiGHS status, an optimal model, and
+``linprog``'s test of bounds, slacks and equality residuals within
+``10 * sqrt(1e-9)``, no NaN).  NaN or inf entries raise
 ``ValueError``, as ``linprog``'s input check did.
 """
 
 from __future__ import annotations
 
-from functools import cache
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -32,19 +36,32 @@ import numpy as np
 # ``linprog(method="highs")`` drives the same core.
 from scipy.optimize._highspy import _core as _highs
 
+# The process's solver and the id of the process that built it.
+_held_pid = _held_solver = None
 
-@cache
-def _options():
-    """``linprog``'s HiGHS options, built on the first solve: about
-    70 kB that runs which never solve an LP do not carry."""
-    options = _highs.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = (
-        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
-    return options
+
+def _solver():
+    """The process's HiGHS solver, with ``linprog``'s options passed
+    once.  Built on the first solve, so runs that never solve an LP
+    carry none of it, and again after a fork, so a ``--jobs`` worker
+    never runs its parent's instance.  It serves one thread at a time;
+    the package starts no threads."""
+    global _held_pid, _held_solver
+    pid = os.getpid()
+    if _held_pid != pid:
+        options = _highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = (
+            _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options.highs_debug_level = (
+            _highs.HighsDebugLevel.kHighsDebugLevelNone)
+        options.output_flag = False
+        options.log_to_console = False
+        highs = _highs._Highs()
+        if highs.passOptions(options) == _highs.HighsStatus.kError:
+            raise RuntimeError("LP failed: HiGHS rejected its options")
+        _held_pid, _held_solver = pid, highs
+    return _held_solver
 
 
 # ``linprog``'s feasibility tolerance for its default ``tol`` of 1e-9.
@@ -91,22 +108,25 @@ def _sequence_lp(columns: tuple, k: int, n: int, sign: float,
     lp.col_upper_ = np.full(width, inf)
     lp.row_lower_ = np.concatenate((np.full(k, -inf), rhs[k:]))
 
-    highs = _highs._Highs()
+    highs = _solver()
     error = _highs.HighsStatus.kError
-    if highs.passOptions(_options()) == error:
-        raise RuntimeError(f"{who} LP failed: HiGHS rejected its options")
-    if highs.passModel(lp) == error:
-        raise RuntimeError(f"{who} LP failed: HiGHS model error")
-    if highs.run() == error:
-        raise RuntimeError(f"{who} LP failed: HiGHS run error")
-    status = highs.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"{who} LP failed: model status "
-                           f"{highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
-    slack = rhs - np.array(solution.row_value)
+    try:
+        if highs.passModel(lp) == error:
+            raise RuntimeError(f"{who} LP failed: HiGHS model error")
+        if highs.run() == error:
+            raise RuntimeError(f"{who} LP failed: HiGHS run error")
+        status = highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"{who} LP failed: model status "
+                               f"{highs.modelStatusToString(status)}")
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        row_value = np.array(solution.row_value)
+        fun = highs.getInfo().objective_function_value
+    finally:
+        # No model, basis or solution carries into the next LP.
+        highs.clearModel()
+    slack = rhs - row_value
     tol = _FEASIBILITY_TOL
     # The upper bounds are infinite, so only NaN could break them.
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()

@@ -130,6 +130,20 @@ class OwnLevel(NamedTuple):
     parent_cols: np.ndarray
 
 
+class OwnColumns(NamedTuple):
+    """One player's infostates (``isids``, ascending) and their
+    columns: the infostates' action counts, the bool ``mask`` of the
+    player's columns, the uniform row of every infostate laid end to
+    end, and ``blocks``, one ``(slots, cols)`` pair per action count n:
+    the slots of the infostates with n actions and their columns as a
+    2-D index, one row per infostate."""
+    isids: np.ndarray
+    nact: np.ndarray
+    mask: np.ndarray
+    uniform: np.ndarray
+    blocks: tuple
+
+
 class RestrictedGame:
     """The game behind a restricted tree: a base game cut down to the
     allowed columns ``cols`` of its tree (``TreeIndex.restrict``)."""
@@ -174,7 +188,8 @@ class TreeIndex:
 
     A pure strategy is a *choice array*: the column each of the
     player's infostates plays, slot ``i`` for ``infosets_of(player)[i]``;
-    ``own_levels`` groups the slots by depth.
+    ``own_levels`` groups the slots by depth, and ``own_columns`` keeps
+    the slots' columns by action count.
 
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
@@ -342,6 +357,7 @@ class TreeIndex:
                              " nodes at several depths")
         self._col_isid = self._col_action = None
         self._own_levels = {}
+        self._own_columns = {}
 
     def restrict(self, cols: np.ndarray) -> TreeIndex:
         """Index of the subgame that allows only the columns in the bool
@@ -515,6 +531,23 @@ class TreeIndex:
                     self.is_off[par] + self.is_parent_slot[isids[linked]])
             self._own_levels[player] = groups
         return groups
+
+    def own_columns(self, player: int) -> OwnColumns:
+        """The player's infostates and columns, the constants of
+        ``policy.realize_mixture``.  Built once per tree and player."""
+        plan = self._own_columns.get(player)
+        if plan is None:
+            isids = self.infosets_of(player)
+            nact = self.is_nact[isids]
+            blocks = []
+            for n in np.flatnonzero(np.bincount(nact)).tolist():
+                slots = np.flatnonzero(nact == n)
+                blocks.append((slots, self.is_off[isids[slots], None]
+                               + np.arange(n)))
+            plan = self._own_columns[player] = OwnColumns(
+                isids, nact, self.is_player[self.col_isid] == player,
+                np.repeat(1.0 / nact, nact), tuple(blocks))
+        return plan
 
 
 def walk_table(tree: TreeIndex):
