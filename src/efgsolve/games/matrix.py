@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..game import CHANCE
 
@@ -115,7 +116,7 @@ def perturbed_kgmp(k: int, n: int, seed: int = 0) -> ParallelStageGame:
     """k-GMP with a seeded uniform(-1, 1) bump on every matching entry,
     so each stage game has a distinct, non-uniform equilibrium."""
     _check_sizes("perturbed_kgmp", k=k, n=n)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     mats = []
     for _ in range(k):
         m = gmp_matrix(n)

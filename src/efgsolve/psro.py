@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .evaluate import best_response, expected_value
 # profile_array is not called here; the benchmark's tracer wraps it
@@ -57,11 +58,11 @@ class PsroResult:
 
 
 def _sampled_payoff(root, sigma: np.ndarray, games: int,
-                    seed_seq: np.random.SeedSequence,
+                    seed_seq: SeedSequence,
                     counter: NodeCounter) -> float:
     """Mean player-0 payoff of ``games`` seeded playouts of the pure
     profile ``sigma`` down ``root``, a ``walk_table``."""
-    draw = np.random.default_rng(seed_seq).random
+    draw = default_rng(seed_seq).random
     cols = sigma.tolist()
     total = 0.0
     visits = 0
@@ -111,7 +112,7 @@ def psro_solve(tree: TreeIndex, config: PsroConfig | None = None,
     cfg = config or PsroConfig()
     if counter is None:
         counter = NodeCounter()
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
 
     pops = tuple(Population(tree, p, [
         random_pure_policy(tree, p, rng) if cfg.init == "random"
@@ -123,7 +124,7 @@ def psro_solve(tree: TreeIndex, config: PsroConfig | None = None,
         sigma = pure_profile(tree, pops[0].choices[i], pops[1].choices[j])
         if root is None:
             return expected_value(tree, sigma, counter=counter)
-        seq = np.random.SeedSequence(cfg.seed, spawn_key=(i, j))
+        seq = SeedSequence(cfg.seed, spawn_key=(i, j))
         return _sampled_payoff(root, sigma, cfg.games_per_pair, seq, counter)
 
     solve = solve_matrix_lp if cfg.meta_solver == "lp" else partial(
@@ -197,7 +198,7 @@ def psro_histogram(tree: TreeIndex, trials: int, seed0: int, horizon: int,
     records = []
     for t in range(trials):
         seed = seed0 + t
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         pops = tuple(Population(tree, p, [random_pure_policy(tree, p, rng)])
                      for p in (0, 1))
         seen = tuple({reduced_canonical(tree, pops[p].choices[0], p)}

@@ -40,6 +40,7 @@ from bisect import bisect_right
 from operator import add
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from ..policy import sample_index
 from ..tree import NodeCounter, TreeIndex, walk_table
@@ -51,7 +52,7 @@ _DRAW_BLOCK = 1024
 _SEQUENTIAL_SUM = 8
 
 
-def _uniforms(rng: np.random.Generator):
+def _uniforms(rng: Generator):
     while True:
         yield from rng.random(_DRAW_BLOCK).tolist()
 
@@ -60,7 +61,7 @@ class MccfrEs:
     def __init__(self, tree: TreeIndex, seed: int = 0,
                  counter: NodeCounter | None = None):
         self.tree = tree
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self.counter = counter
         self.regret = [0.0] * tree.n_cols
         self.ssum = [0.0] * tree.n_cols

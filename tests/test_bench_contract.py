@@ -92,3 +92,24 @@ def test_every_unread_import_is_one_the_tracer_needs(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = {(module, name) for name in imported - read}
     assert unread <= _TRACER_ONLY, sorted(unread - _TRACER_ONLY)
+
+
+def test_a_run_imports_no_module(tmp_path, fresh_python):
+    # A module first imported inside a run would be charged to the
+    # benchmark's timed run: numpy.random, for one, is imported on the
+    # first ``np.random`` access unless a module imports it by name.
+    fresh_python(
+        "import sys\n"
+        "from efgsolve import TreeIndex, bench, make_game\n"
+        "for name in ('kuhn', 'rps_choice'):\n"
+        "    TreeIndex(make_game(name))\n"
+        "before = set(sys.modules)\n"
+        "runs = [(algo, {}) for algo in bench.ALGOS]"
+        " + [('xdo', {'inner': 'lp'})]\n"
+        "for algo, params in runs:\n"
+        "    bench.run_experiment(bench.ExperimentConfig(\n"
+        "        game='kuhn', algo=algo, node_budget=20_000,\n"
+        f"        out_dir={str(tmp_path)!r}, params=params))\n"
+        f"bench.run_psro_hist(trials=2, out_dir={str(tmp_path)!r})\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "assert not added, added\n")

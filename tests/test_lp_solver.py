@@ -1,22 +1,23 @@
-"""The one HiGHS solver a process keeps for every LP.
+"""The HiGHS core and the one solver a process keeps for every LP.
 
 ``matrix_solvers._solver`` builds the solver once per process and
 ``_sequence_lp`` clears its model after every solve, failed or not.
 These tests check that nothing carries from one LP to the next: any
 order of solves gives the bytes of a fresh solver per LP, a failed
 solve leaves nothing behind, and a process that never solves an LP
-never builds the solver.
+never builds the solver.  The core is loaded from scipy's own file
+without ``scipy.optimize``: these tests check that no solve imports
+it, and that either import order leaves one core that ``linprog`` and
+the package share.
 """
 
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-import efgsolve
 from efgsolve.solvers import matrix_solvers
 from efgsolve.solvers.matrix_solvers import (solve_matrix_lp,
                                              solve_sequence_form)
@@ -145,11 +146,59 @@ def test_one_solver_per_process(monkeypatch):
                          reference_solve_matrix_lp(np.eye(3)))
 
 
-def test_importing_the_cli_builds_no_solver():
-    # Runs that never solve an LP carry none of HiGHS's state.
-    src = Path(efgsolve.__file__).parents[1]
-    code = ("import efgsolve.cli\n"
-            "from efgsolve.solvers import matrix_solvers as m\n"
-            "assert m._held_solver is None and m._held_pid is None\n")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+def test_importing_the_cli_builds_no_solver(fresh_python):
+    # Runs that never solve an LP carry none of HiGHS's state, and runs
+    # that do never import scipy.optimize.
+    fresh_python(
+        "import sys\n"
+        "import efgsolve.cli\n"
+        "from efgsolve import TreeIndex, make_game\n"
+        "from efgsolve.solvers import matrix_solvers as m\n"
+        "assert m._held_solver is None and m._held_pid is None\n"
+        "m.solve_matrix_lp([[1.0, -1.0], [-1.0, 1.0]])\n"
+        "m.solve_sequence_form(TreeIndex(make_game('kuhn')))\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("scipy.optimize", "efgsolve.solvers.matrix_solvers"),
+    ("efgsolve.solvers.matrix_solvers", "scipy.optimize")])
+def test_either_import_order_shares_one_core(fresh_python, first, second):
+    # Loaded first by the package, the core is not an attribute of
+    # scipy.optimize._highspy, and linprog still reaches it.
+    fresh_python(
+        f"import {first}\n"
+        f"import {second}\n"
+        "import sys\n"
+        "import numpy as np\n"
+        "from scipy.optimize import linprog\n"
+        "from efgsolve.solvers import matrix_solvers\n"
+        "from oracles import reference_solve_matrix_lp, same_solution\n"
+        "from scipy.optimize._highspy import _core\n"
+        "import scipy.optimize._highspy._core as aliased\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "assert core is _core is aliased is matrix_solvers._highs\n"
+        "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
+        "assert res.status == 0 and res.x.tolist() == [1.0, 0.0], res\n"
+        "m = np.random.default_rng(3).normal(size=(5, 4))\n"
+        "assert same_solution(matrix_solvers.solve_matrix_lp(m),\n"
+        "                     reference_solve_matrix_lp(m))\n")
+
+
+def test_the_core_is_scipys_own_file(tmp_path, fresh_python):
+    scipy_dir = Path(scipy.__path__[0])
+    assert Path(matrix_solvers._highs.__file__).is_relative_to(scipy_dir)
+    # Stray cores earlier on the import path, at the top level and
+    # under a scipy folder that is only a namespace portion, are never
+    # loaded: each fails on import.
+    for stray in (tmp_path / "_core.py",
+                  tmp_path / "scipy" / "optimize" / "_highspy" / "_core.py"):
+        stray.parent.mkdir(parents=True, exist_ok=True)
+        stray.write_text("raise ImportError('a stray core was loaded')\n")
+    fresh_python(
+        "from pathlib import Path\n"
+        "import scipy\n"
+        "from efgsolve.solvers import matrix_solvers\n"
+        "core = Path(matrix_solvers._highs.__file__)\n"
+        "assert core.is_relative_to(Path(scipy.__path__[0])), core\n",
+        tmp_path)
