@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .game import CHANCE
 from .tree import NodeCounter, TreeIndex
 from .policy import (TabularPolicy, lift_policy, profile_array,
-                     policy_from_flat, random_pure_policy, realize_mixture,
-                     uniform_policy)
+                     policy_from_flat, random_pure_policy, realize_mixture)
 from .evaluate import (BestResponse, best_response, exploitability,
                        expected_value)
 from .games import make_game
@@ -16,7 +15,6 @@ __all__ = [
     "CHANCE", "NodeCounter", "TreeIndex",
     "TabularPolicy", "lift_policy", "profile_array",
     "policy_from_flat", "random_pure_policy", "realize_mixture",
-    "uniform_policy",
     "BestResponse", "best_response", "exploitability", "expected_value",
     "make_game",
 ]

@@ -65,30 +65,6 @@ def write_rows_csv(path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_rows_csv(path) -> list[dict]:
-    """Inverse of write_rows_csv; numeric cells come back typed and
-    empty cells come back as None."""
-    text = Path(path).read_text()
-    lines = text.strip("\n").split("\n")
-    header = tuple(lines[0].split(","))
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected header {header}")
-    out = []
-    for line in lines[1:]:
-        row = {}
-        for col, cell in zip(CSV_COLUMNS, line.split(",")):
-            if cell == "":
-                row[col] = None
-            elif col in ("exploitability", "wall_ms"):
-                row[col] = float(cell)
-            elif col in ("algo", "game"):
-                row[col] = cell
-            else:
-                row[col] = int(cell)
-        out.append(row)
-    return out
-
-
 def write_summary_json(path, summary: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -34,9 +34,6 @@ class TabularPolicy:
     def row(self, key):
         return self.table.get(key)
 
-    def set_row(self, key, probs) -> None:
-        self.table[key] = np.asarray(probs, dtype=float)
-
 
 class PurePolicy:
     __slots__ = ("player", "actions")
@@ -50,11 +47,6 @@ class PurePolicy:
         if a is None:
             return legal[0] if legal is not None else 0
         return a
-
-
-def uniform_policy(tree: TreeIndex, player: int) -> TabularPolicy:
-    return policy_from_flat(
-        tree, np.repeat(1.0 / tree.is_nact, tree.is_nact), player)
 
 
 def random_pure_policy(tree: TreeIndex, player: int, rng) -> np.ndarray:

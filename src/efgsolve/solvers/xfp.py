@@ -28,7 +28,7 @@ class Xfp:
         infostate order) under the flat profile ``sigma``: the product
         of the player's own column weights on the way there, one depth
         at a time."""
-        x = np.ones(self.tree.infosets_of(player).size)
+        x = np.ones(self.tree.own_columns(player).isids.size)
         for g in self.tree.own_levels(player).values():
             x[g.linked] = x[g.parent_slots] * sigma[g.parent_cols]
         return x
@@ -46,8 +46,8 @@ class Xfp:
                 x_avg = self._own_reach(p, self.sigma)
                 x_br = self._own_reach(p, onehot)
                 # Per column of the player's infostates, in order.
-                nact = tree.is_nact[tree.infosets_of(p)]
-                cols = tree.is_player[tree.col_isid] == p
+                plan = tree.own_columns(p)
+                nact, cols = plan.nact, plan.mask
                 denom = np.repeat((1 - alpha) * x_avg + alpha * x_br, nact)
                 row = (np.repeat((1 - alpha) * x_avg, nact) * self.sigma[cols]
                        + np.repeat(alpha * x_br, nact) * onehot[cols])

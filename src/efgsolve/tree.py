@@ -534,7 +534,8 @@ class TreeIndex:
 
     def own_columns(self, player: int) -> OwnColumns:
         """The player's infostates and columns, the constants of
-        ``policy.realize_mixture``.  Built once per tree and player."""
+        ``policy.realize_mixture`` and of XFP's mixing step.  Built once
+        per tree and player."""
         plan = self._own_columns.get(player)
         if plan is None:
             isids = self.infosets_of(player)

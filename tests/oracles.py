@@ -7,13 +7,14 @@ tally behind the double-oracle iteration bound, the enumeration of
 reduced pure strategies, ``reference_tree``, the float64 ``array``
 walk that ``TreeIndex`` must match array for array, helpers that turn
 choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
-assertions, ``tree_of``, the cached trees the sweep tests share, and
-``reference_solve_matrix_lp``, the ``linprog`` solve that
-``solve_matrix_lp`` must match bit for bit.
+assertions, ``uniform_profile``, ``csv_rows``, ``tree_of``, the cached
+trees the sweep tests share, and ``reference_solve_matrix_lp``, the
+``linprog`` solve that ``solve_matrix_lp`` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -333,6 +334,18 @@ def actions_of(tree, player: int, choice) -> dict:
     """Key -> action id table of a choice array."""
     return {tree.keys[isid]: int(tree.col_action[col]) for isid, col
             in zip(tree.infosets_of(player).tolist(), choice)}
+
+
+def uniform_profile(tree) -> np.ndarray:
+    """Flat profile that plays every infostate's actions uniformly."""
+    return np.repeat(1.0 / tree.is_nact, tree.is_nact)
+
+
+def csv_rows(path) -> list[dict]:
+    """A metrics CSV's rows as dicts of the cells' text; an empty cell
+    reads as ``""``."""
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def as_policy(tree, choice, player: int):

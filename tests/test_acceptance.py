@@ -21,15 +21,15 @@ import pytest
 
 from efgsolve import (TabularPolicy, TreeIndex, best_response,
                       exploitability, expected_value, make_game,
-                      profile_array, uniform_policy)
+                      policy_from_flat, profile_array)
 from efgsolve.bench import ExperimentConfig, run_experiment, run_seed
-from efgsolve.metrics import read_rows_csv
 from efgsolve.policy import pure_profile
 from efgsolve.psro import psro_histogram
 from efgsolve.solvers import Cfr, solve_matrix_lp
 from efgsolve.xdo import XdoConfig, eq1_allowed, xdo_solve
 
-from oracles import as_policy, count_states, enumerate_reduced_pure
+from oracles import (as_policy, count_states, csv_rows,
+                     enumerate_reduced_pure, uniform_profile)
 
 pytestmark = pytest.mark.slow
 
@@ -57,7 +57,7 @@ def _run_twice(root, tag, **kw):
     IDENTICAL[tag] = all(
         (root / tag / "a" / n).read_bytes()
         == (root / tag / "b" / n).read_bytes() for n in names)
-    rows = read_rows_csv(root / tag / "a" / names[0])
+    rows = csv_rows(root / tag / "a" / names[0])
     return rows, summaries[0]
 
 
@@ -170,12 +170,13 @@ def test_c01b_best_response_equals_brute_force():
         tree = TreeIndex(make_game(name))
         rng = np.random.default_rng(9)
         for player in (0, 1):
-            opponents = [uniform_policy(tree, 1 - player)]
+            opponents = [policy_from_flat(tree, uniform_profile(tree),
+                                          1 - player)]
             for _ in range(2):
                 pol = TabularPolicy(1 - player)
                 for isid in tree.infosets_of(1 - player):
                     row = rng.random(int(tree.is_nact[isid])) + 1e-3
-                    pol.set_row(tree.keys[isid], row / row.sum())
+                    pol.table[tree.keys[isid]] = row / row.sum()
                 opponents.append(pol)
             for opp in opponents:
                 best = -np.inf
@@ -194,8 +195,7 @@ def test_c01c_uniform_profile_is_exact_on_matching_pennies_family():
              + ["clone_gmp_2_4_3", "clone_gmp_1_2_3", "clone_gmp_3_2_2"])
     for name in games:
         tree = TreeIndex(make_game(name))
-        e = exploitability(tree, profile_array(tree, uniform_policy(tree, 0),
-                                               uniform_policy(tree, 1)))
+        e = exploitability(tree, uniform_profile(tree))
         assert e <= 1e-9, name
 
 
@@ -260,18 +260,18 @@ def test_c07_strategy_expansion_histogram(rps_tree):
 
 def test_c08_leduc_iteration_efficiency(leduc_bench):
     xdo_rows, xdo_summary = leduc_bench["xdo"]
-    best = min(r["exploitability"] for r in xdo_rows
-               if r["outer_iter"] <= 15)
+    best = min(float(r["exploitability"]) for r in xdo_rows
+               if int(r["outer_iter"]) <= 15)
     assert best <= 0.1, f"double oracle only reached {best:.4f} in 15 rounds"
 
     psro_rows, _ = leduc_bench["psro"]
-    assert psro_rows[-1]["outer_iter"] == 50
-    assert psro_rows[-1]["exploitability"] > 0.1
+    assert int(psro_rows[-1]["outer_iter"]) == 50
+    assert float(psro_rows[-1]["exploitability"]) > 0.1
 
     xfp_rows, _ = leduc_bench["xfp"]
-    assert xfp_rows[-1]["outer_iter"] == 50
+    assert int(xfp_rows[-1]["outer_iter"]) == 50
     xdo_at_15 = xdo_summary["final_exploitability"]["0"]
-    assert xfp_rows[-1]["exploitability"] > xdo_at_15
+    assert float(xfp_rows[-1]["exploitability"]) > xdo_at_15
 
 
 def test_c09_clone_leduc_ordering_at_budget(clone_bench):
@@ -296,11 +296,11 @@ def test_c10_oshi_zumo_ordering_at_budget(oshi_bench):
 
 def test_c11_restricted_game_size_ratios(leduc_bench, clone_bench):
     leduc_rows, _ = leduc_bench["xdo"]
-    leduc_ratio = leduc_rows[-1]["restricted_states"] / LEDUC_HISTORIES
+    leduc_ratio = int(leduc_rows[-1]["restricted_states"]) / LEDUC_HISTORIES
     assert 0.60 <= leduc_ratio <= 1.00
 
     clone_rows, _ = clone_bench["xdo"]
-    clone_ratio = (clone_rows[-1]["restricted_states"]
+    clone_ratio = (int(clone_rows[-1]["restricted_states"])
                    / CLONE_LEDUC_HISTORIES)
     assert clone_ratio <= 0.60
     assert clone_ratio < leduc_ratio

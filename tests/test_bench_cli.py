@@ -19,7 +19,9 @@ from efgsolve.bench import (ConfigError, EnumerationOverflow,
 from efgsolve.cli import _parse_seeds, main
 from efgsolve.games import make_game, rps_choice
 from efgsolve.metrics import (CSV_COLUMNS, cadence_thresholds, check_rows,
-                              read_rows_csv, write_rows_csv)
+                              write_rows_csv)
+
+from oracles import csv_rows
 
 
 def small_cfg(**over):
@@ -56,11 +58,11 @@ def test_csv_roundtrip_preserves_types(tmp_path):
                  restricted_states=51, wall_ms=0.0)]
     path = tmp_path / "r.csv"
     write_rows_csv(path, rows)
-    text = path.read_text()
-    assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
-    assert read_rows_csv(path) == rows
-    # repr keeps floats exact through the round trip.
-    assert "0.0078125" in text
+    # None is an empty cell, ints are written with str and floats with
+    # repr, whose text reads back as the same float.
+    assert path.read_text() == (
+        ",".join(CSV_COLUMNS) + "\n"
+        + "xdo,kuhn,0,1,,55,0.0078125,2,2,51,0.0\n")
 
 
 def test_validate_config_rejects_bad_inputs():
@@ -101,10 +103,10 @@ def test_run_experiment_writes_expected_files(tmp_path):
     cfg = small_cfg(out_dir=str(tmp_path), seeds=(0, 1))
     summary = run_experiment(cfg)
     for seed in (0, 1):
-        rows = read_rows_csv(tmp_path / f"cfr_plus_kuhn_seed{seed}.csv")
-        assert rows[-1]["outer_iter"] == 40
-        assert rows[-1]["nodes_visited"] == 40 * 2 * 55
-        assert all(r["algo"] == "cfr_plus" and r["seed"] == seed
+        rows = csv_rows(tmp_path / f"cfr_plus_kuhn_seed{seed}.csv")
+        assert int(rows[-1]["outer_iter"]) == 40
+        assert int(rows[-1]["nodes_visited"]) == 40 * 2 * 55
+        assert all(r["algo"] == "cfr_plus" and int(r["seed"]) == seed
                    for r in rows)
     on_disk = json.loads(
         (tmp_path / "cfr_plus_kuhn_summary.json").read_text())
@@ -163,12 +165,12 @@ def test_pools_start_no_more_workers_than_tasks(tmp_path, monkeypatch):
 def test_wall_clock_column_is_zero_unless_requested(tmp_path):
     cfg = small_cfg(out_dir=str(tmp_path))
     run_experiment(cfg)
-    rows = read_rows_csv(tmp_path / "cfr_plus_kuhn_seed0.csv")
-    assert all(r["wall_ms"] == 0.0 for r in rows)
+    rows = csv_rows(tmp_path / "cfr_plus_kuhn_seed0.csv")
+    assert all(float(r["wall_ms"]) == 0.0 for r in rows)
     cfg = small_cfg(out_dir=str(tmp_path / "timed"), wall_clock=True)
     run_experiment(cfg)
-    rows = read_rows_csv(tmp_path / "timed" / "cfr_plus_kuhn_seed0.csv")
-    assert rows[-1]["wall_ms"] > 0.0
+    rows = csv_rows(tmp_path / "timed" / "cfr_plus_kuhn_seed0.csv")
+    assert float(rows[-1]["wall_ms"]) > 0.0
 
 
 def test_node_budget_truncates_iterative_runs():
@@ -186,9 +188,10 @@ def test_xdo_run_reports_restricted_sizes(tmp_path):
     assert seed["terminated"] is True
     assert seed["restricted_histories"] > 0
     assert len(seed["restricted_infostates"]) == 2
-    rows = read_rows_csv(tmp_path / "xdo_kuhn_seed0.csv")
-    assert rows[-1]["restricted_states"] == seed["restricted_histories"]
-    assert rows[-1]["pop1"] >= 1 and rows[-1]["pop2"] >= 1
+    rows = csv_rows(tmp_path / "xdo_kuhn_seed0.csv")
+    assert int(rows[-1]["restricted_states"]) \
+        == seed["restricted_histories"]
+    assert int(rows[-1]["pop1"]) >= 1 and int(rows[-1]["pop2"]) >= 1
 
 
 def test_run_psro_hist_writes_histogram(tmp_path):

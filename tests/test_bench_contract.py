@@ -2,12 +2,16 @@
 its tracer (tracing.py) wraps callables by name, and its worker
 (worker.py) calls the runner's functions with keywords and reads a
 class-level default.  Every name and keyword must still be where they
-look, or a benchmark run fails before it starts."""
+look, or a benchmark run fails before it starts.  The package and the
+benchmark are also the only readers that keep code alive: an import,
+function, class or method that neither reads is dead, and every name
+a package exports must resolve."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,6 +96,65 @@ def test_every_unread_import_is_one_the_tracer_needs(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = {(module, name) for name in imported - read}
     assert unread <= _TRACER_ONLY, sorted(unread - _TRACER_ONLY)
+
+
+# Defined but read by no module on purpose: the interface every game
+# implements, and the solver's current profile, which only tests read.
+_UNREFERENCED = {"efgsolve.game.Game", "efgsolve.solvers.cfr.Cfr.current"}
+
+
+def _referenced_names(node):
+    """The names a syntax tree reads: each ``Name``, each attribute, and
+    each import alias (so a package ``__init__``'s re-exports count)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+            if sub.asname:
+                yield sub.asname
+
+
+def test_every_definition_is_read_outside_itself():
+    # Code only tests call is dead to every run: each module-level
+    # function and class, and each public method, under src/ must be
+    # read somewhere in src/ or perfbench/ outside its own definition.
+    sources = {path: ast.parse(path.read_text()) for path
+               in sorted(SRC.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))}
+    reads = Counter(name for tree in sources.values()
+                    for name in _referenced_names(tree))
+    unreferenced = set()
+    for path, tree in sources.items():
+        if SRC not in path.parents:
+            continue
+        module = ".".join(("efgsolve",)
+                          + path.relative_to(SRC).with_suffix("").parts)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)
+                         and not sub.name.startswith("_")]
+            for qualname, definition in defs:
+                name = definition.name
+                own = sum(n == name for n in _referenced_names(definition))
+                if reads[name] == own:
+                    unreferenced.add(f"{module}.{qualname}")
+    assert unreferenced == _UNREFERENCED, sorted(
+        unreferenced ^ _UNREFERENCED)
+
+
+@pytest.mark.parametrize("module", [
+    "efgsolve", "efgsolve.solvers", "efgsolve.games"])
+def test_every_exported_name_resolves(module):
+    # A star import fails on an __all__ entry whose import was dropped.
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)
 
 
 def test_a_run_imports_no_module(tmp_path, fresh_python):

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from efgsolve import TreeIndex, make_game, profile_array, uniform_policy
+from efgsolve import TreeIndex, make_game
 from efgsolve.evaluate import exploitability, expected_value
 from efgsolve.games import (ascii_float, ascii_int, clone_gmp, gmp_matrix,
                             kgmp, perturbed_kgmp)
 from efgsolve.games.kuhn import BET, PASS
 from efgsolve.games.leduc import CALL, FOLD, RAISE
+
+from oracles import uniform_profile
 
 
 def play(game, actions):
@@ -107,8 +109,7 @@ def test_uniform_is_equilibrium_of_gmp_family():
     for name in ("kgmp_1_2", "kgmp_1_3", "kgmp_2_3", "kgmp_3_4",
                  "clone_gmp_2_4_3"):
         tree = TreeIndex(make_game(name))
-        sigma = profile_array(tree, uniform_policy(tree, 0),
-                              uniform_policy(tree, 1))
+        sigma = uniform_profile(tree)
         assert exploitability(tree, sigma) <= 1e-9, name
         assert expected_value(tree, sigma) == pytest.approx(0.0)
 
@@ -120,8 +121,7 @@ def test_perturbed_kgmp_is_seeded_and_nonuniform():
     assert all((a == b).all() for a, b in zip(g0.matrices, g0b.matrices))
     assert any((a != b).any() for a, b in zip(g0.matrices, g1.matrices))
     tree = TreeIndex(g0)
-    e = exploitability(tree, profile_array(tree, uniform_policy(tree, 0),
-                                           uniform_policy(tree, 1)))
+    e = exploitability(tree, uniform_profile(tree))
     assert e > 1e-3, "perturbation should break the uniform equilibrium"
 
 

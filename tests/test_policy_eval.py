@@ -19,13 +19,14 @@ import pytest
 
 from efgsolve import (NodeCounter, TabularPolicy, TreeIndex, best_response,
                       exploitability, expected_value, make_game,
-                      profile_array, realize_mixture, uniform_policy)
+                      profile_array, realize_mixture)
 from efgsolve.policy import (PurePolicy, canonical_pure, lift_policy,
                              policy_from_flat, random_pure_policy)
 from efgsolve.evaluate import BestResponse, _pick
 
 from oracles import (actions_of, as_policy, choice_of, default_choice,
-                     enumerate_reduced_pure, loop_reach, tree_of)
+                     enumerate_reduced_pure, loop_reach, tree_of,
+                     uniform_profile)
 
 
 def random_behavioral(tree, player, rng):
@@ -33,7 +34,7 @@ def random_behavioral(tree, player, rng):
     for isid in tree.infosets_of(player):
         n = int(tree.is_nact[isid])
         row = rng.random(n) + 1e-3
-        pol.set_row(tree.keys[isid], row / row.sum())
+        pol.table[tree.keys[isid]] = row / row.sum()
     return pol
 
 
@@ -52,7 +53,8 @@ def test_best_response_matches_brute_force(name):
     tree = TreeIndex(make_game(name))
     rng = np.random.default_rng(4)
     for player in (0, 1):
-        opponents = [uniform_policy(tree, 1 - player),
+        opponents = [policy_from_flat(tree, uniform_profile(tree),
+                                      1 - player),
                      random_behavioral(tree, 1 - player, rng),
                      random_behavioral(tree, 1 - player, rng)]
         for opp in opponents:
@@ -70,23 +72,21 @@ def test_best_response_matches_brute_force(name):
 
 def test_best_response_tie_breaking_is_lowest_action(kgmp13_tree):
     # Against uniform every action of GMP ties at value 0.
-    br = best_response(kgmp13_tree, profile_array(
-        kgmp13_tree, None, uniform_policy(kgmp13_tree, 1)), 0)
+    br = best_response(kgmp13_tree, uniform_profile(kgmp13_tree), 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
     assert actions_of(kgmp13_tree, 0, br.choice)[key] == 0
 
 
 def test_best_response_prefer_filter_breaks_ties(kgmp13_tree):
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
-    br = best_response(kgmp13_tree, profile_array(
-        kgmp13_tree, None, uniform_policy(kgmp13_tree, 1)), 0,
-        prefer=prefer_cols(kgmp13_tree, {key: (2,)}))
+    br = best_response(kgmp13_tree, uniform_profile(kgmp13_tree), 0,
+                       prefer=prefer_cols(kgmp13_tree, {key: (2,)}))
     assert actions_of(kgmp13_tree, 0, br.choice)[key] == 2
 
 
 def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
     rng = np.random.default_rng(0)
-    opp = profile_array(kgmp13_tree, None, uniform_policy(kgmp13_tree, 1))
+    opp = uniform_profile(kgmp13_tree)
     det = best_response(kgmp13_tree, opp, 0)
     key = kgmp13_tree.keys[int(kgmp13_tree.infosets_of(0)[0])]
     picks = {actions_of(kgmp13_tree, 0, best_response(
@@ -99,7 +99,7 @@ def test_best_response_rng_samples_the_tie_set(kgmp13_tree):
 
 def test_best_response_counts_one_visit_per_history(kuhn_tree):
     counter = NodeCounter()
-    opp = profile_array(kuhn_tree, None, uniform_policy(kuhn_tree, 1))
+    opp = uniform_profile(kuhn_tree)
     best_response(kuhn_tree, opp, 0, counter)
     assert counter.count == kuhn_tree.n_nodes
     # Reporting mode is free.
@@ -110,16 +110,13 @@ def test_best_response_counts_one_visit_per_history(kuhn_tree):
 
 def test_expected_value_counting(kuhn_tree):
     counter = NodeCounter()
-    expected_value(kuhn_tree, profile_array(
-        kuhn_tree, uniform_policy(kuhn_tree, 0), uniform_policy(kuhn_tree, 1)),
-        counter)
+    expected_value(kuhn_tree, uniform_profile(kuhn_tree), counter)
     assert counter.count == kuhn_tree.n_nodes
 
 
 def test_exploitability_zero_exactly_at_equilibrium():
     tree = TreeIndex(make_game("kgmp_2_3"))
-    assert exploitability(tree, profile_array(
-        tree, uniform_policy(tree, 0), uniform_policy(tree, 1))) <= 1e-9
+    assert exploitability(tree, uniform_profile(tree)) <= 1e-9
 
 
 def test_realized_mixture_obeys_kuhns_theorem(kuhn_tree):
@@ -229,7 +226,8 @@ def test_lift_policy_scatters_restricted_rows():
             Population(base, 1, [default_choice(base, 1)]))
     mask = eq1_allowed(pops)
     rtree = base.restrict(mask)
-    lifted = lift_policy(rtree, base, uniform_policy(rtree, 1))
+    lifted = lift_policy(rtree, base, policy_from_flat(
+        rtree, uniform_profile(rtree), 1))
     for isid in rtree.infosets_of(1):
         key = rtree.keys[int(isid)]
         row = lifted.row(key)
@@ -242,7 +240,8 @@ def test_lift_policy_scatters_restricted_rows():
     # profile array then defaults them to the first action.
     unset = [base.keys[int(i)] for i in base.infosets_of(1)
              if lifted.row(base.keys[int(i)]) is None]
-    sigma = profile_array(base, uniform_policy(base, 0), lifted)
+    sigma = profile_array(
+        base, policy_from_flat(base, uniform_profile(base), 0), lifted)
     for key in unset:
         sl = base.col_slice(base.key_to_isid[key])
         assert sigma[sl][0] == 1.0
@@ -474,7 +473,7 @@ def test_population_mask_is_the_allowed_column_set(name):
 SRC = Path(__file__).resolve().parents[1] / "src" / "efgsolve"
 # The dict-keyed policy types and their converters.
 _DICT_API = {"TabularPolicy", "PurePolicy", "policy_from_flat", "lift_policy",
-             "profile_array", "uniform_policy", "canonical_pure"}
+             "profile_array", "canonical_pure"}
 
 
 @pytest.mark.parametrize("path", sorted(
