@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -37,16 +38,12 @@ from pathlib import Path
 from . import __version__
 from .evaluate import exploitability
 from .games import GAME_PATTERNS, make_game, rps_choice
-from .metrics import (cadence_thresholds, format_cell, write_rows_csv,
+from .metrics import (ConfigError, cadence_thresholds, write_rows_csv,
                       write_summary_json)
 from .psro import PsroConfig, psro_histogram, psro_solve
 from .solvers import Cfr, MccfrEs, Xfp
 from .tree import EnumerationOverflow, NodeCounter, TreeIndex
 from .xdo import XdoConfig, xdo_solve
-
-
-class ConfigError(ValueError):
-    """Bad experiment configuration; maps to exit code 2."""
 
 
 ALGOS = ("cfr", "cfr_plus", "mccfr_es", "xfp", "xdo", "psro")
@@ -159,9 +156,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "(--node-budget, --max-iters, or --max-wall-s)")
     if cfg.max_wall_s is not None and cfg.node_budget is None \
             and cfg.max_iters is None and cfg.algo in ("xdo", "psro"):
-        # Both check their budgets between full inner solves, so a pure
-        # wall bound can overrun arbitrarily on a large game; require a
-        # hard bound alongside it.
+        # XDO's LP inner solve and PSRO's matrix fill each run to
+        # completion before the next budget check, so a pure wall bound
+        # can overrun arbitrarily on a large game; require a hard bound
+        # alongside it.
         raise ConfigError(f"{cfg.algo} needs --node-budget or --max-iters "
                           "in addition to a wall-time budget")
     unknown = set(cfg.params) - _PARAM_KEYS[cfg.algo]
@@ -269,7 +267,7 @@ def _run_xdo(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
     summary = dict(final_exploitability=res.exploitability,
                    iters=res.outer_iters, nodes=res.nodes,
                    terminated=res.terminated, truncated=not res.terminated,
-                   eps_final=res.eps_final,
+                   eps_final=xcfg.term_eps,
                    populations=[len(p) for p in res.populations],
                    restricted_histories=res.restricted_nodes,
                    restricted_infostates=list(res.restricted_infostates))
@@ -385,20 +383,11 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
               for lo in range(0, trials, per)]
     records = [r for part in _map(_hist_chunk, chunks, jobs) for r in part]
-    records.sort(key=lambda r: r["seed"])
-
-    lines = [",".join(HIST_COLUMNS)]
-    for r in records:
-        cells = (r["seed"], r["expanded0"], r["expanded1"],
-                 r["eps_pass_iter"], r["iters"], r["exploitability"])
-        lines.append(",".join(map(format_cell, cells)))
-    (out / "psro_hist_trials.csv").write_text("\n".join(lines) + "\n")
+    write_rows_csv(out / "psro_hist_trials.csv", records, HIST_COLUMNS)
 
     hist = {}
-    for p, col in ((1, "expanded0"), (2, "expanded1")):
-        counts: dict[str, int] = {}
-        for r in records:
-            counts[str(r[col])] = counts.get(str(r[col]), 0) + 1
+    for p in (1, 2):
+        counts = Counter(str(r[f"expanded{p}"]) for r in records)
         hist[f"player{p}"] = dict(sorted(counts.items(),
                                          key=lambda kv: int(kv[0])))
     full = {1: 6, 2: 9}  # reduced pure strategy counts per player

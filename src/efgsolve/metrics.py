@@ -1,7 +1,9 @@
 """Metric records, their CSV/JSON serialization, and measurement cadence.
 
 Every experiment emits rows with the same fixed column set so plots can
-be built from any mix of algorithms.  Serialization is deterministic:
+be built from any mix of algorithms; the strategy-expansion trials are
+the one other table, with columns of their own.  This module writes
+every file a command writes.  Serialization is deterministic:
 floats are written with ``repr`` (shortest round-trip form), missing
 fields as empty strings, rows in the order produced, and summaries as
 sorted-key JSON.  Two runs of the same configuration must produce
@@ -25,6 +27,10 @@ CSV_COLUMNS = ("algo", "game", "seed", "outer_iter", "inner_iter",
 EXPLOIT_FLOOR = -1e-9
 
 
+class ConfigError(ValueError):
+    """Bad experiment configuration or output path; maps to exit code 2."""
+
+
 def format_cell(value) -> str:
     if value is None:
         return ""
@@ -33,12 +39,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def check_rows(rows) -> None:
+def check_rows(rows, columns=CSV_COLUMNS) -> None:
     """Enforce the row invariants: known columns only, visit counts
     non-decreasing, exploitability above the float-error floor."""
     last_nodes = None
     for i, row in enumerate(rows):
-        unknown = set(row) - set(CSV_COLUMNS)
+        unknown = set(row) - set(columns)
         if unknown:
             raise ValueError(f"row {i}: unknown columns {sorted(unknown)}")
         nodes = row.get("nodes_visited")
@@ -53,23 +59,30 @@ def check_rows(rows) -> None:
             raise ValueError(f"row {i}: exploitability {e} below floor")
 
 
-def write_rows_csv(path, rows) -> None:
-    """Write metric rows (dicts keyed by CSV_COLUMNS) with a fixed
-    header, unix newlines, and deterministic cell formatting."""
-    check_rows(rows)
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``, making its folder first; a path that
+    cannot be written raises a one-line ConfigError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(CSV_COLUMNS)]
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
+
+
+def write_rows_csv(path, rows, columns=CSV_COLUMNS) -> None:
+    """Write metric rows (dicts keyed by ``columns``) with a fixed
+    header, unix newlines, and deterministic cell formatting."""
+    check_rows(rows, columns)
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(format_cell(row.get(c)) for c in CSV_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(format_cell(row.get(c)) for c in columns))
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_summary_json(path, summary: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(summary, schema_version=SCHEMA_VERSION)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cadence_thresholds(start: int, factor: int):

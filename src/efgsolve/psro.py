@@ -190,10 +190,10 @@ def psro_histogram(tree: TreeIndex, trials: int, seed0: int, horizon: int,
     the horizon; expansion counts are therefore a property of the
     maximizer sets, not of which tie the stop test hit first.
 
-    Returns one record per trial: seed, distinct reduced strategies
-    expanded per player, the first iteration at which neither best
-    response improved by more than ``eps`` (None if never), and the
-    final mixture's exploitability.
+    Returns one record per trial, keyed by ``bench.HIST_COLUMNS``: seed,
+    distinct reduced strategies expanded by players 1 and 2, the first
+    iteration at which neither best response improved by more than
+    ``eps`` (None if never), and the final mixture's exploitability.
     """
     records = []
     for t in range(trials):
@@ -220,8 +220,8 @@ def psro_histogram(tree: TreeIndex, trials: int, seed0: int, horizon: int,
                 if key not in seen[p]:
                     seen[p].add(key)
                     pops[p].add(br.choice)
-        records.append(dict(seed=seed, expanded0=len(seen[0]),
-                            expanded1=len(seen[1]), iters=horizon,
+        records.append(dict(seed=seed, expanded1=len(seen[0]),
+                            expanded2=len(seen[1]), iters=horizon,
                             eps_pass_iter=first_pass,
                             exploitability=e))
     return records

@@ -50,8 +50,7 @@ def _normalise(x: np.ndarray, off: np.ndarray, nact: np.ndarray,
 def normalise_rows(tree: TreeIndex, x: np.ndarray) -> np.ndarray:
     """Divide each infostate's columns of ``x`` by their sum; a row that
     sums to zero becomes uniform."""
-    nact = tree.is_nact
-    return _normalise(x, tree.is_off, nact, np.repeat(1.0 / nact, nact),
+    return _normalise(x, tree.is_off, tree.is_nact, tree.uniform,
                       np.empty_like(x))
 
 
@@ -102,6 +101,7 @@ class Cfr:
         self._w_at = edge_col.copy()
         self._w_at[free] = n + np.arange(free.size)
         rc = tree.reach(tree.in_prob)
+        uniform = tree.uniform[order]
         self._blocks = []
         lo = 0
         for p in (0, 1):
@@ -115,7 +115,7 @@ class Cfr:
             dec = np.flatnonzero(tree.player == p)
             self._blocks.append(_Block(
                 slice(lo, lo + width), np.cumsum(nact) - nact, nact, rows,
-                1.0 / nact[rows], np.where(own, edge_col, n), kids,
+                uniform[lo:lo + width], np.where(own, edge_col, n), kids,
                 edge_col[kids] - lo, par, rc[par] if p == 0 else -rc[par],
                 dec, (np.cumsum(tree.is_player == p) - 1)[tree.infoset[dec]]))
             lo += width

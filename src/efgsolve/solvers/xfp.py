@@ -21,7 +21,7 @@ class Xfp:
         self.tree = tree
         self.counter = counter
         self.t = 0
-        self.sigma = np.repeat(1.0 / tree.is_nact, tree.is_nact)
+        self.sigma = tree.uniform.copy()
 
     def _own_reach(self, player: int, sigma: np.ndarray) -> np.ndarray:
         """Sequence probability of each of the player's infostates (in

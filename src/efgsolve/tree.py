@@ -36,6 +36,7 @@ cost nothing.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from itertools import accumulate, chain
 from struct import Struct
 from time import perf_counter
@@ -194,13 +195,14 @@ class TreeIndex:
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
-    and action id; they are built on first use, so indexing a tree
-    costs only its enumeration.  ``edge_sigma`` gathers a profile onto
-    the edges: ``in_prob`` is exactly 1.0 on decision edges, so
-    ``in_prob * edge_sigma(sigma)`` weighs every edge by its chance or
-    policy probability, and a mask over ``in_player`` picks one
-    player's edges out of it.  An index derived by ``restrict`` also
-    holds ``base_col``, the column of the parent index behind each
+    and action id, and ``uniform`` is the profile that plays every
+    infostate's actions equally; these are built on first use, so
+    indexing a tree costs only its enumeration.  ``edge_sigma`` gathers
+    a profile onto the edges: ``in_prob`` is exactly 1.0 on decision
+    edges, so ``in_prob * edge_sigma(sigma)`` weighs every edge by its
+    chance or policy probability, and a mask over ``in_player`` picks
+    one player's edges out of it.  An index derived by ``restrict``
+    also holds ``base_col``, the column of the parent index behind each
     column.
 
     ``max_histories`` caps the walk: a game with more histories raises
@@ -355,7 +357,6 @@ class TreeIndex:
         if split.size:
             raise ValueError(f"infostate {self.keys[split[0]]!r} has decision"
                              " nodes at several depths")
-        self._col_isid = self._col_action = None
         self._own_levels = {}
         self._own_columns = {}
 
@@ -466,25 +467,22 @@ class TreeIndex:
             np.add.at(v, self.parent[sl], weights[sl] * v[sl])
         return v
 
-    # Plain properties over attributes set in __init__: caching into the
-    # instance dict (functools.cached_property) slows every later
-    # attribute read on the tree, which the sampled walks do per node.
-    @property
+    @cached_property
     def col_isid(self) -> np.ndarray:
         """Owning infostate of every column."""
-        if self._col_isid is None:
-            self._col_isid = np.repeat(
-                np.arange(self.n_infosets, dtype=np.int32), self.is_nact)
-        return self._col_isid
+        return np.repeat(np.arange(self.n_infosets, dtype=np.int32),
+                         self.is_nact)
 
-    @property
+    @cached_property
     def col_action(self) -> np.ndarray:
         """Action id of every column."""
-        if self._col_action is None:
-            self._col_action = np.fromiter(
-                chain.from_iterable(self.is_actions), dtype=np.int32,
-                count=self.n_cols)
-        return self._col_action
+        return np.fromiter(chain.from_iterable(self.is_actions),
+                           dtype=np.int32, count=self.n_cols)
+
+    @cached_property
+    def uniform(self) -> np.ndarray:
+        """The uniform profile: every infostate's actions equally likely."""
+        return np.repeat(1.0 / self.is_nact, self.is_nact)
 
     def children(self, u: int) -> np.ndarray:
         return np.arange(self.child_off[u], self.child_off[u + 1])
@@ -545,9 +543,9 @@ class TreeIndex:
                 slots = np.flatnonzero(nact == n)
                 blocks.append((slots, self.is_off[isids[slots], None]
                                + np.arange(n)))
+            mask = self.is_player[self.col_isid] == player
             plan = self._own_columns[player] = OwnColumns(
-                isids, nact, self.is_player[self.col_isid] == player,
-                np.repeat(1.0 / nact, nact), tuple(blocks))
+                isids, nact, mask, self.uniform[mask], tuple(blocks))
         return plan
 
 

@@ -103,7 +103,6 @@ class XdoResult:
     populations: tuple[Population, Population]
     sigma: np.ndarray      # base-tree profile the last full check measured
     exploitability: float
-    eps_final: float       # termination tolerance the final check used
     eps_inner_final: float  # decayed inner tolerance at the end
     terminated: bool
     outer_iters: int
@@ -210,7 +209,7 @@ def xdo_solve(tree: TreeIndex, config: XdoConfig | None = None,
     r_is = (len(rtree.infosets_of(0)), len(rtree.infosets_of(1)))
     return XdoResult(
         populations=populations, sigma=sigma_full, exploitability=e_full,
-        eps_final=cfg.term_eps, eps_inner_final=eps, terminated=terminated,
-        outer_iters=outer, nodes=counter.count, trace=trace,
-        restricted_nodes=rtree.n_nodes, restricted_infostates=r_is,
+        eps_inner_final=eps, terminated=terminated, outer_iters=outer,
+        nodes=counter.count, trace=trace, restricted_nodes=rtree.n_nodes,
+        restricted_infostates=r_is,
     )

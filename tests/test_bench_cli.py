@@ -445,6 +445,23 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
                    f"{afile / 'x'}: Not a directory\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--game", "kuhn", "--algo", "cfr", "--node-budget", "10"],
+     "cfr_kuhn_seed0.csv"),
+    (["psro-hist", "--trials", "2", "--horizon", "2"],
+     "psro_hist_trials.csv"),
+    (["size-report", "--game", "kuhn", "--max-iters", "2", "--inner", "lp"],
+     "size_kuhn.json"),
+], ids=["run", "psro-hist", "size-report"])
+def test_cli_unwritable_output_file_exits_2(argv, name, tmp_path, capsys):
+    # A directory in the way of an output file fails its write after
+    # the run: one error line, not a traceback.
+    (tmp_path / name).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / name}: Is a directory\n"
+
+
 @pytest.mark.parametrize("lines", [
     "node_budget: 1e7", "max_iters: abc", "max_iters: 2\njobs: two",
     "max_iters: 2\nmax_states: lots", "max_iters: 2\nseeds: [a]",

@@ -148,6 +148,55 @@ def test_every_definition_is_read_outside_itself():
         unreferenced ^ _UNREFERENCED)
 
 
+def _file_writes(tree):
+    """The calls in a syntax tree that write a file: ``write_text``,
+    ``write_bytes``, and ``open`` with a mode that is not a constant
+    read mode (the mode is ``open``'s second argument, a method's
+    first)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name == "open":
+            pos = 1 if isinstance(func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = modes[0] if modes else (
+                node.args[pos] if len(node.args) > pos else None)
+            if mode is not None and not (
+                    isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                yield node
+
+
+def test_only_metrics_writes_files():
+    # Every output file goes through metrics, whose one write step turns
+    # a failed write into a one-line error instead of a traceback.
+    writes = [f"{path.relative_to(SRC).as_posix()}:{call.lineno}"
+              for path in sorted(SRC.rglob("*.py"))
+              if path.name != "metrics.py"
+              for call in _file_writes(ast.parse(path.read_text()))]
+    assert not writes, writes
+
+
+def test_the_write_guard_sees_every_form():
+    seen = [call.lineno for call in _file_writes(ast.parse(
+        "p.write_text(s)\n"
+        "p.write_bytes(b)\n"
+        "open(p, 'w')\n"
+        "open(p, mode='ab')\n"
+        "p.open('r+')\n"
+        "open(p, m)\n"
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "p.open()\n"
+        "p.read_text()\n"))]
+    assert seen == [1, 2, 3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("module", [
     "efgsolve", "efgsolve.solvers", "efgsolve.games"])
 def test_every_exported_name_resolves(module):

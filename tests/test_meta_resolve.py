@@ -59,7 +59,7 @@ def reference_trial(tree, seed, horizon=HORIZON, eps=1e-3):
                 members[p].append(br.choice)
                 grew = True
         after_growth += grew and it < horizon
-    record = dict(seed=seed, expanded0=len(seen[0]), expanded1=len(seen[1]),
+    record = dict(seed=seed, expanded1=len(seen[0]), expanded2=len(seen[1]),
                   iters=horizon, eps_pass_iter=first_pass, exploitability=e)
     return record, after_growth, matrices
 

@@ -198,10 +198,10 @@ def test_histogram_records_and_determinism(rps_tree):
                           eps=1e-3)
     assert [r["seed"] for r in recs] == [10, 11, 12]
     for r in recs:
-        assert set(r) == {"seed", "expanded0", "expanded1", "eps_pass_iter",
+        assert set(r) == {"seed", "expanded1", "expanded2", "eps_pass_iter",
                           "iters", "exploitability"}
-        assert 1 <= r["expanded0"] <= 6
-        assert 1 <= r["expanded1"] <= 9
+        assert 1 <= r["expanded1"] <= 6
+        assert 1 <= r["expanded2"] <= 9
         assert r["iters"] == 30
     assert recs == psro_histogram(rps_tree, trials=3, seed0=10, horizon=30,
                                   eps=1e-3)

@@ -26,7 +26,8 @@ from efgsolve.solvers.matrix_solvers import solve_sequence_form
 from efgsolve.tree import CHANCE_NODE, TERMINAL
 
 from oracles import (enumerate_reduced_pure, reference_solve_matrix_lp,
-                     same_solution, tree_of)
+                     same_solution, tree_of, uniform_profile)
+from test_tree_golden import GOLDEN as TREE_GOLDEN
 
 KUHN_VALUE = -1.0 / 18.0
 LEDUC_VALUE = -0.085606424078
@@ -159,6 +160,24 @@ class _ReferenceCfr:
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", [*TREE_GOLDEN, "leduc+restricted"])
+def test_every_uniform_profile_is_the_trees(name):
+    # Fresh trees, so the large ones stay out of tree_of's cache.
+    tree = (tree_of(name) if name == "leduc+restricted"
+            else TreeIndex(make_game(name)))
+    want = uniform_profile(tree)
+    assert tree.uniform is tree.uniform
+    assert _same_bits(tree.uniform, want)
+    assert _same_bits(normalise_rows(tree, np.zeros(tree.n_cols)), want)
+    assert _same_bits(Xfp(tree).average_flat(), want)
+    assert _same_bits(Cfr(tree).current(), want)
+    scattered = np.zeros(tree.n_cols)
+    for p in (0, 1):
+        plan = tree.own_columns(p)
+        scattered[plan.mask] = plan.uniform
+    assert _same_bits(scattered, want)
 
 
 @pytest.mark.parametrize("plus, alternating", [

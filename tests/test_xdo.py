@@ -163,7 +163,6 @@ def test_cfr_plus_inner_reaches_termination_tolerance(kuhn_tree):
     res = xdo_solve(kuhn_tree, XdoConfig(term_eps=1e-3), NodeCounter())
     assert res.terminated
     assert res.exploitability <= 1e-3
-    assert res.eps_final == 1e-3
 
 
 def test_full_game_check_dominates_restricted_one(kuhn_tree):
@@ -242,7 +241,6 @@ def test_result_dataclass_shape(kuhn_lp_result):
     res = kuhn_lp_result
     assert isinstance(res, XdoResult)
     assert res.restricted_infostates == (6, 6)
-    assert res.eps_final == 1e-6
     assert 0 < res.eps_inner_final <= 0.35
     assert res.nodes > 0
 
