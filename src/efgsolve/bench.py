@@ -38,12 +38,11 @@ from pathlib import Path
 from . import __version__
 from .evaluate import exploitability
 from .games import GAME_PATTERNS, make_game, rps_choice
-from .metrics import (ConfigError, cadence_thresholds, write_rows_csv,
-                      write_summary_json)
-from .psro import PsroConfig, psro_histogram, psro_solve
+from .metrics import ConfigError, write_rows_csv, write_summary_json
+from .psro import PSRO_CHOICES, PsroConfig, psro_histogram, psro_solve
 from .solvers import Cfr, MccfrEs, Xfp
 from .tree import EnumerationOverflow, NodeCounter, TreeIndex
-from .xdo import XdoConfig, xdo_solve
+from .xdo import XDO_CHOICES, XdoConfig, xdo_solve
 
 
 ALGOS = ("cfr", "cfr_plus", "mccfr_es", "xfp", "xdo", "psro")
@@ -76,14 +75,26 @@ def _seed(v) -> bool:
     return _int(v) and v >= 0
 
 
-# Parameter checks: key -> (test, what the value must be).  None is the
-# solvers' own default for max_inner and alternating.
+# Every input rule: setting -> (test, what it must be).  NaN fails
+# every comparison, so it is no finite real number; max_states <= 0 is
+# no cap; None is the solvers' default for max_inner and alternating.
 _CHECKS = {
+    "game": (lambda v: isinstance(v, str), "a game name"),
+    "out_dir": (lambda v: isinstance(v, (str, Path)), "a path"),
+    **dict.fromkeys(("node_budget", "max_iters"),
+                    (lambda v: v is None or _count(v), "an integer >= 1")),
+    "max_wall_s": (lambda v: v is None or (_real(v) and 0 < v < math.inf),
+                   "a finite real number > 0"),
+    "seeds": (lambda v: all(map(_seed, v)) and len(set(v)) == len(v),
+              "distinct integers >= 0"),
+    **dict.fromkeys(("eval_start", "trials", "horizon", "jobs"),
+                    (_count, "an integer >= 1")),
+    "eval_factor": (lambda v: _int(v) and v >= 2, "an integer >= 2"),
+    "wall_clock": (lambda v: isinstance(v, bool), "true or false"),
+    "max_states": (lambda v: v is None or _int(v), "an integer"),
+    **dict.fromkeys(("seed0", "seed"), (_seed, "an integer >= 0")),
     **{key: (choices.__contains__, "one of " + ", ".join(choices))
-       for key, choices in (("inner", ("cfr_plus", "cfr", "lp")),
-                            ("meta_solver", ("lp", "fp")),
-                            ("payoffs", ("exact", "sampled")),
-                            ("init", ("default", "random")))},
+       for key, choices in {**XDO_CHOICES, **PSRO_CHOICES}.items()},
     **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
                     (lambda v: _real(v) and 0 <= v < math.inf,
                      "a finite real number >= 0")),
@@ -96,28 +107,10 @@ _CHECKS = {
                     "true or false"),
 }
 
-# ExperimentConfig field checks, in the same form.  NaN fails every
-# comparison, so it is no finite real number > 0; a max_states <= 0
-# means no cap on the histories a run enumerates.
-_FIELD_CHECKS = {
-    "game": (lambda v: isinstance(v, str), "a game name"),
-    "out_dir": (lambda v: isinstance(v, (str, Path)), "a path"),
-    **dict.fromkeys(("node_budget", "max_iters"),
-                    (lambda v: v is None or _count(v), "an integer >= 1")),
-    "max_wall_s": (lambda v: v is None or (_real(v) and 0 < v < math.inf),
-                   "a finite real number > 0"),
-    "seeds": (lambda v: all(map(_seed, v)) and len(set(v)) == len(v),
-              "distinct integers >= 0"),
-    **dict.fromkeys(("eval_start", "jobs"), (_count, "an integer >= 1")),
-    "eval_factor": (lambda v: _int(v) and v >= 2, "an integer >= 2"),
-    "wall_clock": (lambda v: isinstance(v, bool), "true or false"),
-    "max_states": (lambda v: v is None or _int(v), "an integer"),
-}
 
-
-def _check(table: dict, values: dict) -> None:
-    """Raise ConfigError for the first value its table entry rejects."""
-    for key, (ok, what) in table.items():
+def _check(values: dict) -> None:
+    """Raise ConfigError for the first value its rule rejects."""
+    for key, (ok, what) in _CHECKS.items():
         if key in values and not ok(values[key]):
             raise ConfigError(f"{key} must be {what}, not {values[key]!r}")
 
@@ -143,7 +136,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algorithm {cfg.algo!r}; "
                           f"choose from {', '.join(ALGOS)}")
-    _check(_FIELD_CHECKS, vars(cfg))
+    _check(vars(cfg))
     try:
         make_game(cfg.game)
     except ValueError as err:
@@ -167,7 +160,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.algo} does not take parameters "
                           f"{sorted(unknown, key=str)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
-    _check(_CHECKS, cfg.params)
+    _check(cfg.params)
 
 
 def guard_enumerable(game, cap: int | None) -> int:
@@ -200,16 +193,18 @@ def guard_enumerable(game, cap: int | None) -> int:
     return n
 
 
-def _out_dir(path) -> Path:
-    """Create the output directory before any solving, so that a path
-    which cannot be one ends the run with a ConfigError, not a
-    traceback once the work is done."""
+def _out_dir(path, names) -> Path:
+    """Create the output directory and refuse a directory in the way of
+    any output file in ``names``, so a bad path fails before any work."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{err.strerror}") from None
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write {out / name}: Is a directory")
     return out
 
 
@@ -234,8 +229,7 @@ def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
         solver = Xfp(tree, counter=counter)
 
     rows: list[dict] = []
-    thresholds = cadence_thresholds(cfg.eval_start, cfg.eval_factor)
-    next_eval = next(thresholds)
+    next_eval = cfg.eval_start
     it = 0
     while True:
         solver.iterate(1)
@@ -247,7 +241,7 @@ def _run_iterative(tree: TreeIndex, cfg: ExperimentConfig, seed: int,
             rows.append(_row(cfg, seed, it, None, counter.count, e,
                              wall_ms=(time.perf_counter() - t0) * 1000.0))
             while next_eval <= counter.count:
-                next_eval = next(thresholds)
+                next_eval *= cfg.eval_factor
         if stop:
             break
     summary = dict(final_exploitability=rows[-1]["exploitability"],
@@ -306,10 +300,6 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> tuple[list[dict], dict]:
     return _run_iterative(tree, cfg, seed, counter)
 
 
-def _csv_name(cfg: ExperimentConfig, seed: int) -> str:
-    return f"{cfg.algo}_{cfg.game}_seed{seed}.csv"
-
-
 def _map(fn, items: list, jobs: int) -> list:
     """``[fn(x) for x in items]``, in a pool of ``min(jobs, len(items))``
     processes when that is more than one."""
@@ -326,37 +316,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     run in a process pool; files are written in seed order either way
     and are byte-identical to a single-process run."""
     validate_config(cfg)
-    out = _out_dir(cfg.out_dir)
-
     seeds = list(cfg.seeds)
+    csv_files = [f"{cfg.algo}_{cfg.game}_seed{s}.csv" for s in seeds]
+    summary_name = f"{cfg.algo}_{cfg.game}_summary.json"
+    out = _out_dir(cfg.out_dir, csv_files + [summary_name])
+
     results = _map(partial(run_seed, cfg), seeds, cfg.jobs)
 
     per_seed = {}
-    for seed, (rows, summary) in zip(seeds, results):
-        write_rows_csv(out / _csv_name(cfg, seed), rows)
+    for seed, name, (rows, summary) in zip(seeds, csv_files, results):
+        write_rows_csv(out / name, rows)
         per_seed[str(seed)] = summary
 
     summary = dict(
         config=asdict(cfg),
         version=__version__,
         seeds=per_seed,
-        csv_files=[_csv_name(cfg, s) for s in seeds],
+        csv_files=csv_files,
         truncated=any(s["truncated"] for s in per_seed.values()),
         final_exploitability={
             s: per_seed[s]["final_exploitability"] for s in per_seed},
         total_nodes=sum(s["nodes"] for s in per_seed.values()),
     )
-    write_summary_json(out / f"{cfg.algo}_{cfg.game}_summary.json", summary)
+    write_summary_json(out / summary_name, summary)
     return summary
 
-
-# run_psro_hist argument checks; eps is PSRO's own.
-_HIST_CHECKS = {
-    **dict.fromkeys(("trials", "horizon", "jobs"),
-                    (_count, "an integer >= 1")),
-    "seed0": (_seed, "an integer >= 0"),
-    "eps": _CHECKS["eps"],
-}
 
 HIST_COLUMNS = ("seed", "expanded1", "expanded2", "eps_pass_iter", "iters",
                 "exploitability")
@@ -376,9 +360,9 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     per-trial records and the per-player aggregate histogram.  Trials
     are independent (seed of trial t is seed0 + t) so splitting them
     into one chunk per job changes nothing but the wall time."""
-    _check(_HIST_CHECKS, dict(trials=trials, seed0=seed0, horizon=horizon,
-                              eps=eps, jobs=jobs))
-    out = _out_dir(out_dir)
+    _check(dict(trials=trials, seed0=seed0, horizon=horizon, eps=eps,
+                out_dir=out_dir, jobs=jobs))
+    out = _out_dir(out_dir, ("psro_hist_trials.csv", "psro_hist_summary.json"))
     per = -(-trials // jobs)
     chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
               for lo in range(0, trials, per)]
@@ -416,12 +400,14 @@ def run_size_report(game_name: str, seed: int = 0,
     ratio and each player's decision-infostate coverage."""
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
-    _check({"seed": (_seed, "an integer >= 0")}, dict(seed=seed))
+    _check(dict(seed=seed))
     cfg = ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
-        max_iters=max_outer, max_states=max_states, params={"inner": inner})
+        max_iters=max_outer, out_dir=out_dir, max_states=max_states,
+        params={"inner": inner})
     validate_config(cfg)
-    out = _out_dir(out_dir)
+    name = f"size_{game_name}.json"
+    out = _out_dir(out_dir, (name,))
     tree = TreeIndex(make_game(game_name, seed=seed), max_histories=max_states)
     _, res = _run_xdo(tree, cfg, seed, NodeCounter(node_budget))
     full_is = (len(tree.infosets_of(0)), len(tree.infosets_of(1)))
@@ -439,7 +425,7 @@ def run_size_report(game_name: str, seed: int = 0,
         nodes=res["nodes"],
         version=__version__,
     )
-    write_summary_json(out / f"size_{game_name}.json", report)
+    write_summary_json(out / name, report)
     return report
 
 

@@ -1,4 +1,4 @@
-"""Metric records, their CSV/JSON serialization, and measurement cadence.
+"""Metric records and their CSV/JSON serialization.
 
 Every experiment emits rows with the same fixed column set so plots can
 be built from any mix of algorithms; the strategy-expansion trials are
@@ -84,13 +84,3 @@ def write_summary_json(path, summary: dict) -> None:
     payload = dict(summary, schema_version=SCHEMA_VERSION)
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def cadence_thresholds(start: int, factor: int):
-    """Node counts at which to measure: start, start*factor, ... so a
-    log-x curve gets evenly spaced points at constant cost."""
-    if start < 1 or factor < 2:
-        raise ValueError("cadence needs start >= 1 and factor >= 2")
-    t = int(start)
-    while True:
-        yield t
-        t *= factor

@@ -30,19 +30,27 @@ from .policy import (own_reachable, profile_array, pure_profile,
 from .solvers.matrix_solvers import (grow_matrix, solve_matrix_fp,
                                      solve_matrix_lp)
 from .tree import NodeCounter, TreeIndex, walk_table
-from .xdo import Population
+from .xdo import Population, check_choices
+
+
+# The values of each string setting; psro_solve dispatches on them.
+PSRO_CHOICES = {"meta_solver": ("lp", "fp"), "payoffs": ("exact", "sampled"),
+                "init": ("default", "random")}
 
 
 @dataclass
 class PsroConfig:
     eps: float = 1e-3
-    meta_solver: str = "lp"       # lp | fp
+    meta_solver: str = "lp"
     fp_iters: int = 2000
-    payoffs: str = "exact"        # exact | sampled
+    payoffs: str = "exact"
     games_per_pair: int = 100
-    init: str = "default"         # default | random
+    init: str = "default"
     seed: int = 0
     max_iters: int | None = None
+
+    def __post_init__(self):
+        check_choices(self, PSRO_CHOICES)
 
 
 @dataclass

@@ -86,16 +86,31 @@ def eq1_allowed(populations) -> np.ndarray:
     return populations[0].cols | populations[1].cols
 
 
+# The values of each string setting; _inner_solutions dispatches on them.
+XDO_CHOICES = {"inner": ("cfr_plus", "cfr", "lp")}
+
+
+def check_choices(config, choices: dict) -> None:
+    """Raise ValueError for a field of ``config`` not in its ``choices``."""
+    for name, allowed in choices.items():
+        if getattr(config, name) not in allowed:
+            raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                             f"not {getattr(config, name)!r}")
+
+
 @dataclass
 class XdoConfig:
     eps0: float = 0.35
     eps_decay: float = 0.98
     eps_floor: float = 1e-4
     term_eps: float = 1e-6
-    inner: str = "cfr_plus"  # cfr_plus | cfr | lp
+    inner: str = "cfr_plus"
     check_period: int = 10
     max_outer: int | None = None
     max_inner: int | None = None
+
+    def __post_init__(self):
+        check_choices(self, XDO_CHOICES)
 
 
 @dataclass

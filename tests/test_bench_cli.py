@@ -7,7 +7,6 @@ process pool, because the acceptance checks diff files, not floats.
 
 import json
 from dataclasses import fields
-from itertools import islice
 
 import pytest
 
@@ -18,8 +17,11 @@ from efgsolve.bench import (ConfigError, EnumerationOverflow,
                             run_size_report, validate_config)
 from efgsolve.cli import _parse_seeds, main
 from efgsolve.games import make_game, rps_choice
-from efgsolve.metrics import (CSV_COLUMNS, cadence_thresholds, check_rows,
-                              write_rows_csv)
+from efgsolve.metrics import CSV_COLUMNS, check_rows, write_rows_csv
+from efgsolve.psro import PSRO_CHOICES, PsroConfig
+from efgsolve.solvers import Cfr
+from efgsolve.tree import NodeCounter, TreeIndex
+from efgsolve.xdo import XDO_CHOICES, XdoConfig
 
 from oracles import csv_rows
 
@@ -31,13 +33,29 @@ def small_cfg(**over):
     return ExperimentConfig(**base)
 
 
-def test_cadence_is_geometric():
-    assert list(islice(cadence_thresholds(100, 2), 5)) \
-        == [100, 200, 400, 800, 1600]
-    with pytest.raises(ValueError):
-        next(cadence_thresholds(0, 2))
-    with pytest.raises(ValueError):
-        next(cadence_thresholds(10, 1))
+@pytest.mark.parametrize("factor, thresholds", [
+    (2, [100, 200, 400, 800, 1600, 3200, 6400, 12800]),
+    (3, [100, 300, 900, 2700, 8100]),
+])
+def test_rows_sit_where_the_node_count_passes_each_threshold(factor,
+                                                             thresholds):
+    # The node count after each CFR+ iteration, from the solver alone.
+    counter = NodeCounter()
+    solver = Cfr(TreeIndex(make_game("kuhn")), plus=True, counter=counter)
+    counts = []
+    for _ in range(200):
+        solver.iterate(1)
+        counts.append(counter.count)
+    assert thresholds == [100 * factor ** k for k in range(len(thresholds))]
+    assert counts[-1] < 100 * factor ** len(thresholds)
+    firsts = sorted({next(it for it, n in enumerate(counts, 1) if n >= t)
+                     for t in thresholds})
+    assert firsts[-1] < 200
+
+    rows, _ = run_seed(small_cfg(max_iters=200, eval_factor=factor), 0)
+    # Every row but the last is a threshold's; the last ends the run.
+    assert [(r["outer_iter"], r["nodes_visited"]) for r in rows] \
+        == [(it, counts[it - 1]) for it in firsts + [200]]
 
 
 def test_check_rows_rejects_bad_rows():
@@ -90,6 +108,35 @@ def test_every_accepted_parameter_is_checked(algo):
     config = {"xdo": bench.XdoConfig, "psro": bench.PsroConfig}.get(algo)
     if config is not None:
         assert keys <= {f.name for f in fields(config)}
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (config, name, value)
+    for config, choices in ((XdoConfig, XDO_CHOICES),
+                            (PsroConfig, PSRO_CHOICES))
+    for name, values in choices.items()
+    for value in values])
+def test_every_choice_constructs_its_config(config, name, value):
+    assert getattr(config(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (XdoConfig, "inner", "lpp"), (XdoConfig, "inner", "CFR"),
+    (XdoConfig, "inner", None), (PsroConfig, "meta_solver", "LP"),
+    (PsroConfig, "meta_solver", "cfr"), (PsroConfig, "payoffs", "sample"),
+    (PsroConfig, "payoffs", ""), (PsroConfig, "init", "Random"),
+    (PsroConfig, "init", "uniform"),
+])
+def test_a_bad_choice_fails_at_construction_in_the_cli_wording(
+        config, name, value):
+    # Without the check a library call ran another solver silently.
+    with pytest.raises(ConfigError) as cli:
+        bench._check({name: value})
+    with pytest.raises(ValueError) as lib:
+        config(**{name: value})
+    choices = {**XDO_CHOICES, **PSRO_CHOICES}[name]
+    assert str(lib.value) == str(cli.value) \
+        == f"{name} must be one of {', '.join(choices)}, not {value!r}"
 
 
 def test_guard_enumerable_counts_and_overflows():
@@ -215,6 +262,19 @@ def test_run_psro_hist_pool_matches_serial(tmp_path):
     assert serial["histogram"] == pooled["histogram"]
     assert (tmp_path / "s" / "psro_hist_trials.csv").read_text() \
         == (tmp_path / "p" / "psro_hist_trials.csv").read_text()
+
+
+@pytest.mark.parametrize("command", [
+    lambda: run_psro_hist(trials=1, out_dir=5),
+    lambda: run_size_report("kuhn", max_outer=1, out_dir=5),
+], ids=["psro-hist", "size-report"])
+def test_out_dir_that_is_no_path_is_a_config_error(command, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        command()
+    assert str(err.value) == "out_dir must be a path, not 5"
+    assert not any(tmp_path.iterdir())
 
 
 def test_size_report_on_kuhn(tmp_path):
@@ -445,21 +505,52 @@ def test_cli_bad_out_path_exits_2_before_solving(argv, tmp_path, capsys,
                    f"{afile / 'x'}: Not a directory\n")
 
 
+RUN_2_SEEDS = ["run", "--game", "kuhn", "--algo", "cfr", "--node-budget",
+               "10", "--seeds", "0-1"]
+HIST_2 = ["psro-hist", "--trials", "2", "--horizon", "2"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["run", "--game", "kuhn", "--algo", "cfr", "--node-budget", "10"],
      "cfr_kuhn_seed0.csv"),
-    (["psro-hist", "--trials", "2", "--horizon", "2"],
-     "psro_hist_trials.csv"),
+    (RUN_2_SEEDS, "cfr_kuhn_seed1.csv"),
+    (RUN_2_SEEDS, "cfr_kuhn_summary.json"),
+    (HIST_2, "psro_hist_trials.csv"),
+    (HIST_2, "psro_hist_summary.json"),
     (["size-report", "--game", "kuhn", "--max-iters", "2", "--inner", "lp"],
      "size_kuhn.json"),
-], ids=["run", "psro-hist", "size-report"])
+], ids=["run", "run-seed1-csv", "run-summary", "psro-hist",
+        "psro-hist-summary", "size-report"])
 def test_cli_unwritable_output_file_exits_2(argv, name, tmp_path, capsys):
-    # A directory in the way of an output file fails its write after
-    # the run: one error line, not a traceback.
+    # A directory in the way of any output file ends the command before
+    # the run: one error line, not a traceback, and no file written.
     (tmp_path / name).mkdir()
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write {tmp_path / name}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("command, name", [
+    (lambda out: run_experiment(small_cfg(seeds=(0, 1), out_dir=out)),
+     "cfr_plus_kuhn_seed1.csv"),
+    (lambda out: run_psro_hist(trials=2, horizon=2, out_dir=out),
+     "psro_hist_summary.json"),
+    (lambda out: run_size_report("kuhn", max_outer=2, out_dir=out),
+     "size_kuhn.json"),
+], ids=["run", "psro-hist", "size-report"])
+def test_unwritable_output_file_is_found_before_solving(command, name,
+                                                        tmp_path,
+                                                        monkeypatch):
+    def solver_ran(*args, **kwargs):
+        raise AssertionError("a solver ran before the output files' check")
+
+    for fn in ("run_seed", "_hist_chunk", "_run_xdo"):
+        monkeypatch.setattr(bench, fn, solver_ran)
+    (tmp_path / name).mkdir()
+    with pytest.raises(ConfigError, match="Is a directory"):
+        command(str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("lines", [

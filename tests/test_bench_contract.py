@@ -8,6 +8,7 @@ function, class or method that neither reads is dead, and every name
 a package exports must resolve."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -69,6 +70,19 @@ def test_worker_calls_bind_to_the_runner():
 def test_worker_reads_the_class_level_history_cap():
     # setup_s times its set-up under the run's own default cap.
     assert isinstance(bench.ExperimentConfig.max_states, int)
+
+
+def test_every_setting_has_exactly_one_rule():
+    # One table holds every input rule, and only the settings a caller
+    # can pass: the run's fields (but the algorithm, checked against
+    # ALGOS, and the parameters, checked one by one), the solver
+    # parameters, psro-hist's arguments and size-report's seed.
+    settings = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
+    settings -= {"algo", "params"}
+    settings |= set().union(*bench._PARAM_KEYS.values())
+    settings |= set(inspect.signature(bench.run_psro_hist).parameters)
+    settings.add("seed")
+    assert set(bench._CHECKS) == settings
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "efgsolve"
