@@ -38,11 +38,12 @@ from pathlib import Path
 from . import __version__
 from .evaluate import exploitability
 from .games import GAME_PATTERNS, make_game, rps_choice
-from .metrics import ConfigError, write_rows_csv, write_summary_json
-from .psro import PSRO_CHOICES, PsroConfig, psro_histogram, psro_solve
+from .metrics import (ConfigError, _count, _int, _real, _seed, check_rules,
+                      write_rows_csv, write_summary_json)
+from .psro import PSRO_RULES, PsroConfig, psro_histogram, psro_solve
 from .solvers import Cfr, MccfrEs, Xfp
 from .tree import EnumerationOverflow, NodeCounter, TreeIndex
-from .xdo import XDO_CHOICES, XdoConfig, xdo_solve
+from .xdo import XDO_RULES, XdoConfig, xdo_solve
 
 
 ALGOS = ("cfr", "cfr_plus", "mccfr_es", "xfp", "xdo", "psro")
@@ -59,60 +60,29 @@ _PARAM_KEYS = {
 }
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _count(v) -> bool:
-    return _int(v) and v >= 1
-
-
-def _seed(v) -> bool:
-    return _int(v) and v >= 0
-
-
-# Every input rule: setting -> (test, what it must be).  NaN fails
-# every comparison, so it is no finite real number; max_states <= 0 is
-# no cap; None is the solvers' default for max_inner and alternating.
+# Every input rule: setting -> (test, what it must be), XDO's and
+# PSRO's from their configs.  NaN is no finite real number; max_states
+# <= 0 is no cap; None is the solvers' default for alternating.
 _CHECKS = {
     "game": (lambda v: isinstance(v, str), "a game name"),
     "out_dir": (lambda v: isinstance(v, (str, Path)), "a path"),
-    **dict.fromkeys(("node_budget", "max_iters"),
-                    (lambda v: v is None or _count(v), "an integer >= 1")),
+    **dict.fromkeys(("node_budget", "max_iters"), PSRO_RULES["max_iters"]),
     "max_wall_s": (lambda v: v is None or (_real(v) and 0 < v < math.inf),
                    "a finite real number > 0"),
-    "seeds": (lambda v: all(map(_seed, v)) and len(set(v)) == len(v),
-              "distinct integers >= 0"),
+    "seeds": (lambda v: isinstance(v, (tuple, list)) and all(map(_seed, v))
+              and len(set(v)) == len(v), "distinct integers >= 0"),
     **dict.fromkeys(("eval_start", "trials", "horizon", "jobs"),
                     (_count, "an integer >= 1")),
     "eval_factor": (lambda v: _int(v) and v >= 2, "an integer >= 2"),
     "wall_clock": (lambda v: isinstance(v, bool), "true or false"),
     "max_states": (lambda v: v is None or _int(v), "an integer"),
-    **dict.fromkeys(("seed0", "seed"), (_seed, "an integer >= 0")),
-    **{key: (choices.__contains__, "one of " + ", ".join(choices))
-       for key, choices in {**XDO_CHOICES, **PSRO_CHOICES}.items()},
-    **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
-                    (lambda v: _real(v) and 0 <= v < math.inf,
-                     "a finite real number >= 0")),
-    **dict.fromkeys(("check_period", "fp_iters", "games_per_pair"),
-                    (_count, "an integer >= 1")),
-    "eps_decay": (lambda v: _real(v) and 0 < v <= 1,
-                  "a real number in (0, 1]"),
-    "max_inner": (lambda v: v is None or _count(v), "an integer >= 1"),
+    **dict.fromkeys(("seed0", "seed"), PSRO_RULES["seed"]),
+    "params": (lambda v: isinstance(v, dict), "a mapping"),
+    **XDO_RULES,
+    **PSRO_RULES,
     "alternating": (lambda v: v is None or isinstance(v, bool),
                     "true or false"),
 }
-
-
-def _check(values: dict) -> None:
-    """Raise ConfigError for the first value its rule rejects."""
-    for key, (ok, what) in _CHECKS.items():
-        if key in values and not ok(values[key]):
-            raise ConfigError(f"{key} must be {what}, not {values[key]!r}")
 
 
 @dataclass
@@ -136,7 +106,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algorithm {cfg.algo!r}; "
                           f"choose from {', '.join(ALGOS)}")
-    _check(vars(cfg))
+    check_rules(vars(cfg), _CHECKS)
     try:
         make_game(cfg.game)
     except ValueError as err:
@@ -160,7 +130,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.algo} does not take parameters "
                           f"{sorted(unknown, key=str)}; "
                           f"accepted: {sorted(_PARAM_KEYS[cfg.algo])}")
-    _check(cfg.params)
+    check_rules(cfg.params, _CHECKS)
 
 
 def guard_enumerable(game, cap: int | None) -> int:
@@ -360,8 +330,8 @@ def run_psro_hist(trials: int = 150, seed0: int = 0, horizon: int = 30,
     per-trial records and the per-player aggregate histogram.  Trials
     are independent (seed of trial t is seed0 + t) so splitting them
     into one chunk per job changes nothing but the wall time."""
-    _check(dict(trials=trials, seed0=seed0, horizon=horizon, eps=eps,
-                out_dir=out_dir, jobs=jobs))
+    check_rules(dict(trials=trials, seed0=seed0, horizon=horizon, eps=eps,
+                     out_dir=out_dir, jobs=jobs), _CHECKS)
     out = _out_dir(out_dir, ("psro_hist_trials.csv", "psro_hist_summary.json"))
     per = -(-trials // jobs)
     chunks = [(min(per, trials - lo), seed0 + lo, horizon, eps)
@@ -400,7 +370,7 @@ def run_size_report(game_name: str, seed: int = 0,
     ratio and each player's decision-infostate coverage."""
     if node_budget is None and max_outer is None:
         raise ConfigError("size-report needs --node-budget or --max-iters")
-    _check(dict(seed=seed))
+    check_rules(dict(seed=seed), _CHECKS)
     cfg = ExperimentConfig(
         game=game_name, algo="xdo", seeds=(seed,), node_budget=node_budget,
         max_iters=max_outer, out_dir=out_dir, max_states=max_states,

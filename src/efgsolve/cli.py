@@ -19,9 +19,9 @@ from dataclasses import fields
 
 import yaml
 
-from .bench import (ConfigError, EnumerationOverflow, ExperimentConfig,
-                    list_games, run_experiment, run_psro_hist,
-                    run_size_report)
+from .bench import (_CHECKS, ConfigError, EnumerationOverflow,
+                    ExperimentConfig, check_rules, list_games,
+                    run_experiment, run_psro_hist, run_size_report)
 from .games import ascii_float, ascii_int
 
 
@@ -142,8 +142,7 @@ def _run_config(opts: dict) -> ExperimentConfig:
     (``opts``: only those, under their ExperimentConfig names)."""
     data = _load_config_file(opts.pop("config")) if "config" in opts else {}
     params = data.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be a mapping, not {params!r}")
+    check_rules(dict(params=params), _CHECKS)
     params = {k: _numeric(v) for k, v in params.items()}
     params.update(_parse_params(opts.pop("param", ())))
     data.update(opts, params=params)

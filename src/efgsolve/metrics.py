@@ -31,6 +31,35 @@ class ConfigError(ValueError):
     """Bad experiment configuration or output path; maps to exit code 2."""
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _count(v) -> bool:
+    return _int(v) and v >= 1
+
+
+def _seed(v) -> bool:
+    return _int(v) and v >= 0
+
+
+def one_of(*choices) -> tuple:
+    """The rule that a setting takes one of ``choices``."""
+    return choices.__contains__, "one of " + ", ".join(choices)
+
+
+def check_rules(values: dict, rules: dict) -> None:
+    """Raise ConfigError for the first value of ``values`` its rule in
+    ``rules`` (setting -> (test, what it must be)) rejects."""
+    for key, (ok, what) in rules.items():
+        if key in values and not ok(values[key]):
+            raise ConfigError(f"{key} must be {what}, not {values[key]!r}")
+
+
 def format_cell(value) -> str:
     if value is None:
         return ""

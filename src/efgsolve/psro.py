@@ -23,6 +23,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .evaluate import best_response, expected_value
+from .metrics import _seed, check_rules, one_of
 # profile_array is not called here; the benchmark's tracer wraps it
 # under this module's name.
 from .policy import (own_reachable, profile_array, pure_profile,
@@ -30,12 +31,21 @@ from .policy import (own_reachable, profile_array, pure_profile,
 from .solvers.matrix_solvers import (grow_matrix, solve_matrix_fp,
                                      solve_matrix_lp)
 from .tree import NodeCounter, TreeIndex, walk_table
-from .xdo import Population, check_choices
+from .xdo import XDO_RULES, Population
 
 
-# The values of each string setting; psro_solve dispatches on them.
-PSRO_CHOICES = {"meta_solver": ("lp", "fp"), "payoffs": ("exact", "sampled"),
-                "init": ("default", "random")}
+# Each setting's rule, as XDO_RULES; psro_solve dispatches on the
+# string settings.  Rules XDO shares are its entries.
+PSRO_RULES = {
+    "meta_solver": one_of("lp", "fp"),
+    "payoffs": one_of("exact", "sampled"),
+    "init": one_of("default", "random"),
+    "eps": XDO_RULES["term_eps"],
+    **dict.fromkeys(("fp_iters", "games_per_pair"),
+                    XDO_RULES["check_period"]),
+    "seed": (_seed, "an integer >= 0"),
+    "max_iters": XDO_RULES["max_outer"],
+}
 
 
 @dataclass
@@ -50,7 +60,7 @@ class PsroConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        check_choices(self, PSRO_CHOICES)
+        check_rules(vars(self), PSRO_RULES)
 
 
 @dataclass

@@ -31,6 +31,7 @@ exactly tied, so payoff-identical duplicates never grow the population.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import count
@@ -42,6 +43,7 @@ import numpy as np
 # the benchmark's tracer wraps the functions under this module's names
 # and reads the class from it.
 from .evaluate import best_response, expected_value
+from .metrics import _count, _real, check_rules, one_of
 from .policy import (canonical_pure, lift_policy, profile_array,
                      realize_mixture)
 from .solvers.cfr import Cfr, normalise_rows
@@ -86,16 +88,20 @@ def eq1_allowed(populations) -> np.ndarray:
     return populations[0].cols | populations[1].cols
 
 
-# The values of each string setting; _inner_solutions dispatches on them.
-XDO_CHOICES = {"inner": ("cfr_plus", "cfr", "lp")}
-
-
-def check_choices(config, choices: dict) -> None:
-    """Raise ValueError for a field of ``config`` not in its ``choices``."""
-    for name, allowed in choices.items():
-        if getattr(config, name) not in allowed:
-            raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
-                             f"not {getattr(config, name)!r}")
+# Each setting's rule, (test, what it must be) in the command line's
+# wording; _inner_solutions dispatches on inner.  NaN fails every
+# comparison, so it is no finite real number; None is no cap.
+XDO_RULES = {
+    "inner": one_of("cfr_plus", "cfr", "lp"),
+    **dict.fromkeys(("eps0", "eps_floor", "term_eps"),
+                    (lambda v: _real(v) and 0 <= v < math.inf,
+                     "a finite real number >= 0")),
+    "check_period": (_count, "an integer >= 1"),
+    "eps_decay": (lambda v: _real(v) and 0 < v <= 1,
+                  "a real number in (0, 1]"),
+    **dict.fromkeys(("max_outer", "max_inner"),
+                    (lambda v: v is None or _count(v), "an integer >= 1")),
+}
 
 
 @dataclass
@@ -110,7 +116,7 @@ class XdoConfig:
     max_inner: int | None = None
 
     def __post_init__(self):
-        check_choices(self, XDO_CHOICES)
+        check_rules(vars(self), XDO_RULES)
 
 
 @dataclass

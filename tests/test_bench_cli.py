@@ -17,11 +17,12 @@ from efgsolve.bench import (ConfigError, EnumerationOverflow,
                             run_size_report, validate_config)
 from efgsolve.cli import _parse_seeds, main
 from efgsolve.games import make_game, rps_choice
-from efgsolve.metrics import CSV_COLUMNS, check_rows, write_rows_csv
-from efgsolve.psro import PSRO_CHOICES, PsroConfig
+from efgsolve.metrics import (CSV_COLUMNS, check_rows, check_rules,
+                              write_rows_csv)
+from efgsolve.psro import PsroConfig, psro_solve
 from efgsolve.solvers import Cfr
 from efgsolve.tree import NodeCounter, TreeIndex
-from efgsolve.xdo import XDO_CHOICES, XdoConfig
+from efgsolve.xdo import XdoConfig, xdo_solve
 
 from oracles import csv_rows
 
@@ -90,6 +91,16 @@ def test_validate_config_rejects_bad_inputs():
         validate_config(small_cfg(game="chess"))
     with pytest.raises(ConfigError, match="seed"):
         validate_config(small_cfg(seeds=()))
+    # Neither is iterable; both once ended in a TypeError.
+    for seeds in (5, None):
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_cfg(seeds=seeds))
+        assert str(err.value) == \
+            f"seeds must be distinct integers >= 0, not {seeds!r}"
+    for params in (5, None):
+        with pytest.raises(ConfigError) as err:
+            validate_config(small_cfg(params=params))
+        assert str(err.value) == f"params must be a mapping, not {params!r}"
     with pytest.raises(ConfigError, match="budget"):
         validate_config(small_cfg(max_iters=None))
     with pytest.raises(ConfigError, match="does not take parameters"):
@@ -110,14 +121,28 @@ def test_every_accepted_parameter_is_checked(algo):
         assert keys <= {f.name for f in fields(config)}
 
 
+# The values of each string setting of XdoConfig and PsroConfig.
+CHOICES = {"inner": ("cfr_plus", "cfr", "lp"), "meta_solver": ("lp", "fp"),
+           "payoffs": ("exact", "sampled"), "init": ("default", "random")}
+
+
 @pytest.mark.parametrize("config, name, value", [
-    (config, name, value)
-    for config, choices in ((XdoConfig, XDO_CHOICES),
-                            (PsroConfig, PSRO_CHOICES))
-    for name, values in choices.items()
+    (XdoConfig if name == "inner" else PsroConfig, name, value)
+    for name, values in CHOICES.items()
     for value in values])
 def test_every_choice_constructs_its_config(config, name, value):
     assert getattr(config(**{name: value}), name) == value
+
+
+# What each solver setting must be, as the command line words it.
+WHAT = {**{name: "one of " + ", ".join(values)
+           for name, values in CHOICES.items()},
+        **dict.fromkeys(("eps0", "eps_floor", "term_eps", "eps"),
+                        "a finite real number >= 0"),
+        **dict.fromkeys(("check_period", "max_outer", "max_inner",
+                         "fp_iters", "games_per_pair", "max_iters"),
+                        "an integer >= 1"),
+        "eps_decay": "a real number in (0, 1]", "seed": "an integer >= 0"}
 
 
 @pytest.mark.parametrize("config, name, value", [
@@ -126,17 +151,46 @@ def test_every_choice_constructs_its_config(config, name, value):
     (PsroConfig, "meta_solver", "cfr"), (PsroConfig, "payoffs", "sample"),
     (PsroConfig, "payoffs", ""), (PsroConfig, "init", "Random"),
     (PsroConfig, "init", "uniform"),
+    *((config, name, value)
+      for config, name in ((XdoConfig, "eps0"), (XdoConfig, "eps_floor"),
+                           (XdoConfig, "term_eps"), (PsroConfig, "eps"))
+      for value in (-1e-9, float("inf"), float("nan"), "0.1", True)),
+    *((config, name, value)
+      for config, name in ((XdoConfig, "check_period"),
+                           (XdoConfig, "max_outer"), (XdoConfig, "max_inner"),
+                           (PsroConfig, "fp_iters"),
+                           (PsroConfig, "games_per_pair"),
+                           (PsroConfig, "max_iters"))
+      for value in (0, -1, True, 2.0)),
+    *((XdoConfig, "eps_decay", value)
+      for value in (0, 1.5, -0.5, float("nan"), True)),
+    *((PsroConfig, "seed", value) for value in (-1, 1.0, True, None)),
 ])
 def test_a_bad_choice_fails_at_construction_in_the_cli_wording(
         config, name, value):
-    # Without the check a library call ran another solver silently.
+    # Without the check a library call ran another solver silently, or
+    # crashed mid-run on a zero count.
     with pytest.raises(ConfigError) as cli:
-        bench._check({name: value})
-    with pytest.raises(ValueError) as lib:
+        check_rules({name: value}, bench._CHECKS)
+    with pytest.raises(ConfigError) as lib:
         config(**{name: value})
-    choices = {**XDO_CHOICES, **PSRO_CHOICES}[name]
     assert str(lib.value) == str(cli.value) \
-        == f"{name} must be one of {', '.join(choices)}, not {value!r}"
+        == f"{name} must be {WHAT[name]}, not {value!r}"
+
+
+def test_library_calls_that_crashed_fail_in_the_cli_wording(kuhn_tree):
+    with pytest.raises(ConfigError,
+                       match=r"^check_period must be an integer >= 1, "
+                             r"not 0$"):
+        xdo_solve(kuhn_tree, XdoConfig(check_period=0, max_outer=1))
+    with pytest.raises(ConfigError,
+                       match=r"^games_per_pair must be an integer >= 1, "
+                             r"not 0$"):
+        psro_solve(kuhn_tree, PsroConfig(payoffs="sampled",
+                                         games_per_pair=0))
+    with pytest.raises(ConfigError,
+                       match=r"^seed must be an integer >= 0, not -1$"):
+        PsroConfig(seed=-1)
 
 
 def test_guard_enumerable_counts_and_overflows():
@@ -564,6 +618,7 @@ def test_unwritable_output_file_is_found_before_solving(command, name,
     "max_iters: 2\nseeds: 1:20", "max_iters: 2\nmax_wall_s: 1_0.5",
     "max_iters: 2\nwall_clock: yes", "max_iters: [2",
     "max_iters: 2\nseeds: !!python/object:os.system x",
+    "max_iters: 2\nparams: 5",
     "max_iters: 2\nparams:\n" + "".join(f"{' ' * i} - \n"
                                      for i in range(1, 3000)),
 ], ids=["node-budget-text", "max-iters-text", "jobs-text",
@@ -572,7 +627,7 @@ def test_unwritable_output_file_is_found_before_solving(command, name,
         "params-mixed-keys", "seeds-duplicate", "max-wall-s-inf",
         "max-iters-octal", "max-iters-underscore", "seeds-hex",
         "seeds-base-60", "max-wall-s-underscore", "wall-clock-yaml-1-1-yes",
-        "unclosed-yaml", "python-yaml-tag", "deep-yaml"])
+        "unclosed-yaml", "python-yaml-tag", "params-number", "deep-yaml"])
 def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -625,6 +680,11 @@ def test_cli_errors_name_what_was_typed(tmp_path, capsys, monkeypatch):
         "error: unknown config key 'bogus'; accepted keys: game, algo, "
         "seeds, node_budget, max_iters, max_wall_s, out_dir, eval_start, "
         "eval_factor, wall_clock, jobs, max_states, params\n")
+    # The library's rule words the same mistake the same way.
+    cfgfile.write_text("game: kuhn\nalgo: cfr\nmax_iters: 2\nparams: 5\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == \
+        "error: params must be a mapping, not 5\n"
     assert main(["size-report", "--game", "kuhn", "--max-iters", "2",
                  "--seed", "-1"]) == 2
     assert capsys.readouterr().err == \

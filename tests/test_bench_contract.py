@@ -75,14 +75,24 @@ def test_worker_reads_the_class_level_history_cap():
 def test_every_setting_has_exactly_one_rule():
     # One table holds every input rule, and only the settings a caller
     # can pass: the run's fields (but the algorithm, checked against
-    # ALGOS, and the parameters, checked one by one), the solver
-    # parameters, psro-hist's arguments and size-report's seed.
+    # ALGOS), psro-hist's arguments, size-report's seed, and every
+    # field of XdoConfig and PsroConfig.  Each solver config owns its
+    # fields' rules, and bench holds those very entries, so a rule
+    # spelt again in bench fails here.
+    solver_rules = ((bench.XdoConfig, bench.XDO_RULES),
+                    (bench.PsroConfig, bench.PSRO_RULES))
+    for config, rules in solver_rules:
+        assert set(rules) == {f.name for f in dataclasses.fields(config)}
     settings = {f.name for f in dataclasses.fields(bench.ExperimentConfig)}
-    settings -= {"algo", "params"}
+    settings -= {"algo"}
     settings |= set().union(*bench._PARAM_KEYS.values())
     settings |= set(inspect.signature(bench.run_psro_hist).parameters)
     settings.add("seed")
+    settings |= set(bench.XDO_RULES) | set(bench.PSRO_RULES)
     assert set(bench._CHECKS) == settings
+    for _, rules in solver_rules:
+        for key, rule in rules.items():
+            assert bench._CHECKS[key] is rule, key
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "efgsolve"
