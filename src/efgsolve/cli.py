@@ -141,7 +141,10 @@ def _run_config(opts: dict) -> ExperimentConfig:
     """The config file's settings, overridden by the flags given
     (``opts``: only those, under their ExperimentConfig names)."""
     data = _load_config_file(opts.pop("config")) if "config" in opts else {}
-    params = data.get("params") or {}
+    # Only a missing or empty (null) ``params`` means no parameters.
+    params = data.get("params")
+    if params is None:
+        params = {}
     check_rules(dict(params=params), _CHECKS)
     params = {k: _numeric(v) for k, v in params.items()}
     params.update(_parse_params(opts.pop("param", ())))

@@ -4,28 +4,40 @@ Each iteration is one sweep of the full tree with simultaneous regret
 updates for both players (one history visit per node per iteration).
 ``Cfr`` keeps regrets, strategy sums and the current profile in a
 player-major column order, fixed by one permutation of the tree's
-columns: player 0's columns, then player 1's, each in tree order, so
-each player's columns are one block and each of its rows is a run
-inside it.  An update changes only its player's block, so it makes
-only that player's rows and own reach stale.  The next sweep, or a
-``current()`` read, renormalises those rows and recomputes that reach
-with one ``TreeIndex.reach`` pass: one player per alternating sweep,
-both per simultaneous sweep.  An update's sums, clamp and accumulation
-run over its own block.  The profile buffer is followed by the
-probabilities of the edges no player owns, the root's 1.0 first, so
-one ``take`` gathers the value weights onto the edges, and one more
-per player gathers its own-reach weights, 1.0 on every edge it does
-not own.  One ``TreeIndex.values`` pass gives the player-0 values, and
-the chance reach, a constant of the tree, is computed once.
-``regret``, ``ssum``, ``current()`` and ``average_flat()`` read in tree
-order.  Every float equals a whole-tree update: each row's and
-column's sums keep their order, and player 1's sign rides on its
-chance reach.  ``plus=True`` gives CFR+: regrets are clamped at zero
-after every update, the average strategy is weighted linearly by
-iteration number, and updates alternate between players with values
-recomputed in between (two sweeps per iteration, each updating one
-player), which is what makes CFR+ fast; pass ``alternating``
-explicitly to override.
+columns: player 0's columns, then player 1's, each block sorted by
+infostate depth, stably, so each depth of a player is one slice of its
+block and each row a run inside it, its columns in tree order.  An update
+changes only its player's block, so it makes only that player's rows
+and realization plan stale.  The next sweep, or a ``current()`` read,
+renormalises those rows and recomputes that plan: one player per
+alternating sweep, both per simultaneous sweep.  The plan of a column
+is the product of the player's probabilities along its sequence
+(Koller, Megiddo & von Stengel, GEB 1996), filled depth by depth over
+the player's columns, each from the plan at the column its player took
+last before the column's infostate, or from 1.0 where it took none.
+Under perfect recall, a player's own reach at a node is its plan at
+the last column it took on the node's path (``TreeIndex.last_cols``),
+so an update gathers the opponent's reach at the parents of its edges
+and its own reach at its decision nodes from the plans, and a sweep
+makes no ``TreeIndex.reach`` pass.  These are the floats a reach pass
+gives: it multiplies 1.0, exactly, on every edge the player does not
+own, and on its own edges the same factors from the root in the same
+order, and a float product does not depend on the order of its two
+operands.  An update's sums, clamp and accumulation run over its own
+block.  The profile buffer is followed by the probabilities of the
+edges no player owns, the root's 1.0 first, so one ``take`` gathers
+the value weights onto the edges, and one ``TreeIndex.values`` pass
+gives the player-0 values; the chance reach, a constant of the tree,
+is computed once.  ``regret``, ``ssum``, ``current()`` and
+``average_flat()`` read in tree order.  Every float equals a
+whole-tree update: each row's and column's sums keep their order, as
+the permutation keeps every row whole and in order, and player 1's
+sign rides on its chance reach.  ``plus=True`` gives CFR+: regrets are
+clamped at zero after every update, the average strategy is weighted
+linearly by iteration number, and updates alternate between players
+with values recomputed in between (two sweeps per iteration, each
+updating one player), which is what makes CFR+ fast; pass
+``alternating`` explicitly to override.
 """
 
 from __future__ import annotations
@@ -59,16 +71,16 @@ class _Block(NamedTuple):
     gathers over them that depend only on the tree.  Rows, row starts
     and columns count from the block's start."""
     cols: slice          # the block in the player-major order
+    depths: list         # its infostate depths, as slices of that order
     off: np.ndarray      # row starts
     nact: np.ndarray     # row lengths
     row: np.ndarray      # each column's row
     uniform: np.ndarray  # each column's uniform probability
-    own_at: np.ndarray   # per node, where its own-reach weight is
     kids: np.ndarray     # nodes entered by the player's edges
     kid_cols: np.ndarray  # their columns
-    par: np.ndarray      # their parents
+    opp_at: np.ndarray   # the opponent's plan entry at their parents
     rc_par: np.ndarray   # chance reach at the parents, negated for player 1
-    dec: np.ndarray      # the player's decision nodes
+    dec_at: np.ndarray   # the player's plan entry at its decision nodes
     dec_rows: np.ndarray  # their rows
 
 
@@ -85,11 +97,24 @@ class Cfr:
         self._regret = np.zeros(n)
         self._ssum = np.zeros(n)
 
-        # ``_pos`` maps a tree column to its player-major column; the
-        # stable sort keeps each player's columns in tree order.
-        order = np.argsort(tree.is_player[tree.col_isid], kind="stable")
+        # Infostates by player, then by depth, in tree order within a
+        # depth, and ``order`` their columns laid end to end: the
+        # player-major order.  ``_pos`` maps a tree column there.
+        by_depth = np.lexsort((tree.is_depth, tree.is_player))
+        nact = tree.is_nact[by_depth]
+        starts = np.cumsum(nact) - nact
+        order = np.repeat(tree.is_off[by_depth] - starts, nact) + np.arange(n)
         self._pos = np.empty(n, dtype=np.int64)
         self._pos[order] = np.arange(n)
+        pos_of = np.append(self._pos, n)
+        # Each position's parent column, the one its player took last
+        # before reaching its infostate, at its position; ``n``, the
+        # plan's 1.0, where the player has taken none.
+        par = tree.is_parent[by_depth]
+        self._parent_pos = np.repeat(pos_of[np.where(
+            par < 0, -1, tree.is_off[par] + tree.is_parent_slot[by_depth])],
+            nact)
+        self._x = np.ones(n + 1)
         # ``_w`` holds the current profile in that order, followed by
         # ``in_prob`` of the nodes entered by no decision edge, the
         # root's 1.0 first.  ``_w_at`` points each node at its edge's
@@ -97,32 +122,38 @@ class Cfr:
         # ``in_prob`` is exactly 1.0 on decision edges.
         free = np.flatnonzero(tree.in_col < 0)
         self._w = np.concatenate((np.zeros(n), tree.in_prob[free]))
-        edge_col = np.append(self._pos, n)[tree.in_col]
-        self._w_at = edge_col.copy()
+        self._w_at = pos_of[tree.in_col]
         self._w_at[free] = n + np.arange(free.size)
         rc = tree.reach(tree.in_prob)
+        last = tree.last_cols()
         uniform = tree.uniform[order]
+        row_of = np.empty(tree.n_infosets, dtype=np.int64)
         self._blocks = []
-        lo = 0
+        k = lo = 0
         for p in (0, 1):
-            isids = tree.infosets_of(p)
-            nact = tree.is_nact[isids]
-            width = int(nact.sum())
-            rows = np.repeat(np.arange(isids.size), nact)
-            own = tree.in_player == p
-            kids = np.flatnonzero(own)
+            # The player's rows are ``by_depth[k:end]``.
+            end = k + int((tree.is_player == p).sum())
+            row_of[by_depth[k:end]] = np.arange(end - k)
+            b_nact = nact[k:end]
+            off = starts[k:end] - lo
+            width = int(b_nact.sum())
+            # A new depth starts a slice.
+            cuts = [lo, *(lo + off[1 + np.flatnonzero(np.diff(
+                tree.is_depth[by_depth[k:end]]))]).tolist(), lo + width]
+            kids = np.flatnonzero(tree.in_player == p)
             par = tree.parent[kids]
             dec = np.flatnonzero(tree.player == p)
             self._blocks.append(_Block(
-                slice(lo, lo + width), np.cumsum(nact) - nact, nact, rows,
-                uniform[lo:lo + width], np.where(own, edge_col, n), kids,
-                edge_col[kids] - lo, par, rc[par] if p == 0 else -rc[par],
-                dec, (np.cumsum(tree.is_player == p) - 1)[tree.infoset[dec]]))
-            lo += width
-        # Each player's own reach under the current profile.  An update
-        # changes only its player's regrets, so only that player's rows
-        # and reach go stale: ``_stale`` lists the players to recompute.
-        self._reach: list[np.ndarray | None] = [None, None]
+                slice(lo, lo + width),
+                [slice(a, b) for a, b in zip(cuts, cuts[1:])],
+                off, b_nact, np.repeat(np.arange(end - k), b_nact),
+                uniform[lo:lo + width], kids, self._w_at[kids] - lo,
+                pos_of[last[1 - p, par]], rc[par] if p == 0 else -rc[par],
+                pos_of[last[p, dec]], row_of[tree.infoset[dec]]))
+            k, lo = end, lo + width
+        # An update changes only its player's regrets, so only that
+        # player's rows and plan go stale: ``_stale`` lists the players
+        # to recompute.
         self._stale: tuple[int, ...] = (0, 1)
 
     @property
@@ -135,16 +166,24 @@ class Cfr:
 
     def _refresh(self) -> None:
         """Renormalise the rows of the players updated since the last
-        refresh and recompute their own reach, one ``reach`` pass each.
-        CFR+ regrets are clamped already."""
+        refresh and recompute their plans.  CFR+ regrets are clamped
+        already."""
         for p in self._stale:
-            b = self._blocks[p]
-            x = self._regret[b.cols]
-            if not self.plus:
-                x = np.maximum(x, 0.0)
-            _normalise(x, b.off, b.nact, b.uniform, self._w[b.cols])
-            self._reach[p] = self.tree.reach(self._w.take(b.own_at))
+            self._refresh_player(p)
         self._stale = ()
+
+    def _refresh_player(self, p: int) -> None:
+        """Player ``p``'s rows renormalised into ``_w`` and its
+        realization plan into ``_x``, one depth slice at a time, each
+        parent's slice before its children's."""
+        b = self._blocks[p]
+        x = self._regret[b.cols]
+        if not self.plus:
+            x = np.maximum(x, 0.0)
+        _normalise(x, b.off, b.nact, b.uniform, self._w[b.cols])
+        plan, parent_pos, w = self._x, self._parent_pos, self._w
+        for sl in b.depths:
+            np.multiply(w[sl], plan.take(parent_pos[sl]), out=plan[sl])
 
     def current(self) -> np.ndarray:
         self._refresh()
@@ -154,10 +193,10 @@ class Cfr:
         """Player ``player``'s regret and strategy-sum update, over its
         block."""
         b = self._blocks[player]
-        reach = self._reach
+        plan = self._x
         sigma = self._w[b.cols]
         q = np.bincount(
-            b.kid_cols, b.rc_par * reach[1 - player][b.par] * v[b.kids],
+            b.kid_cols, b.rc_par * plan.take(b.opp_at) * v[b.kids],
             minlength=sigma.size)
         node_val = np.add.reduceat(sigma * q, b.off)
         regret = self._regret[b.cols]
@@ -165,14 +204,14 @@ class Cfr:
         if self.plus:
             np.maximum(regret, 0.0, out=regret)
 
-        ow = np.bincount(b.dec_rows, reach[player][b.dec],
+        ow = np.bincount(b.dec_rows, plan.take(b.dec_at),
                          minlength=b.off.size)
         w = float(self.t) if self.plus else 1.0
         self._ssum[b.cols] += w * ow[b.row] * sigma
 
     def _sweep(self, players) -> None:
-        """One sweep under the current profile: the stale rows and own
-        reach and the player-0 values, then the updates of ``players``."""
+        """One sweep under the current profile: the stale rows and plans
+        and the player-0 values, then the updates of ``players``."""
         tree = self.tree
         self._refresh()
         v = tree.values(self._w.take(self._w_at))

@@ -223,12 +223,9 @@ def solve_sequence_form(tree) -> tuple[np.ndarray, float]:
     size = [int(m.sum()) + 1 for m in mine]
     # Each column's sequence, and 0 for column -1: no decision edge.
     seq = np.append(np.where(mine[0], mine[0].cumsum(), mine[1].cumsum()), 0)
-    # Each node's last sequence of each player, one level at a time.
-    last = np.zeros((2, tree.n_nodes), dtype=np.int64)
-    for sl in tree.levels[1:]:
-        last[:, sl] = np.where(tree.in_player[sl] == [[0], [1]],
-                               seq[tree.in_col[sl]], last[:, tree.parent[sl]])
     term = np.flatnonzero(tree.terminal_mask)
+    # Each terminal's last sequence of each player.
+    last = seq[tree.last_cols()[:, term]]
     pay = (tree.payoff1 * tree.reach(tree.in_prob))[term]
     e = []  # each player's E as (rows, columns, values)
     for p in (0, 1):
@@ -246,8 +243,8 @@ def solve_sequence_form(tree) -> tuple[np.ndarray, float]:
         (er, ec, ev), (fr, fc, fv), k = e[p], e[1 - p], size[1 - p]
         span = k + er[-1] + 1
         keys, at = np.unique(
-            np.concatenate((last[p, term], ec, size[p] + fr)) * span
-            + np.concatenate((last[1 - p, term], k + er, fc)),
+            np.concatenate((last[p], ec, size[p] + fr)) * span
+            + np.concatenate((last[1 - p], k + er, fc)),
             return_inverse=True)
         ends = np.searchsorted(keys // span, np.arange(size[p] + fr[-1] + 2))
         return ends, keys % span, np.bincount(at, np.concatenate((

@@ -10,7 +10,9 @@ child values; both take one weight per node.  A caller's weights are
 ``in_prob`` times one gather of a flat profile onto the edges through
 ``in_col`` (``edge_sigma``); ``Cfr`` gathers from its own player-major
 buffer.  The best response runs the only other sweep, level by level
-through the plans of ``own_levels``.
+through the plans of ``own_levels``.  ``last_cols`` tables each node's
+last own column per player, from which ``Cfr`` reads each player's own
+reach and the sequence-form LP each terminal's sequences.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
@@ -457,6 +459,20 @@ class TreeIndex:
         for sl in self.levels[1:]:
             np.multiply(r.take(parent[sl]), weights[sl], out=r[sl])
         return r
+
+    def last_cols(self) -> np.ndarray:
+        """Each node's last own column per player: row p holds the
+        column of the last edge player p took on the path from the root
+        to the node, the node's own incoming edge included, and -1 where
+        p has taken none.  Built on each call, one level pass; callers
+        build their gathers from it and drop it."""
+        own = self.in_player == np.array([[0], [1]], dtype=np.int8)
+        last = np.where(own, self.in_col, -1)
+        inherit = ~own
+        for sl in self.levels[1:]:
+            np.copyto(last[:, sl], last.take(self.parent[sl], axis=1),
+                      where=inherit[:, sl])
+        return last
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Backward pass, deepest level first: every node's player-0

@@ -1,15 +1,16 @@
 """Exact oracles and conversions used only by the tests.
 
 Exhaustive game walks (state counts and own-action predecessors),
-per-node recursions standing in for ``TreeIndex.reach`` and
-``TreeIndex.values``, the level loop ``reach`` replaced, the covering
-tally behind the double-oracle iteration bound, the enumeration of
-reduced pure strategies, ``reference_tree``, the float64 ``array``
-walk that ``TreeIndex`` must match array for array, helpers that turn
-choice arrays (see ``TreeIndex``) into dict-keyed or tabular forms for
-assertions, ``uniform_profile``, ``csv_rows``, ``tree_of``, the cached
-trees the sweep tests share, and ``reference_solve_matrix_lp``, the
-``linprog`` solve that ``solve_matrix_lp`` must match bit for bit.
+per-node recursions standing in for ``TreeIndex.reach``,
+``TreeIndex.values`` and ``TreeIndex.last_cols``, the level loop
+``reach`` replaced, the covering tally behind the double-oracle
+iteration bound, the enumeration of reduced pure strategies,
+``reference_tree``, the float64 ``array`` walk that ``TreeIndex`` must
+match array for array, helpers that turn choice arrays (see
+``TreeIndex``) into dict-keyed or tabular forms for assertions,
+``uniform_profile``, ``csv_rows``, ``tree_of``, the cached trees the
+sweep tests share, and ``reference_solve_matrix_lp``, the ``linprog``
+solve that ``solve_matrix_lp`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -279,6 +280,25 @@ def reference_values(tree, w: np.ndarray) -> np.ndarray:
 
     visit(0)
     return values
+
+
+def reference_last_cols(tree) -> np.ndarray:
+    """Each node's last own column per player (-1 before the player's
+    first edge), node by node from the root down."""
+    last = np.empty((2, tree.n_nodes), dtype=np.int64)
+
+    def visit(u, cols):
+        last[:, u] = cols
+        for c in tree.children(u).tolist():
+            p = int(tree.in_player[c])
+            if p < 0:
+                visit(c, cols)
+            else:
+                visit(c, tuple(int(tree.in_col[c]) if q == p else cols[q]
+                               for q in (0, 1)))
+
+    visit(0, (-1, -1))
+    return last
 
 
 def loop_reach(tree, weights: np.ndarray) -> np.ndarray:

@@ -644,6 +644,29 @@ def test_cli_rejects_bad_config_file_values(lines, tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("0", "0"), ("[]", "[]"), ("false", "False"), ('""', "''")])
+def test_cli_rejects_falsy_params_that_are_no_mapping(value, shown, tmp_path,
+                                                      capsys):
+    # Falsy, yet no mapping: each once ran with no parameters.
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_text(f"game: kuhn\nalgo: cfr\nmax_iters: 2\n"
+                       f"params: {value}\n")
+    assert main(["run", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: params must be a mapping, not {shown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+
+def test_cli_takes_a_null_params_as_no_parameters(tmp_path):
+    cfgfile = tmp_path / "exp.yaml"
+    cfgfile.write_text("game: kuhn\nalgo: cfr\nmax_iters: 2\nparams:\n")
+    assert main(["run", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").is_dir()
+
+
 def test_cli_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "exp.yaml"
     cfgfile.write_bytes(b"game: kuhn\nalgo: cfr # \xff\xfe\nmax_iters: 2\n")

@@ -6,9 +6,9 @@ assertions are regression pins, not statistical hopes.  Node counts are
 checked against closed forms (full sweeps cost one visit per history)
 so a counting regression cannot hide inside a passing convergence test.
 MCCFR-ES's walk over Python tables, and CFR's sweep that reuses each
-player's unchanged reach and rows over player-major column blocks, are
-checked bit for bit against the code they replaced, kept here as the
-references.
+player's unchanged plan and rows over player-major column blocks and
+takes its own reach from that plan, are checked bit for bit against
+the code they replaced, kept here as the references.
 """
 
 
@@ -183,13 +183,14 @@ def test_every_uniform_profile_is_the_trees(name):
 @pytest.mark.parametrize("plus, alternating", [
     (True, True), (True, False), (False, True), (False, False)])
 @pytest.mark.parametrize("name", ["kuhn", "leduc", "oshi_zumo_3_3_4",
-                                  "rps_choice", "leduc+restricted"])
+                                  "rps_choice", "clone_gmp_2_4_3",
+                                  "leduc+restricted"])
 def test_cfr_matches_the_reference_sweep(name, plus, alternating):
     tree = tree_of(name)
     ref = _ReferenceCfr(tree, plus, alternating, NodeCounter())
     solver = Cfr(tree, plus, alternating, NodeCounter())
     # Uneven calls with the average and the current profile read in
-    # between, so the kept reach and rows must carry across iterate
+    # between, so the kept plans and rows must carry across iterate
     # calls and survive both reads.
     for n in (1, 3, 5):
         ref.iterate(n)
@@ -203,24 +204,35 @@ def test_cfr_matches_the_reference_sweep(name, plus, alternating):
 
 
 @pytest.mark.parametrize("alternating", [True, False])
-def test_cfr_makes_one_reach_pass_per_updated_player(alternating):
-    # A sweep recomputes the own reach of the players the sweep before
-    # it updated: both on the first sweep, then one per alternating
-    # sweep and two per simultaneous sweep.  A ``current()`` read may
-    # recompute it early, but never adds a pass.
+def test_cfr_sweeps_make_no_reach_pass_and_one_plan_per_stale_player(
+        alternating):
+    # Construction takes the chance reach; after it, no sweep makes a
+    # ``reach`` pass.  A sweep recomputes the plan of each player the
+    # sweep before it updated, once: both on the first sweep, then one
+    # per alternating sweep and two per simultaneous sweep.  A
+    # ``current()`` read may recompute a plan early, but never adds one.
     tree = TreeIndex(make_game("kuhn"))
     solver = Cfr(tree, plus=True, alternating=alternating)
-    passes = []
+    # Each player's columns are sorted by infostate depth, so its plan
+    # is one step per depth.
+    for p, b in enumerate(solver._blocks):
+        assert len(b.depths) == np.unique(
+            tree.is_depth[tree.infosets_of(p)]).size
+    passes, plans = [], []
     reach = tree.reach
     tree.reach = lambda weights: passes.append(1) or reach(weights)
-    first = 1 if alternating else 0
-    solver.iterate(1)
-    assert len(passes) == 2 * 1 + first
-    solver.current()
-    solver.iterate(3)
-    assert len(passes) == 2 * 4 + first
-    solver.iterate(2)
-    assert len(passes) == 2 * 6 + first
+    refresh = solver._refresh_player
+    solver._refresh_player = lambda p: plans.append(p) or refresh(p)
+    steps = [(1, [0, 1, 0], [0, 1]), (None, [1], [0, 1]),
+             (3, [0, 1, 0, 1, 0], [0, 1] * 2), (2, [1, 0] * 2, [0, 1] * 2)]
+    for n, alternate, simultaneous in steps:
+        plans.clear()
+        if n is None:
+            solver.current()
+        else:
+            solver.iterate(n)
+        assert plans == (alternate if alternating else simultaneous)
+        assert passes == []
 
 
 def test_xfp_converges_on_kuhn(kuhn_tree):

@@ -4,9 +4,12 @@ passes against per-node recursions.
 ``TreeIndex.reach`` and ``TreeIndex.values`` are the tree's general
 sweeps over the depth levels, taking weights selected from ``in_prob``
 and one gather of the profile, ``TreeIndex.edge_sigma``.  Every
-expected value and CFR iteration goes through them; a best response
-takes its reach from ``reach`` but runs its own backward sweep, which
-``test_policy_eval`` checks against a per-infostate reference.  Each
+expected value goes through them, and every CFR sweep through
+``values``; a best response takes its reach from ``reach`` but runs
+its own backward sweep, which ``test_policy_eval`` checks against a
+per-infostate reference.  ``TreeIndex.last_cols``, each node's last
+own column per player, is the table CFR and the sequence-form LP read
+each player's own reach and sequences from.  Each
 sweep is checked bit for bit against a recursion over the children
 lists, on random profiles and random weights, for trees with and
 without chance nodes and for a tree derived by ``restrict``.  The
@@ -19,8 +22,8 @@ level loop it replaced.
 import numpy as np
 import pytest
 
-from oracles import (loop_reach, reference_reach, reference_values,
-                     tree_of)
+from oracles import (loop_reach, reference_last_cols, reference_reach,
+                     reference_values, tree_of)
 
 GAMES = ["kuhn", "leduc", "oshi_zumo_3_3_4", "kgmp_1_3", "leduc+restricted"]
 
@@ -65,6 +68,16 @@ def test_reach_matches_the_level_loop(name):
                        rng.random(tree.n_nodes))):
         got, want = tree.reach(w), loop_reach(tree, w)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_last_cols_match_the_recursion(name):
+    tree = tree_of(name)
+    got = tree.last_cols()
+    assert got.dtype == np.int64 and got.shape == (2, tree.n_nodes)
+    assert np.array_equal(got, reference_last_cols(tree))
+    # A fresh table on every call: callers may drop or write theirs.
+    assert tree.last_cols() is not got
 
 
 @pytest.mark.parametrize("name", GAMES)
