@@ -107,13 +107,11 @@ class Cfr:
         self._pos = np.empty(n, dtype=np.int64)
         self._pos[order] = np.arange(n)
         pos_of = np.append(self._pos, n)
-        # Each position's parent column, the one its player took last
-        # before reaching its infostate, at its position; ``n``, the
-        # plan's 1.0, where the player has taken none.
-        par = tree.is_parent[by_depth]
-        self._parent_pos = np.repeat(pos_of[np.where(
-            par < 0, -1, tree.is_off[par] + tree.is_parent_slot[by_depth])],
-            nact)
+        # Each position's parent column (``is_parent_col`` of its
+        # infostate) at its position; ``n``, the plan's 1.0, where the
+        # player has taken none.
+        self._parent_pos = np.repeat(pos_of[tree.is_parent_col[by_depth]],
+                                     nact)
         self._x = np.ones(n + 1)
         # ``_w`` holds the current profile in that order, followed by
         # ``in_prob`` of the nodes entered by no decision edge, the

@@ -230,11 +230,10 @@ def solve_sequence_form(tree) -> tuple[np.ndarray, float]:
     e = []  # each player's E as (rows, columns, values)
     for p in (0, 1):
         own = tree.infosets_of(p)
-        par, row = tree.is_parent[own], np.arange(1, own.size + 1)
-        par_col = np.where(par < 0, -1, tree.is_off[par]
-                           + tree.is_parent_slot[own])
+        row = np.arange(1, own.size + 1)
         e.append((np.concatenate(([0], row.repeat(tree.is_nact[own]), row)),
-                  np.concatenate((np.arange(size[p]), seq[par_col])),
+                  np.concatenate((np.arange(size[p]),
+                                  seq[tree.is_parent_col[own]])),
                   np.repeat([1.0, -1.0], [size[p], own.size])))
 
     def columns(p, sign):

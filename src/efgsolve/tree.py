@@ -12,13 +12,16 @@ child values; both take one weight per node.  A caller's weights are
 buffer.  The best response runs the only other sweep, level by level
 through the plans of ``own_levels``.  ``last_cols`` tables each node's
 last own column per player, from which ``Cfr`` reads each player's own
-reach and the sequence-form LP each terminal's sequences.
+reach, the sequence-form LP each terminal's sequences, and
+``is_parent_col`` each infostate's parent sequence.
 The walk that builds it is the only walk of a game a run makes, so it
 also enforces the run's cap on the number of histories: it raises
 ``EnumerationOverflow`` from inside the walk once it has indexed more
 histories than the cap.  The cap bounds histories, not memory.  The
 walk packs each history's row into bytes, at the index's own dtypes,
-so it holds no Python object per history.
+so it holds no Python object per history; of an infostate it keeps
+only the key, the legal actions and the column offset, and every
+other infostate array is derived from the node arrays.
 ``restrict`` derives the index of an action-restricted subgame, and
 that subgame's ``RestrictedGame``, from the index alone.
 ``walk_table`` is the one plain Python form of the tree, for the walks
@@ -80,36 +83,27 @@ class NodeCounter:
         return self.deadline is not None and perf_counter() >= self.deadline
 
 
-# Node and infostate arrays of a TreeIndex with their dtypes, in the
-# order of a walked node's or infostate's row; a node's row starts with
-# its own rank and its parent's rank in the walk.  ``depth`` comes from
-# the level a row was written to.  The walk packs each row with its
-# table's struct (``_packed``), each value at its own array's type and
-# width, and reads the rows back through the matching packed dtype.
+# Node arrays of a TreeIndex with their dtypes, in the order of a
+# walked node's row, which starts with its own rank and its parent's
+# rank in the walk.  ``depth`` comes from the level a row was written
+# to.  The walk packs each row with ``_NODE_ROW``, each value at its
+# own array's type and width, and reads the rows back through the
+# packed dtype ``_NODE_RECORD``.
 _ROW_ARRAYS = (("preorder", np.int64), ("parent", np.int64),
                ("kind", np.int8), ("player", np.int8),
                ("infoset", np.int64), ("payoff1", np.float64),
                ("in_prob", np.float64), ("in_col", np.int64),
                ("in_player", np.int8))
 _NODE_ARRAYS = _ROW_ARRAYS + (("depth", np.int64),)
-_INFOSTATE_ARRAYS = (("is_player", np.int8), ("is_parent", np.int64),
-                     ("is_parent_slot", np.int64))
 
 # struct codes of the row dtypes, spelt out: numpy's ``dtype.char`` for
 # int64 is 'l', which packs 4 bytes under '<'.
 _STRUCT_CODES = {np.int64: "q", np.int8: "b", np.float64: "d"}
 
 
-def _packed(fields) -> tuple[Struct, np.dtype]:
-    """The struct that packs one row of ``fields`` and the packed
-    little-endian record dtype that reads those rows back."""
-    return (Struct("<" + "".join(_STRUCT_CODES[t] for _, t in fields)),
-            np.dtype([(name, np.dtype(t).newbyteorder("<"))
-                      for name, t in fields]))
-
-
-_NODE_ROW, _NODE_RECORD = _packed(_ROW_ARRAYS)
-_INFOSTATE_ROW, _INFOSTATE_RECORD = _packed(_INFOSTATE_ARRAYS)
+_NODE_ROW = Struct("<" + "".join(_STRUCT_CODES[t] for _, t in _ROW_ARRAYS))
+_NODE_RECORD = np.dtype([(name, np.dtype(t).newbyteorder("<"))
+                         for name, t in _ROW_ARRAYS])
 
 
 class OwnLevel(NamedTuple):
@@ -182,10 +176,9 @@ class TreeIndex:
       preorder (the node's rank in the depth-first walk).
 
     Infostate arrays (length ``n_infosets``), numbered by first visit in
-    the walk: is_player, is_actions (ordered action ids), is_nact,
-    is_off (start of the infostate's contiguous column range),
-    is_parent / is_parent_slot (the player's previous decision infostate
-    and the row position taken there, -1 at the top), is_depth (the one
+    the walk, all but is_actions derived from the node arrays:
+    is_player, is_actions (ordered action ids), is_nact, is_off (start
+    of the infostate's contiguous column range), is_depth (the one
     depth of all its decision nodes; the build raises ``ValueError`` if
     they lie at several).
 
@@ -197,8 +190,11 @@ class TreeIndex:
     A policy profile is a single float array over ``n_cols`` columns;
     each infostate owns the slice ``is_off[s] : is_off[s] + is_nact[s]``.
     ``col_isid`` and ``col_action`` map a column back to its infostate
-    and action id, and ``uniform`` is the profile that plays every
-    infostate's actions equally; these are built on first use, so
+    and action id, ``uniform`` is the profile that plays every
+    infostate's actions equally, and ``is_parent_col`` is each
+    infostate's parent sequence, the column its player took last
+    before it (-1 at the top; reading it raises ``ValueError`` on a
+    game without perfect recall); these are built on first use, so
     indexing a tree costs only its enumeration.  ``edge_sigma`` gathers
     a profile onto the edges: ``in_prob`` is exactly 1.0 on decision
     edges, so ``in_prob * edge_sigma(sigma)`` weighs every edge by its
@@ -219,11 +215,10 @@ class TreeIndex:
         cap = max_histories if max_histories and max_histories > 0 \
             else sys.maxsize
         # The walk packs one _ROW_ARRAYS row per node onto the buffer
-        # of its depth, and one _INFOSTATE_ARRAYS row per infostate.
+        # of its depth; of an infostate it keeps only the key, the
+        # legal actions and the column offset.
         pack = _NODE_ROW.pack
-        pack_infostate = _INFOSTATE_ROW.pack
         levels = [bytearray()]
-        infos = bytearray()
         keys: list[tuple] = []
         is_actions: list[tuple] = []
         is_off: list[int] = []
@@ -234,7 +229,7 @@ class TreeIndex:
         ncols = 0
         n = 0  # nodes indexed so far: the next node's rank in the walk
 
-        def visit(state, par, dep, iprob, icol, iply, last0, last1):
+        def visit(state, par, dep, iprob, icol, iply):
             # Index the non-terminal ``state`` and its subtree; terminal
             # children are indexed in the loops here, without a call.
             nonlocal n, ncols
@@ -263,7 +258,7 @@ class TreeIndex:
                                      child.returns()[0], p, -1, -1)
                         n += 1
                     else:
-                        visit(child, u, dep, p, -1, -1, last0, last1)
+                        visit(child, u, dep, p, -1, -1)
                 return
             p = state.current_player()
             actions = tuple(state.legal_actions())
@@ -278,23 +273,18 @@ class TreeIndex:
                 is_actions.append(shared_actions(actions, actions))
                 is_off.append(ncols)
                 ncols += len(actions)
-                infos.extend(pack_infostate(p, *(last0 if p == 0
-                                                 else last1)))
             elif is_actions[isid] != actions:
                 raise ValueError(
                     f"legal actions differ within infostate {key!r}")
             here += pack(u, par, DECISION, p, isid, 0.0, iprob, icol, iply)
-            off = is_off[isid]
-            for col, a in enumerate(actions, off):
+            for col, a in enumerate(actions, is_off[isid]):
                 child = state.apply(a)
                 if child.is_terminal():
                     kids += pack(n, u, TERMINAL, -1, -1, child.returns()[0],
                                  1.0, col, p)
                     n += 1
-                elif p == 0:
-                    visit(child, u, dep, 1.0, col, 0, (isid, col - off), last1)
                 else:
-                    visit(child, u, dep, 1.0, col, 1, last0, (isid, col - off))
+                    visit(child, u, dep, 1.0, col, p)
 
         root = game.root()
         if root.is_terminal():
@@ -302,7 +292,7 @@ class TreeIndex:
                               1.0, -1, -1)
             n = 1
         else:
-            visit(root, -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
+            visit(root, -1, 0, 1.0, -1, -1)
         if n > cap:
             raise EnumerationOverflow(f"{game.name} exceeds {cap} histories")
         # ``visit`` holds itself and the buffers through its closure.
@@ -314,15 +304,11 @@ class TreeIndex:
         sizes = [len(b) // _NODE_ROW.size for b in levels]
         # One join, not a concatenation of per-level arrays: that would
         # add a fixed cost to every build, tiny trees included.
-        tables = ((np.frombuffer(b"".join(levels), dtype=_NODE_RECORD),
-                   _ROW_ARRAYS),
-                  (np.frombuffer(infos, dtype=_INFOSTATE_RECORD),
-                   _INFOSTATE_ARRAYS))
-        del levels, infos
-        for table, fields in tables:
-            for name, dtype in fields:
-                setattr(self, name, table[name].astype(dtype))
-        del tables, table
+        table = np.frombuffer(b"".join(levels), dtype=_NODE_RECORD)
+        del levels
+        for name, dtype in _ROW_ARRAYS:
+            setattr(self, name, table[name].astype(dtype))
+        del table
         # The rows were laid out by depth, in walk order within a depth.
         self.depth = np.repeat(np.arange(len(sizes)), sizes)
         self.parent = _relabel(self.parent, self.preorder, n)
@@ -332,10 +318,11 @@ class TreeIndex:
         self._finish()
 
     def _finish(self) -> None:
-        """Sizes, column ranges, child ranges, depth levels and kind
-        masks, derived from the node arrays and ``is_actions``.  Nodes
-        are sorted by depth and by parent, so each level and each
-        node's children are a run of consecutive ids."""
+        """Sizes, column ranges, child ranges, depth levels, kind masks
+        and each infostate's player and depth, derived from the node
+        arrays and ``is_actions``.  Nodes are sorted by depth and by
+        parent, so each level and each node's children are a run of
+        consecutive ids."""
         self.n_nodes = len(self.parent)
         self.n_infosets = len(self.keys)
         self.is_nact = np.fromiter(map(len, self.is_actions), dtype=np.int64,
@@ -353,6 +340,8 @@ class TreeIndex:
         self.terminal_mask = self.kind == TERMINAL
         dec_is = self.infoset[self.decision_mask]
         dec_depth = self.depth[self.decision_mask]
+        self.is_player = np.zeros(self.n_infosets, dtype=np.int8)
+        self.is_player[dec_is] = self.player[self.decision_mask]
         self.is_depth = np.zeros(self.n_infosets, dtype=np.int64)
         self.is_depth[dec_is] = dec_depth
         split = dec_is[self.is_depth[dec_is] != dec_depth]
@@ -432,16 +421,6 @@ class TreeIndex:
         acts = self.col_action[out.base_col].tolist()
         out.is_actions = [tuple(acts[a:b])
                           for a, b in zip(lo.tolist(), hi.tolist())]
-        for name, _ in _INFOSTATE_ARRAYS:
-            setattr(out, name, getattr(self, name)[base_is])
-        # A kept infostate's parent is kept, and the column taken there
-        # is allowed: the restricted slot counts the allowed columns
-        # before it in the parent's row.
-        linked = np.flatnonzero(out.is_parent >= 0)
-        par = new_is[out.is_parent[linked]]
-        out.is_parent[linked] = par
-        out.is_parent_slot[linked] = (
-            before[starts[par] + out.is_parent_slot[linked]] - lo[par])
         out._finish()
         return out
 
@@ -500,6 +479,23 @@ class TreeIndex:
         """The uniform profile: every infostate's actions equally likely."""
         return np.repeat(1.0 / self.is_nact, self.is_nact)
 
+    @cached_property
+    def is_parent_col(self) -> np.ndarray:
+        """Each infostate's parent sequence: the last column its player
+        took before reaching it, -1 where they took none, read off
+        ``last_cols`` at its decision nodes.  Raises ``ValueError`` if
+        those disagree, which a game of perfect recall never does."""
+        dec = np.flatnonzero(self.decision_mask)
+        dec_is = self.infoset[dec]
+        dec_col = self.last_cols()[self.player[dec], dec]
+        col = np.empty(self.n_infosets, dtype=np.int64)
+        col[dec_is] = dec_col
+        split = dec_is[col[dec_is] != dec_col]
+        if split.size:
+            raise ValueError(f"infostate {self.keys[split[0]]!r} follows"
+                             " several own sequences: no perfect recall")
+        return col
+
     def children(self, u: int) -> np.ndarray:
         return np.arange(self.child_off[u], self.child_off[u + 1])
 
@@ -536,13 +532,14 @@ class TreeIndex:
                         + np.arange(int(nact.sum())))
                 col_pos[cols] = np.arange(cols.size)
                 lvl_kids = kids[kid_at[d + 1]:kid_at[d + 2]]
-                linked = self.is_parent[isids] >= 0
-                par = self.is_parent[isids[linked]]
+                par_col = self.is_parent_col[isids]
+                linked = par_col >= 0
+                par_col = par_col[linked]
                 groups[d] = OwnLevel(
                     slots, lvl_kids, self.parent[lvl_kids],
                     col_pos[self.in_col[lvl_kids]], nact, cols, starts,
-                    slots[linked], np.searchsorted(own, par),
-                    self.is_off[par] + self.is_parent_slot[isids[linked]])
+                    slots[linked],
+                    np.searchsorted(own, self.col_isid[par_col]), par_col)
             self._own_levels[player] = groups
         return groups
 

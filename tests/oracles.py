@@ -28,8 +28,8 @@ from efgsolve.policy import (PurePolicy, canonical_pure, policy_from_flat,
                              random_pure_policy)
 from efgsolve.psro import reduced_canonical
 from efgsolve.solvers.matrix_solvers import MatrixSolution
-from efgsolve.tree import (_INFOSTATE_ARRAYS, _ROW_ARRAYS, CHANCE_NODE,
-                           DECISION, TERMINAL, _relabel)
+from efgsolve.tree import (_ROW_ARRAYS, CHANCE_NODE, DECISION, TERMINAL,
+                           _relabel)
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,12 @@ def reference_tree(game) -> TreeIndex:
     """``game``'s index as the walk ``TreeIndex`` replaced built it:
     each node's ``_ROW_ARRAYS`` row, ints included, goes into one
     float64 ``array`` per depth (every int in a row is below 2**53, so
-    it is held exactly), each infostate's row into one int64 ``array``,
-    and the columns are cut from the concatenated rows.  No cap and no
-    checks of the game."""
+    it is held exactly), and the columns are cut from the concatenated
+    rows.  The walk carries each player's last own column down the
+    tree, and each infostate's player and parent column (the one its
+    player took last before its first decision node) go into one int64
+    ``array``; they are set after ``_finish`` over what it derives.  No
+    cap and no checks of the game."""
     tree = TreeIndex.__new__(TreeIndex)
     tree.game = game
     levels = [array("d")]
@@ -155,8 +158,7 @@ def reference_tree(game) -> TreeIndex:
             is_actions.append(actions)
             is_off.append(ncols)
             ncols += len(actions)
-            infos.append(p)
-            infos.extend(last0 if p == 0 else last1)
+            infos.extend((p, last0 if p == 0 else last1))
         here.extend((u, par, DECISION, p, isid, 0.0, iprob, icol, iply))
         off = is_off[isid]
         for col, a in enumerate(actions, off):
@@ -166,9 +168,9 @@ def reference_tree(game) -> TreeIndex:
                              1.0, col, p))
                 n += 1
             elif p == 0:
-                visit(child, u, dep, 1.0, col, 0, (isid, col - off), last1)
+                visit(child, u, dep, 1.0, col, 0, col, last1)
             else:
-                visit(child, u, dep, 1.0, col, 1, last0, (isid, col - off))
+                visit(child, u, dep, 1.0, col, 1, last0, col)
 
     root = game.root()
     if root.is_terminal():
@@ -176,21 +178,21 @@ def reference_tree(game) -> TreeIndex:
                           1.0, -1, -1))
         n = 1
     else:
-        visit(root, -1, 0, 1.0, -1, -1, (-1, -1), (-1, -1))
+        visit(root, -1, 0, 1.0, -1, -1, -1, -1)
     sizes = [len(b) // len(_ROW_ARRAYS) for b in levels]
-    for table, fields in (
-            (np.concatenate([np.frombuffer(b) for b in levels]),
-             _ROW_ARRAYS),
-            (np.frombuffer(infos, dtype=np.int64), _INFOSTATE_ARRAYS)):
-        table = table.reshape(-1, len(fields))
-        for (name, dtype), column in zip(fields, table.T):
-            setattr(tree, name, column.astype(dtype))
+    table = np.concatenate([np.frombuffer(b) for b in levels])
+    for (name, dtype), column in zip(
+            _ROW_ARRAYS, table.reshape(-1, len(_ROW_ARRAYS)).T):
+        setattr(tree, name, column.astype(dtype))
     tree.depth = np.repeat(np.arange(len(sizes)), sizes)
     tree.parent = _relabel(tree.parent, tree.preorder, n)
     tree.keys = keys
     tree.key_to_isid = key_to_isid
     tree.is_actions = is_actions
     tree._finish()
+    player, parent_col = np.frombuffer(infos, dtype=np.int64).reshape(-1, 2).T
+    tree.is_player = player.astype(np.int8)
+    tree.is_parent_col = parent_col.copy()
     return tree
 
 
@@ -220,9 +222,7 @@ def enumerate_reduced_pure(tree, player: int) -> np.ndarray:
     grows exponentially with the game."""
     own = tree.infosets_of(player)
     kids: dict[int, list[int]] = {}  # parent column (-1: none) -> slots
-    for slot, (par, par_slot) in enumerate(zip(
-            tree.is_parent[own].tolist(), tree.is_parent_slot[own].tolist())):
-        col = -1 if par < 0 else int(tree.is_off[par]) + par_slot
+    for slot, col in enumerate(tree.is_parent_col[own].tolist()):
         kids.setdefault(col, []).append(slot)
 
     def expand_set(slots) -> list[dict]:

@@ -43,11 +43,12 @@ def reference_realize_mixture(tree, pures, weights, player):
     uniform = 0
     alive = np.zeros((tree.n_infosets, len(pures)))
     for isid in tree.infosets_of(player):
-        p_isid = tree.is_parent[isid]
-        if p_isid < 0:
+        p_col = int(tree.is_parent_col[isid])
+        if p_col < 0:
             w = weights.copy()
         else:
-            slot = int(tree.is_parent_slot[isid])
+            p_isid = int(tree.col_isid[p_col])
+            slot = p_col - int(tree.is_off[p_isid])
             pkey = tree.keys[p_isid]
             pacts = tree.is_actions[p_isid]
             taken = pacts[slot]
@@ -74,11 +75,12 @@ def reference_reduced_canonical(tree, pure, player):
     reachable = {}
     parts = []
     for isid in tree.infosets_of(player):
-        p_isid = int(tree.is_parent[isid])
-        if p_isid < 0:
+        p_col = int(tree.is_parent_col[isid])
+        if p_col < 0:
             ok = True
         else:
-            slot = int(tree.is_parent_slot[isid])
+            p_isid = int(tree.col_isid[p_col])
+            slot = p_col - int(tree.is_off[p_isid])
             pacts = tree.is_actions[p_isid]
             ok = (reachable[p_isid]
                   and pure.act(tree.keys[p_isid], pacts) == pacts[slot])
@@ -104,11 +106,12 @@ class ReferenceXfp(Xfp):
         tree = self.tree
         x = np.zeros(tree.n_infosets)
         for isid in tree.infosets_of(player):
-            p_isid = tree.is_parent[isid]
-            if p_isid < 0:
+            p_col = int(tree.is_parent_col[isid])
+            if p_col < 0:
                 base = 1.0
             else:
-                slot = int(tree.is_parent_slot[isid])
+                p_isid = int(tree.col_isid[p_col])
+                slot = p_col - int(tree.is_off[p_isid])
                 if pure is None:
                     off = int(tree.is_off[p_isid])
                     base = x[p_isid] * self.sigma[off + slot]

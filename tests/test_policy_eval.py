@@ -147,15 +147,16 @@ def test_realized_mixture_of_one_pure_plays_it_on_path(kuhn_tree):
         key = kuhn_tree.keys[isid]
         reachable[key] = reachable[key] or alive
         for js in kuhn_tree.infosets_of(0):
-            if int(kuhn_tree.is_parent[js]) != isid:
+            p_col = int(kuhn_tree.is_parent_col[js])
+            if p_col < 0 or int(kuhn_tree.col_isid[p_col]) != isid:
                 continue
-            slot = int(kuhn_tree.is_parent_slot[js])
+            slot = p_col - int(kuhn_tree.is_off[isid])
             taken = pure[key]
             down(int(js), alive and
                  kuhn_tree.is_actions[isid][slot] == taken)
 
     for isid in kuhn_tree.infosets_of(0):
-        if int(kuhn_tree.is_parent[isid]) < 0:
+        if int(kuhn_tree.is_parent_col[isid]) < 0:
             down(int(isid), True)
 
     for isid in kuhn_tree.infosets_of(0):
@@ -278,9 +279,9 @@ def reference_best_response(tree, sigma, player, prefer=None, rng=None):
     # way; a parent infostate is numbered before its children.
     own_depth = np.zeros(tree.n_infosets, dtype=np.int64)
     for isid in own.tolist():
-        par = int(tree.is_parent[isid])
-        if par >= 0:
-            own_depth[isid] = own_depth[par] + 1
+        p_col = int(tree.is_parent_col[isid])
+        if p_col >= 0:
+            own_depth[isid] = own_depth[tree.col_isid[p_col]] + 1
     node_stage = np.where(tree.decision_mask & (tree.player == player),
                           own_depth[tree.infoset], -1)
     actions = {}

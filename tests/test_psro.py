@@ -165,9 +165,10 @@ def _unreachable_sibling_pair(tree):
     """Two pure strategies differing only at an infostate the player
     cannot reach under their own earlier action."""
     child = next(int(i) for i in tree.infosets_of(0)
-                 if int(tree.is_parent[int(i)]) >= 0)
-    parent = int(tree.is_parent[child])
-    slot = int(tree.is_parent_slot[child])
+                 if int(tree.is_parent_col[int(i)]) >= 0)
+    p_col = int(tree.is_parent_col[child])
+    parent = int(tree.col_isid[p_col])
+    slot = p_col - int(tree.is_off[parent])
     pacts = tree.is_actions[parent]
     away = next(a for i, a in enumerate(pacts) if i != slot)
 

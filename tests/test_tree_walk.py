@@ -6,8 +6,12 @@ two must build equal trees, array for array and dtype for dtype, on
 the golden games and on seeds and sizes their digests do not cover,
 and payoffs or chance probabilities given as ``int``, ``Fraction`` or
 ``np.float64`` must build what their ``float`` values build, as they
-did in the float64 buffers.  Infostates with equal legal lists share
-one tuple.
+did in the float64 buffers.  The reference walk carries each player's
+last own column down the tree, so the infostates' players and parent
+columns that ``TreeIndex`` derives from its node arrays are checked
+against a walk.  Infostates with equal legal lists share one tuple.  A
+game without perfect recall builds, but reading its parent columns,
+or building ``Cfr`` on it, raises ``ValueError``.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 from efgsolve import CHANCE, TreeIndex, make_game
+from efgsolve.solvers import Cfr
 
 from oracles import reference_tree
 from test_tree_golden import GOLDEN
@@ -26,6 +31,8 @@ WALKED = [(name, 0) for name in GOLDEN] + [
 
 
 def assert_same_tree(got: TreeIndex, want: TreeIndex) -> None:
+    # ``is_parent_col`` is cached on first read; ``reference_tree`` sets it.
+    got.is_parent_col, want.is_parent_col
     assert vars(got).keys() == vars(want).keys()
     for name, value in vars(want).items():
         if isinstance(value, np.ndarray):
@@ -111,3 +118,54 @@ def test_equal_legal_lists_share_one_tuple():
     assert tree.is_actions == [(0, 1), (0, 1, 2), (0, 1)]
     assert tree.is_actions[0] is tree.is_actions[2]
     assert tree.is_actions[0] is not tree.is_actions[1]
+
+
+class _ForgetfulState:
+    """Player 0 picks one of two actions, player 1 one of two, then
+    player 0 one of two at one infostate whatever it picked first: it
+    forgets its own move.  Payoff: +1 to player 0 when its two picks
+    match."""
+
+    def __init__(self, seq=()):
+        self.seq = seq
+
+    def is_chance(self):
+        return False
+
+    def is_terminal(self):
+        return len(self.seq) == 3
+
+    def current_player(self):
+        return len(self.seq) % 2
+
+    def legal_actions(self):
+        return (0, 1)
+
+    def apply(self, action):
+        return _ForgetfulState(self.seq + (action,))
+
+    def returns(self):
+        v = 1.0 if self.seq[0] == self.seq[2] else -1.0
+        return (v, -v)
+
+    def infostate_key(self, player):
+        return (player, len(self.seq))
+
+
+class _ForgetfulGame:
+    name = "forgetful"
+
+    def root(self):
+        return _ForgetfulState()
+
+
+def test_a_game_without_perfect_recall_is_refused():
+    tree = TreeIndex(_ForgetfulGame())
+    assert tree.n_infosets == 3
+    # The reference walk keeps the first parent it meets.
+    assert reference_tree(_ForgetfulGame()).is_parent_col.tolist() \
+        == [-1, -1, 0]
+    for read in (lambda: tree.is_parent_col, lambda: Cfr(tree)):
+        with pytest.raises(ValueError, match=r"infostate \(0, 2\) follows"
+                           " several own sequences: no perfect recall"):
+            read()

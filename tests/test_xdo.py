@@ -20,13 +20,13 @@ import pytest
 from efgsolve import (NodeCounter, TreeIndex, exploitability, make_game,
                       profile_array)
 from efgsolve.policy import lift_policy, policy_from_flat, random_pure_policy
-from efgsolve.tree import (_INFOSTATE_ARRAYS, _NODE_ARRAYS, RestrictedGame,
-                          _relabel)
+from efgsolve.tree import _NODE_ARRAYS, RestrictedGame, _relabel
 from efgsolve.xdo import (Population, XdoConfig, XdoResult, _extend_to_base,
                           eq1_allowed, xdo_solve)
 
 from oracles import (choice_of, covered_infostate_count, default_choice,
-                     enumerate_reduced_pure, infostate_predecessors, tree_of)
+                     enumerate_reduced_pure, infostate_predecessors,
+                     reference_tree, tree_of)
 
 
 @pytest.fixture(scope="module")
@@ -296,9 +296,9 @@ RESTRICT_GAMES = ["kuhn", "leduc", "oshi_zumo_3_3_4", "clone_gmp_2_4_3",
                   "kgmp_1_3"]
 TREE_ARRAYS = ["parent", "depth", "kind", "player", "infoset", "payoff1",
                "in_prob", "in_col", "in_player", "child_off",
-               "is_player", "is_nact", "is_off", "is_parent",
-               "is_parent_slot", "is_depth", "decision_mask",
-               "terminal_mask", "col_isid", "col_action"]
+               "is_player", "is_nact", "is_off", "is_parent_col",
+               "is_depth", "decision_mask", "terminal_mask", "col_isid",
+               "col_action"]
 
 
 @lru_cache(maxsize=None)
@@ -330,6 +330,10 @@ def test_restrict_equals_the_walked_restricted_game(name, members):
     for field in TREE_ARRAYS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    # The players and parent columns a walk carries down the tree.
+    walked = reference_tree(_WalkedRestriction(base, mask))
+    for field in ("is_player", "is_parent_col"):
+        assert np.array_equal(getattr(got, field), getattr(walked, field))
     assert (got.n_nodes, got.n_infosets, got.n_cols) \
         == (want.n_nodes, want.n_infosets, want.n_cols)
     assert got.keys == want.keys
@@ -376,17 +380,6 @@ def reach_restrict(self, cols):
     acts = iter(self.col_action[base_col].tolist())
     out.is_actions = [tuple(islice(acts, n)) for n in np.bincount(
         col_isid[base_col], minlength=base_is.size).tolist()]
-    for name, _ in _INFOSTATE_ARRAYS:
-        setattr(out, name, getattr(self, name)[base_is])
-    # A parent's restricted slot counts the allowed columns before
-    # the taken one in its row.
-    par = out.is_parent
-    allowed_before = np.concatenate(([0], np.cumsum(cols)))
-    row = self.is_off[par]
-    out.is_parent_slot = np.where(
-        par < 0, -1, allowed_before[row + out.is_parent_slot]
-        - allowed_before[row])
-    out.is_parent = _relabel(par, base_is, self.n_infosets)
     out._finish()
     return out
 
@@ -404,6 +397,8 @@ def test_restrict_matches_the_reach_pass_version(name):
     for _ in range(8):
         mask = eq1_allowed(pops)
         got, want = base.restrict(mask), reach_restrict(base, mask)
+        # Cache the parent columns on both sides.
+        got.is_parent_col, want.is_parent_col
         assert vars(got).keys() == vars(want).keys()
         for field, value in vars(want).items():
             ours = getattr(got, field)
